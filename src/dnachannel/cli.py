@@ -189,7 +189,7 @@ def _cmd_region(args, parser) -> int:
     if skipped:
         print(f"warning: skipped {skipped} grid points with p >= 1/4", file=sys.stderr)
     rows = region_sweep([p for p in grid if p < 0.25])
-    _emit_csv(rows, ["p", "beta_min"], args.out)
+    write_csv(args.out, rows, ["p", "beta_min"])
     return 0
 
 
@@ -207,7 +207,7 @@ def _cmd_tradeoff(args, parser) -> int:
         parser.error("tradeoff requires --beta (except with --cost-ratio alone)")
     if args.lambda_grid is not None:
         rows = tradeoff_sweep(args.beta, _parse_grid(args.lambda_grid))
-        _emit_csv(rows, ["lambda", "beta", "rs_max", "rr_max"], args.out)
+        write_csv(args.out, rows, ["lambda", "beta", "rs_max", "rr_max"])
         return 0
     if args.lam is None:
         parser.error("tradeoff requires --lambda, --lambda-grid, or --cost-ratio")
@@ -249,23 +249,9 @@ def _cmd_sweep(args, parser) -> int:
         var=args.var, values=_parse_grid(args.grid), cfg=cfg, trials=args.trials,
         base_seed=args.seed, beta=args.beta, p=args.p or 0.0, sampling=sampling,
     )
-    _emit_csv(rows, ["lambda", "beta", "p", "q", "capacity",
-                     "achieved_rate", "success_rate"], args.out)
+    write_csv(args.out, rows, ["lambda", "beta", "p", "q", "capacity",
+                               "achieved_rate", "success_rate"])
     return 0
-
-
-def _emit_csv(rows, columns, out_path) -> None:
-    if out_path:
-        write_csv(out_path, rows, columns)
-    else:
-        sys.stdout.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = []
-            for c in columns:
-                v = row.get(c)
-                cells.append("" if v is None else
-                             f"{v:.10g}" if isinstance(v, float) else str(v))
-            sys.stdout.write(",".join(cells) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ChannelOutput, CodewordSet
-from .gf import ReedSolomonErasure, TooManyErasures
+from .gf import ReedSolomonErasure
 
 __all__ = [
     "ConfigError",
@@ -199,14 +199,20 @@ def inner_decode(read: np.ndarray, spec: InnerCodeSpec, L: int) -> np.ndarray:
 # Outer code (thin wrappers over the Reed-Solomon erasure codec)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _outer_code(n: int, k: int, w: int) -> ReedSolomonErasure:
+    """One Reed-Solomon codec per (n, k, w), built on first use."""
+    return ReedSolomonErasure(n, k, w)
+
+
 def outer_encode(symbols: np.ndarray, n: int, k: int, w: int) -> np.ndarray:
-    """Systematic RS encoding of k symbols to an n-symbol codeword over GF(2^w)."""
-    return ReedSolomonErasure(n, k, w).encode(symbols)
+    """Systematic RS encoding of k symbols (or a (k, s) block) to n over GF(2^w)."""
+    return _outer_code(n, k, w).encode(symbols)
 
 
 def outer_decode(symbols: np.ndarray, erased: np.ndarray, n: int, k: int, w: int) -> np.ndarray:
     """Recover the k data symbols; raises TooManyErasures past the MDS bound."""
-    return ReedSolomonErasure(n, k, w).decode_erasures(symbols, erased)
+    return _outer_code(n, k, w).decode_erasures(symbols, erased)
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +322,9 @@ def encode_message(msg: np.ndarray, cfg: CodecConfig) -> CodewordSet:
             f"message must be exactly {cfg.message_bits} bits, got {msg.shape}"
         )
     s, w = cfg.symbols_per_molecule, cfg.field_width
-    rs = ReedSolomonErasure(cfg.M, cfg.outer_k, w)
     # (outer_k, s) data symbols, one column per interleaved outer codeword.
     data = bits_to_int(msg.reshape(cfg.outer_k, s, w))
-    payload_syms = np.empty((cfg.M, s), dtype=np.int64)
-    for j in range(s):
-        payload_syms[:, j] = rs.encode(data[:, j])
+    payload_syms = outer_encode(data, cfg.M, cfg.outer_k, w)
     payload = int_to_bits(payload_syms, w).reshape(cfg.M, cfg.payload_bits)
     index = int_to_bits(np.arange(cfg.M), cfg.index_bits)
     info = np.concatenate([index, payload], axis=1)
@@ -330,48 +333,34 @@ def encode_message(msg: np.ndarray, cfg: CodecConfig) -> CodewordSet:
 
 def decode_output(out: ChannelOutput, cfg: CodecConfig) -> DecodeReport:
     """Decode a channel output: sort by index, erase conflicts, RS-decode."""
-    if out.N > 0 and out.L != cfg.L:
+    if out.N == 0:  # every index erased, and outer_k >= 1
+        return DecodeReport(None, cfg.M, 0, False)
+    if out.L != cfg.L:
         raise ConfigError(f"reads have length {out.L}, config says {cfg.L}")
     s, w = cfg.symbols_per_molecule, cfg.field_width
 
-    undetected_risk = False
-    seen: dict[int, bytes | None] = {}  # index -> payload bytes, None = conflict
-    payload_of: dict[int, np.ndarray] = {}
-    if out.N > 0:
-        info = _inner_code(cfg.inner, cfg.L).decode(out.reads)
-        indices = bits_to_int(info[:, : cfg.index_bits])
-        payloads = info[:, cfg.index_bits:]
-        for i in range(out.N):
-            idx = int(indices[i])
-            if idx >= cfg.M:
-                undetected_risk = True
-                continue
-            key = payloads[i].tobytes()
-            if idx not in seen:
-                seen[idx] = key
-                payload_of[idx] = payloads[i]
-            elif seen[idx] is not None and seen[idx] != key:
-                seen[idx] = None  # conflicting duplicates: erase this index
-                del payload_of[idx]
+    info = _inner_code(cfg.inner, cfg.L).decode(out.reads)
+    index = bits_to_int(info[:, : cfg.index_bits])
+    in_range = index < cfg.M
+    undetected_risk = not in_range.all()
+    index, payload = index[in_range], info[in_range, cfg.index_bits:]
+    # Identical duplicates merge; an index read with a payload other than
+    # its first one has conflicting payloads and is erased.
+    values, first, group = np.unique(index, return_index=True, return_inverse=True)
+    conflict = np.zeros(values.size, dtype=bool)
+    conflict[group[(payload != payload[first[group]]).any(axis=1)]] = True
+    collisions = int(conflict.sum())
+    index, payload = values[~conflict], payload[first[~conflict]]
 
-    collisions = sum(1 for v in seen.values() if v is None)
-    erasures = cfg.M - len(payload_of)
+    erasures = cfg.M - index.size
     if erasures > cfg.M - cfg.outer_k:
         return DecodeReport(None, erasures, collisions, undetected_risk)
 
     symbols = np.zeros((cfg.M, s), dtype=np.int64)
+    symbols[index] = bits_to_int(payload.reshape(-1, s, w))
     erased = np.ones(cfg.M, dtype=bool)
-    for idx, bits in payload_of.items():
-        symbols[idx] = bits_to_int(bits.reshape(s, w))
-        erased[idx] = False
-
-    rs = ReedSolomonErasure(cfg.M, cfg.outer_k, w)
-    data = np.empty((cfg.outer_k, s), dtype=np.int64)
-    try:
-        for j in range(s):
-            data[:, j] = rs.decode_erasures(symbols[:, j], erased)
-    except TooManyErasures:  # unreachable given the count check above
-        return DecodeReport(None, erasures, collisions, undetected_risk)
+    erased[index] = False
+    data = outer_decode(symbols, erased, cfg.M, cfg.outer_k, w)
     msg = int_to_bits(data, w).reshape(cfg.message_bits)
     return DecodeReport(msg, erasures, collisions, undetected_risk)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -468,11 +469,18 @@ def records_to_jsonl(records) -> str:
 
 
 def write_csv(path, rows: list[dict], columns: list[str]) -> None:
-    """Write sweep rows as CSV with a header naming each quantity."""
+    """Write sweep rows as CSV with a header naming each quantity.
+
+    An empty ``path`` (None or "") writes to standard output.
+    """
+    lines = [",".join(columns)]
+    lines += [",".join(_csv_cell(row.get(c)) for c in columns) for row in rows]
+    text = "\n".join(lines) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(row.get(c)) for c in columns) + "\n")
+        fh.write(text)
 
 
 def _csv_cell(value) -> str:

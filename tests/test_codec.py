@@ -349,6 +349,52 @@ def test_out_of_range_index_discarded_and_flagged():
     assert not clean.undetected_risk
 
 
+def _reference_dedup(info, cfg):
+    """Per-read dict loop that decode_output's vectorised dedup replaces."""
+    seen, payload_of, risk = {}, {}, False
+    for row in info:
+        idx = int(bits_to_int(row[: cfg.index_bits]))
+        if idx >= cfg.M:
+            risk = True
+            continue
+        key = row[cfg.index_bits:].tobytes()
+        if idx not in seen:
+            seen[idx] = key
+            payload_of[idx] = row[cfg.index_bits:]
+        elif seen[idx] is not None and seen[idx] != key:
+            seen[idx] = None
+            del payload_of[idx]
+    collisions = sum(1 for v in seen.values() if v is None)
+    return payload_of, collisions, risk
+
+
+def test_dedup_matches_reference_loop():
+    # M=12 leaves indices 12..15 out of range; s=2 symbols per molecule
+    cfg = CodecConfig(M=12, L=12, inner=InnerCodeSpec.identity(), outer_k=8)
+    s, w = cfg.symbols_per_molecule, cfg.field_width
+    rng = substream(7, 8)
+    for _ in range(200):
+        cw = encode_message(random_message(cfg, rng), cfg).molecules
+        reads = np.vstack([cw, rng.integers(0, 2, size=(4, cfg.L), dtype=np.uint8)])
+        reads = reads[rng.integers(0, len(reads), size=rng.integers(0, 40))]
+        flips = rng.random(reads.shape) < 0.02
+        reads = (reads ^ flips).astype(np.uint8)
+        report = decode_output(ChannelOutput(reads=reads.reshape(-1, cfg.L)), cfg)
+        payload_of, collisions, risk = _reference_dedup(reads, cfg)
+        assert report.erasures == cfg.M - len(payload_of)
+        assert (report.collisions, report.undetected_risk) == (collisions, risk)
+        assert report.ok == (report.erasures <= cfg.M - cfg.outer_k)
+        if report.ok:
+            symbols = np.zeros((cfg.M, s), dtype=np.int64)
+            erased = np.ones(cfg.M, dtype=bool)
+            for idx, p in payload_of.items():
+                symbols[idx] = bits_to_int(p.reshape(s, w))
+                erased[idx] = False
+            data = np.stack([outer_decode(symbols[:, j], erased, cfg.M, cfg.outer_k, w)
+                             for j in range(s)], axis=1)
+            assert (report.message == int_to_bits(data, w).reshape(-1)).all()
+
+
 def test_perfect_channel_roundtrip_many_messages():
     params16 = ChannelParams(M=16, beta=2.0, p=0.0,
                              sampling=SamplingSpec.bernoulli(0.0), L=8)
