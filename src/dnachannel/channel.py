@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import poisson_counts
+from .rng import poisson_counts, poisson_each
 
 __all__ = [
     "SamplingSpec",
@@ -245,12 +245,11 @@ def sample_counts(spec: SamplingSpec, M: int, rng: np.random.Generator) -> np.nd
         live = copies > 0
         if live.any():
             # N_i | A_i=a ~ Poisson(a * lam / alpha); one conditional draw
-            # per molecule with surviving copies, in index order.
+            # per molecule with surviving copies, in index order, consuming
+            # the stream as one poisson_counts(rng, m, 1) call per molecule
+            # would (the per-element contract in rng's module docstring).
             means = copies[live] * (spec.lam / spec.alpha)
-            sub = np.array(
-                [poisson_counts(rng, float(m), 1)[0] for m in means], dtype=np.int64
-            )
-            counts[live] = sub
+            counts[live] = poisson_each(rng, means)
         return counts
     if spec.kind == "custom":
         cum = np.cumsum(spec.pmf)

@@ -69,8 +69,6 @@ class ExperimentKind(Enum):
     ESTIMATE_Q0 = "EstimateQ0"
     DECODE_SUCCESS = "DecodeSuccess"
     BOUND_CHECK = "BoundCheck"
-    TRADEOFF_SWEEP = "TradeoffSweep"
-    REGION_SWEEP = "RegionSweep"
     COUPON_TAIL = "CouponTail"
 
 
@@ -105,9 +103,6 @@ class ExperimentSpec:
     # CouponTail parameters (delta shared with above)
     coupon_M: int = 0
     coupon_lam: float = 0.0
-    # Sweep grid (TradeoffSweep / RegionSweep)
-    grid: tuple[float, ...] = ()
-    beta: float = 0.0
     # Verdict targets
     expected: float | None = None
     tolerance: float | None = None
@@ -181,25 +176,30 @@ class Summary:
     verdict: str | None = None
 
     def to_json(self) -> dict:
+        # Non-finite floats (a NaN mean when every trial failed) become null,
+        # so the object serialises as strict JSON.
         out = {
             "metric": self.metric,
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "ci95": list(self.ci95),
+            "mean": _json_float(self.mean),
+            "stderr": _json_float(self.stderr),
+            "ci95": [_json_float(x) for x in self.ci95],
             "trials": self.trials,
         }
         for key in ("expected", "tolerance", "bound", "min_rate", "verdict"):
             value = getattr(self, key)
             if value is not None:
-                out[key] = value
+                out[key] = _json_float(value)
         return out
+
+
+def _json_float(x):
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 @dataclass(frozen=True)
 class RunResult:
     records: list
-    summary: Summary | None
-    table: list | None = None  # sweep kinds produce a row table instead
+    summary: Summary
 
 
 _METRIC_NAME = {
@@ -212,11 +212,6 @@ _METRIC_NAME = {
 
 def run(spec: ExperimentSpec, workers: int | None = None) -> RunResult:
     """Execute an experiment; deterministic given base_seed for any worker count."""
-    if spec.kind is ExperimentKind.TRADEOFF_SWEEP:
-        return RunResult([], None, tradeoff_sweep(spec.beta, spec.grid))
-    if spec.kind is ExperimentKind.REGION_SWEEP:
-        return RunResult([], None, region_sweep(spec.grid))
-
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
     fn = _TRIAL_FN[spec.kind]

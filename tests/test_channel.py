@@ -1,6 +1,8 @@
 """Channel-core tests: sampling law, noise marginal, shuffling, determinism."""
 
+import hashlib
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -20,7 +22,13 @@ from dnachannel.channel import (
     transmit,
     transmit_traced,
 )
-from dnachannel.rng import derive_seed, poisson_counts, substream
+from dnachannel.rng import (
+    _ptrs_budget,
+    derive_seed,
+    poisson_counts,
+    poisson_each,
+    substream,
+)
 
 mpmath.mp.dps = 30
 
@@ -129,6 +137,116 @@ def test_poisson_pcr_empirical_q0():
     miss = (counts == 0).mean()
     sigma = math.sqrt(q0_of(spec) * (1 - q0_of(spec)) / counts.size)
     assert abs(miss - q0_of(spec)) < 4 * sigma
+
+
+# ---------------------------------------------------------------------------
+# poisson_each: the per-molecule PCR draw without one call per molecule
+# ---------------------------------------------------------------------------
+
+def per_molecule_pcr_counts(spec, M, rng):
+    """The PCR branch as one poisson_counts(rng, m, 1) call per live molecule."""
+    copies = poisson_counts(rng, spec.alpha, M)
+    counts = np.zeros(M, dtype=np.int64)
+    live = copies > 0
+    if live.any():
+        means = copies[live] * (spec.lam / spec.alpha)
+        counts[live] = np.array(
+            [poisson_counts(rng, float(m), 1)[0] for m in means], dtype=np.int64
+        )
+    return counts
+
+
+def uniforms_consumed(make_rng, draw):
+    """How many rng.random() doubles ``draw`` consumed from a fresh generator."""
+    rng = make_rng()
+    draw(rng)
+    nxt = rng.random()
+    stream = make_rng().random(4096)
+    return int(np.flatnonzero(stream == nxt)[0])
+
+
+GENERATORS = {
+    "philox": lambda seed: substream(20240811, 40, seed),
+    "pcg64": lambda seed: np.random.default_rng(seed),
+}
+
+
+# Means of (20, 5) and (100, 3) fall mostly above the PTRS threshold of 10,
+# those of (5, 2) on both sides, those of (2, 2) and (0.5, 0.1) below it.
+@pytest.mark.parametrize("gen", sorted(GENERATORS))
+@pytest.mark.parametrize("lam,alpha", [(20, 5), (5, 2), (100, 3), (2, 2), (0.5, 0.1)])
+def test_pcr_counts_match_per_molecule_reference(lam, alpha, gen):
+    spec = SamplingSpec.poisson_pcr(float(lam), float(alpha))
+    for seed in range(4):
+        ref_rng, rng = GENERATORS[gen](seed), GENERATORS[gen](seed)
+        expected = per_molecule_pcr_counts(spec, 300, ref_rng)
+        assert np.array_equal(sample_counts(spec, 300, rng), expected)
+        # the generator is left where the per-molecule calls leave it
+        assert rng.random() == ref_rng.random()
+
+
+def test_pcr_counts_pinned_digest():
+    # sha256 of the little-endian int64 counts, computed with the
+    # per-molecule implementation.
+    counts = sample_counts(SamplingSpec.poisson_pcr(20.0, 5.0), 256, rng_for(31))
+    assert counts.sum() == 4939
+    assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == (
+        "4c82d4c0b53378106676b3cfd48a84b865cbed4cda31af9465dfdfa2b438d26f"
+    )
+
+
+def test_poisson_each_empty_and_zero_means_draw_nothing():
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    assert poisson_each(rng, []).shape == (0,)
+    assert poisson_each(rng, np.zeros(5)).tolist() == [0] * 5
+    assert rng.random() == ref.random()
+
+
+def test_poisson_each_mean_at_threshold_uses_inversion():
+    # 10.0 is the last mean drawn by inversion: exactly one uniform.
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert poisson_each(rng, [10.0])[0] == poisson_counts(ref, 10.0, 1)[0]
+        assert rng.random() == ref.random()
+    make = partial(np.random.default_rng, 0)
+    assert uniforms_consumed(make, lambda r: poisson_each(r, [10.0])) == 1
+
+
+def test_poisson_each_tops_up_after_long_rejection_run():
+    # Seed 1446 makes PTRS at mean 10.5 reject six times before accepting:
+    # 14 uniforms, more than the first block holds for one PTRS mean.
+    make = partial(np.random.default_rng, 1446)
+    used = uniforms_consumed(make, lambda r: poisson_counts(r, 10.5, 1))
+    assert used == 14 and used > _ptrs_budget(1)
+    means = [10.5, 3.0, 0.0, 7.0, 10.0, 25.0]
+    rng, ref = make(), make()
+    expected = [poisson_counts(ref, m, 1)[0] for m in means]
+    assert poisson_each(rng, means).tolist() == expected
+    assert rng.random() == ref.random()
+
+
+def test_poisson_each_tops_up_past_the_block_end():
+    # Seed 14839 makes the first two PTRS draws at mean 10.5 take 20
+    # uniforms.  The 20 inversion uniforms after them then put the third
+    # PTRS mean's first uniform past the end of the first block plus one
+    # budget-sized top-up.
+    make = partial(np.random.default_rng, 14839)
+    two = lambda r: [poisson_counts(r, 10.5, 1) for _ in range(2)]
+    assert uniforms_consumed(make, two) == 20
+    means = [10.5, 10.5] + [1.0] * 20 + [10.5]
+    # third mean reads uniforms 40 and 41; first block 20 + budget(3)
+    assert 40 + 2 > 20 + _ptrs_budget(3) + _ptrs_budget(1)
+    rng, ref = make(), make()
+    expected = [poisson_counts(ref, m, 1)[0] for m in means]
+    assert poisson_each(rng, means).tolist() == expected
+    assert rng.random() == ref.random()
+
+
+def test_poisson_each_rejects_bad_means():
+    rng = np.random.default_rng(0)
+    for bad in ([-1.0], [math.nan], [math.inf], [[1.0]]):
+        with pytest.raises(ValueError):
+            poisson_each(rng, bad)
 
 
 def test_custom_pmf_empirical_frequencies():

@@ -536,3 +536,13 @@ def test_parse_rejects_malformed():
         parse_reads("M=1 L=3\n0120\n")  # bad width / charset
     with pytest.raises(ValueError):
         parse_reads("rows=1 cols=3\n010\n")  # bad header
+
+
+def test_parse_reports_first_bad_line_number():
+    good = "010\n111\n"
+    with pytest.raises(ValueError, match=r"^line 4 is not a 3-bit 0/1 string$"):
+        parse_reads("M=4 L=3\n" + good + "01\n000\n")  # wrong length
+    with pytest.raises(ValueError, match=r"^line 3 is not a 3-bit 0/1 string$"):
+        parse_reads("M=4 L=3\n010\n0a1\n01\n000\n")  # bad char before bad length
+    with pytest.raises(ValueError, match=r"^line 5 is not a 3-bit 0/1 string$"):
+        parse_reads("M=4 L=3\n" + good + "000\n1\u00e91\n")  # non-ASCII

@@ -118,6 +118,17 @@ def test_failed_trials_recorded_not_raised():
     assert result.summary.verdict == "FAIL"
 
 
+def test_all_failed_summary_is_strict_json():
+    spec = ExperimentSpec.decode_success(bern_channel(16, 8, 0.0), M16_REP3,
+                                         trials=3, base_seed=108, min_rate=0.5)
+    out = run(spec).summary.to_json()
+    text = json.dumps(out, allow_nan=False)
+    assert list(out) == ["metric", "mean", "stderr", "ci95", "trials",
+                         "min_rate", "verdict"]
+    assert json.loads(text)["mean"] is None
+    assert json.loads(text)["ci95"] == [None, None]
+
+
 def test_record_json_key_order():
     spec = ExperimentSpec.estimate_q0(bern_channel(16, 8, 0.5), trials=1,
                                       base_seed=109)
