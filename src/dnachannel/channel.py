@@ -195,7 +195,7 @@ class CodewordSet:
         arr = np.ascontiguousarray(self.molecules, dtype=np.uint8)
         if arr.ndim != 2:
             raise ValueError("molecules must be a 2-D (M, L) bit array")
-        if not np.isin(arr, (0, 1)).all():
+        if not (arr <= 1).all():  # uint8 already, so only 0 and 1 pass
             raise ValueError("molecules must contain only 0/1")
         object.__setattr__(self, "molecules", arr)
         arr.setflags(write=False)

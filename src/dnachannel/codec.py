@@ -436,14 +436,15 @@ def parse_reads(text: str) -> np.ndarray:
         rows, cols = int(fields["M"]), int(fields["L"])
     except (ValueError, KeyError) as e:
         raise ValueError(f"bad header line {lines[0]!r}") from e
-    body = [ln for ln in lines[1:] if ln]
+    # (line number in the file, line) for the non-blank lines after the header
+    body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln]
     if len(body) != rows:
         raise ValueError(f"header says {rows} reads, file has {len(body)}")
     out = np.empty((rows, cols), dtype=np.uint8)
-    for i, ln in enumerate(body):
+    for row, (i, ln) in enumerate(body):
         if len(ln) != cols or set(ln) - {"0", "1"}:
-            raise ValueError(f"line {i + 2} is not a {cols}-bit 0/1 string")
-        out[i] = np.frombuffer(ln.encode("ascii"), dtype=np.uint8) - ord("0")
+            raise ValueError(f"line {i} is not a {cols}-bit 0/1 string")
+        out[row] = np.frombuffer(ln.encode("ascii"), dtype=np.uint8) - ord("0")
     return out
 
 

@@ -127,9 +127,15 @@ def _poisson_ptrs(rng: np.random.Generator, lam: float, size: int) -> np.ndarray
         u = rng.random(pending.size) - 0.5
         v = rng.random(pending.size)
         us = 0.5 - np.abs(u)
-        k = np.floor((2.0 * a / us + b) * u + lam + 0.43).astype(np.int64)
+        kf = np.floor((2.0 * a / us + b) * u + lam + 0.43)
+        # A candidate outside int64 becomes -1, which the full test rejects
+        # (it needs k >= 0); one the squeeze accepts is too large to return.
+        fits = np.abs(kf) < 2.0**63
+        k = np.where(fits, kf, -1.0).astype(np.int64)
 
         accept = (us >= 0.07) & (v <= v_r)
+        if (accept & ~fits).any():
+            raise OverflowError(f"a Poisson({lam}) variate does not fit in int64")
         # Squeeze failed: do the full acceptance test on the remainder.
         check = ~accept & (k >= 0) & ((us >= 0.013) | (v <= us))
         if check.any():

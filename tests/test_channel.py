@@ -249,6 +249,16 @@ def test_poisson_each_rejects_bad_means():
             poisson_each(rng, bad)
 
 
+def test_poisson_counts_past_int64_raises():
+    # The PTRS cast used to wrap such variates to -2^63 with a RuntimeWarning.
+    with pytest.raises(OverflowError):
+        sample_counts(SamplingSpec.poisson(1e19), 3, np.random.default_rng(0))
+    with pytest.raises(OverflowError):
+        poisson_each(np.random.default_rng(0), [1e19])
+    big = sample_counts(SamplingSpec.poisson(9e18), 3, np.random.default_rng(0))
+    assert (np.abs(big - 9e18) < 1e11).all()
+
+
 def test_custom_pmf_empirical_frequencies():
     spec = SamplingSpec.custom([0.2, 0.5, 0.3])
     counts = sample_counts(spec, 100_000, rng_for(6))

@@ -546,3 +546,5 @@ def test_parse_reports_first_bad_line_number():
         parse_reads("M=4 L=3\n010\n0a1\n01\n000\n")  # bad char before bad length
     with pytest.raises(ValueError, match=r"^line 5 is not a 3-bit 0/1 string$"):
         parse_reads("M=4 L=3\n" + good + "000\n1\u00e91\n")  # non-ASCII
+    with pytest.raises(ValueError, match=r"^line 4 is not a 3-bit 0/1 string$"):
+        parse_reads("M=2 L=3\n\n010\n0a0\n")  # blank lines count

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dnachannel import gf
 from dnachannel.gf import GF2w, ReedSolomonErasure, TooManyErasures
 
 
@@ -83,7 +84,7 @@ def test_rs_five_erasures_signal_failure():
 
 @pytest.mark.parametrize("n,k,w", [
     (16, 12, 4), (255, 200, 8), (256, 230, 8), (20, 7, 5),
-    (8, 8, 4), (10, 1, 4), (256, 100, 16), (4096, 3600, 12),
+    (8, 8, 4), (10, 1, 4), (256, 100, 16), (4096, 3600, 12), (16384, 14400, 14),
 ])
 def test_rs_random_erasures_roundtrip(n, k, w):
     rs = ReedSolomonErasure(n, k, w)
@@ -149,19 +150,85 @@ def test_rs_column_block_matches_columns(n, k, w):
         assert (rs.decode_erasures(noisy[:, j], erased) == data[:, j]).all()
 
 
-def test_rs_memory_linear_at_m4096():
-    # The k x k matrix implementation peaked at ~324 MB here.
+def _traced_peak_roundtrip(n, k, w):
+    """tracemalloc peak of build + encode + 5 %-erasure decode."""
     rng = np.random.default_rng(5)
     tracemalloc.start()
     try:
-        rs = ReedSolomonErasure(4096, 3600, 12)
-        data = rng.integers(0, 4096, size=3600)
+        rs = ReedSolomonErasure(n, k, w)
+        data = rng.integers(0, 1 << w, size=k)
         cw = rs.encode(data)
-        erased = np.zeros(4096, dtype=bool)
-        erased[rng.choice(4096, size=205, replace=False)] = True
+        erased = np.zeros(n, dtype=bool)
+        erased[rng.choice(n, size=round(n / 20), replace=False)] = True
         got = rs.decode_erasures(cw, erased)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (got == data).all()
-    assert peak < 64 * 2**20
+    return peak
+
+
+def test_rs_memory_linear_at_m4096():
+    # The k x k matrix implementation peaked at ~324 MB here.
+    assert _traced_peak_roundtrip(4096, 3600, 12) < 64 * 2**20
+
+
+def test_rs_memory_at_m16384():
+    # The k x k matrix implementation would need ~5 GB here.
+    assert _traced_peak_roundtrip(16384, 14400, 14) < 64 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# The XOR-transform kernel against the Lagrange kernel
+# ---------------------------------------------------------------------------
+
+def _codec(monkeypatch, n, k, w, transform):
+    """ReedSolomonErasure(n, k, w) built with the chosen kernel."""
+    with monkeypatch.context() as m:
+        m.setattr(gf, "_use_transform", lambda *code: transform)
+        return ReedSolomonErasure(n, k, w)
+
+
+def test_kernel_choice():
+    assert gf._use_transform(4096, 3600, 12)  # archive scale
+    assert gf._use_transform(16384, 14400, 14)
+    assert not gf._use_transform(256, 192, 8)  # below 2^10 points
+    assert not gf._use_transform(4096, 4080, 12)  # too little Lagrange work
+
+
+@pytest.mark.parametrize("n,k,w", [
+    (2, 1, 4), (16, 1, 4), (16, 15, 4), (16, 12, 4), (11, 5, 4),
+    (256, 1, 8), (256, 255, 8), (200, 120, 8), (256, 100, 13),
+    (1024, 1, 13), (1024, 1023, 13), (1000, 700, 13),
+])
+def test_transform_kernel_matches_lagrange(monkeypatch, n, k, w):
+    fast = _codec(monkeypatch, n, k, w, True)
+    ref = _codec(monkeypatch, n, k, w, False)
+    rng = np.random.default_rng([n, k, w])
+    data = rng.integers(0, 1 << w, size=(k, 3))
+    data[:, 1] = 0  # an all-zero column
+    cw = fast.encode(data)
+    assert (cw == ref.encode(data)).all()
+    assert (fast.encode(data[:, 0]) == cw[:, 0]).all()
+    assert (fast.encode(np.zeros(k, dtype=np.int64)) == 0).all()
+    for n_erase in sorted({1, (n - k + 1) // 2, n - k}):
+        # One erased data position, so that decoding interpolates.
+        erased = np.zeros(n, dtype=bool)
+        first = rng.integers(0, k)
+        erased[first] = True
+        others = np.delete(np.arange(n), first)
+        erased[rng.choice(others, size=n_erase - 1, replace=False)] = True
+        # Random symbols are no codeword: both kernels still interpolate
+        # through the same base, the first k surviving positions.
+        noisy = rng.integers(0, 1 << w, size=(n, 2))
+        got = fast.decode_erasures(noisy, erased)
+        assert (got == ref.decode_erasures(noisy, erased)).all()
+        assert (fast.decode_erasures(noisy[:, 1], erased) == got[:, 1]).all()
+        assert (fast.decode_erasures(cw, erased) == data).all()
+
+
+@pytest.mark.parametrize("n,k,w", sorted(PINNED_CODEWORDS))
+def test_rs_codeword_pinned_other_kernel(monkeypatch, n, k, w):
+    data = np.random.default_rng([n, k, w]).integers(0, 1 << w, size=k)
+    cw = _codec(monkeypatch, n, k, w, not gf._use_transform(n, k, w)).encode(data)
+    assert hashlib.sha256(cw.astype("<i8").tobytes()).hexdigest() == PINNED_CODEWORDS[n, k, w]
