@@ -169,7 +169,12 @@ class _InnerCode:
         if self.spec.kind == "repetition":
             r = self.spec.r
             groups = reads.reshape(reads.shape[0], self.k, r)
-            return (groups.sum(axis=2) * 2 > r).astype(np.uint8)
+            # Count the ones among the r copies in the narrowest dtype that
+            # holds r, one strided slice at a time; majority means > r // 2.
+            ones = groups[:, :, 0].astype(np.min_scalar_type(r))
+            for i in range(1, r):
+                ones += groups[:, :, i]
+            return (ones > r // 2).astype(np.uint8)
         # Nearest codeword; argmin takes the first minimum, i.e. lowest index.
         dists = (reads[:, None, :] ^ self.codebook[None, :, :]).sum(axis=2)
         best = np.argmin(dists, axis=1)
@@ -345,12 +350,15 @@ def decode_output(out: ChannelOutput, cfg: CodecConfig) -> DecodeReport:
     undetected_risk = not in_range.all()
     index, payload = index[in_range], info[in_range, cfg.index_bits:]
     # Identical duplicates merge; an index read with a payload other than
-    # its first one has conflicting payloads and is erased.
-    values, first, group = np.unique(index, return_index=True, return_inverse=True)
-    conflict = np.zeros(values.size, dtype=bool)
-    conflict[group[(payload != payload[first[group]]).any(axis=1)]] = True
+    # its representative's (any one read of that index) has conflicting
+    # payloads and is erased.
+    rep = np.full(cfg.M, -1, dtype=np.int64)
+    rep[index] = np.arange(index.size)
+    conflict = np.zeros(cfg.M, dtype=bool)
+    conflict[index[(payload != payload[rep[index]]).any(axis=1)]] = True
     collisions = int(conflict.sum())
-    index, payload = values[~conflict], payload[first[~conflict]]
+    index = np.flatnonzero((rep >= 0) & ~conflict)
+    payload = payload[rep[index]]
 
     erasures = cfg.M - index.size
     if erasures > cfg.M - cfg.outer_k:
@@ -383,12 +391,22 @@ def short_molecule_encode(bits: np.ndarray, M: int, L: int) -> CodewordSet:
         raise ConfigError(f"need exactly 2^(L-1)={K} bits, got {bits.shape}")
     if M < K:
         raise ConfigError(f"need M >= 2^(L-1)={K}, got M={M}")
-    copies = math.ceil(M / K)
-    order = np.tile(np.arange(K), copies)[:M]
-    molecules = np.concatenate(
-        [int_to_bits(order, L - 1), bits[order][:, None]], axis=1
-    )
+    order, layout = _short_layout(M, L)
+    molecules = layout.copy()
+    molecules[:, -1] = bits[order]
     return CodewordSet(molecules=molecules)
+
+
+@lru_cache(maxsize=16)
+def _short_layout(M: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Segment of each molecule, and the molecules with a zero data bit."""
+    K = 1 << (L - 1)
+    order = np.tile(np.arange(K), math.ceil(M / K))[:M]
+    layout = np.zeros((M, L), dtype=np.uint8)
+    layout[:, :-1] = int_to_bits(order, L - 1)
+    order.setflags(write=False)
+    layout.setflags(write=False)
+    return order, layout
 
 
 def short_molecule_decode(out: ChannelOutput, L: int) -> np.ndarray:

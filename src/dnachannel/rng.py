@@ -9,18 +9,21 @@ execution regardless of worker count.
 
 Stream contract of the Poisson samplers.  ``poisson_counts(rng, lam, size)``
 uses one uniform per variate for lam <= 10 (inversion) and a pair (u, v)
-per attempt above that (PTRS), in array order.  ``poisson_each(rng, means)``
-returns exactly ``[poisson_counts(rng, m, 1)[0] for m in means]``, element
-by element in index order, and leaves the generator in the same state: it
-draws one block of uniforms, walks it with the same arithmetic, then rewinds
-the generator and re-draws exactly the number of uniforms the walk consumed.
-Both rely on ``rng.random(n)`` giving the same doubles as n calls of
-``rng.random(1)``.
+per attempt above that (PTRS), in array order.  Inversion is the first cdf
+entry >= u over a cached table of cdf_0..cdf_kmax, capped at k_max; the
+table holds the doubles sequential search would sum, so the lookup returns
+what that search would.  ``poisson_each(rng, means)`` returns exactly
+``[poisson_counts(rng, m, 1)[0] for m in means]``, element by element in
+index order, and leaves the generator in the same state: it draws one block
+of uniforms, walks it with the same arithmetic, then rewinds the generator
+and re-draws exactly the number of uniforms the walk consumed.  Both rely
+on ``rng.random(n)`` giving the same doubles as n calls of ``rng.random(1)``.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,61 +54,53 @@ _PTRS_THRESHOLD = 10.0
 def poisson_counts(rng: np.random.Generator, lam: float, size: int) -> np.ndarray:
     """Draw ``size`` i.i.d. Poisson(lam) variates with a documented algorithm.
 
-    For lam <= 10 uses inversion by sequential search (one uniform per
-    variate); above that, Hormann's transformed-rejection method PTRS
-    (two uniforms per attempt).  Both consume the stream in array order,
-    so results are reproducible from the generator state alone.
+    For lam <= 10 uses inversion (one uniform per variate); above that,
+    Hormann's transformed-rejection method PTRS (two uniforms per attempt).
+    Both consume the stream in array order, so results are reproducible
+    from the generator state alone.
     """
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     if lam == 0:
         return np.zeros(size, dtype=np.int64)
     if lam <= _PTRS_THRESHOLD:
-        return _poisson_inversion(rng, lam, size)
+        return _invert(float(lam), rng.random(size))
     return _poisson_ptrs(rng, lam, size)
 
 
-def _poisson_inversion(rng: np.random.Generator, lam: float, size: int) -> np.ndarray:
-    u = rng.random(size)
-    k = np.zeros(size, dtype=np.int64)
-    p0, k_max = _inversion_constants(lam)
-    p = np.full(size, p0)
-    cdf = p.copy()
-    active = u > cdf
-    while active.any():
-        k[active] += 1
-        p[active] *= lam / k[active]
-        cdf[active] += p[active]
-        active &= u > cdf
-        if k.max() >= k_max:
-            break
-    return k
+@lru_cache(maxsize=256)
+def _inversion_cdf(lam: float) -> np.ndarray:
+    """cdf_0..cdf_kmax of Poisson(lam), built the way sequential search would.
 
-
-def _inversion_constants(lam: float) -> tuple[float, int]:
+    p_k = p_{k-1} * (lam / k) and cdf_k = cdf_{k-1} + p_k, both accumulated
+    left to right, so every entry is the double the search loop would reach.
+    """
     # P(K > lam + 40*sqrt(lam) + 50) is far below the 1e-12 truncation mass.
-    return math.exp(-lam), int(lam + 40.0 * math.sqrt(lam) + 50.0)
+    k_max = int(lam + 40.0 * math.sqrt(lam) + 50.0)
+    steps = np.empty(k_max + 1)
+    steps[0] = math.exp(-lam)
+    steps[1:] = lam / np.arange(1, k_max + 1)
+    cdf = np.cumsum(np.cumprod(steps))
+    cdf.setflags(write=False)
+    return cdf
+
+
+def _invert(lam: float, u: np.ndarray) -> np.ndarray:
+    """First k with u <= cdf_k, capped at k_max: inversion by sequential search."""
+    cdf = _inversion_cdf(lam)
+    k = np.searchsorted(cdf, u)
+    return np.minimum(k, cdf.size - 1).astype(np.int64, copy=False)
 
 
 def _inversion_each(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """:func:`_poisson_inversion` with one mean per uniform.
-
-    Same arithmetic and cut-off per element; the constants are taken once
-    per distinct mean.  The scalar-mean loop stays separate because routing
-    it through here (the mean broadcast per element) measured ~4 % slower
-    per short-l4-m64 trial.
-    """
-    uniq, which = np.unique(lam, return_inverse=True)
-    consts = np.array([_inversion_constants(x) for x in uniq.tolist()]).reshape(-1, 2)
-    p, k_max = consts[which].T
-    cdf = p.copy()
-    k = np.zeros(u.size, dtype=np.int64)
-    act = np.flatnonzero(u > cdf)
-    while act.size:
-        k[act] += 1
-        p[act] *= lam[act] / k[act]
-        cdf[act] += p[act]
-        act = act[(u[act] > cdf[act]) & (k[act] < k_max[act])]
+    """:func:`_invert` with one mean per uniform, one lookup per distinct mean."""
+    k = np.empty(u.size, dtype=np.int64)
+    if u.size:
+        order = np.argsort(lam)
+        sorted_lam = lam[order]
+        cuts = np.flatnonzero(sorted_lam[1:] != sorted_lam[:-1]) + 1
+        for group in np.split(order, cuts):
+            k[group] = _invert(float(lam[group[0]]), u[group])
     return k
 
 

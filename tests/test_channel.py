@@ -249,6 +249,117 @@ def test_poisson_each_rejects_bad_means():
             poisson_each(rng, bad)
 
 
+# ---------------------------------------------------------------------------
+# inversion as a table lookup: same values and stream as sequential search
+# ---------------------------------------------------------------------------
+
+def lockstep_inversion(u, lam):
+    """Sequential-search inversion in lockstep over all uniforms (reference)."""
+    k = np.zeros(u.size, dtype=np.int64)
+    p0, k_max = math.exp(-lam), int(lam + 40.0 * math.sqrt(lam) + 50.0)
+    p = np.full(u.size, p0)
+    cdf = p.copy()
+    active = u > cdf
+    while active.any():
+        k[active] += 1
+        p[active] *= lam / k[active]
+        cdf[active] += p[active]
+        active &= u > cdf
+        if k.max() >= k_max:
+            break
+    return k
+
+
+def reference_each(rng, means):
+    """poisson_each drawn one mean at a time: lockstep inversion up to 10."""
+    out = []
+    for m in means:
+        if m == 0.0:
+            out.append(0)
+        elif m <= 10.0:
+            out.append(int(lockstep_inversion(rng.random(1), m)[0]))
+        else:
+            out.append(int(poisson_counts(rng, m, 1)[0]))
+    return out
+
+
+class ScriptedUniforms:
+    """Generator stand-in returning fixed doubles in order; state = position."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+        self.state = 0
+        self.bit_generator = self
+
+    def random(self, size):
+        out = self.u[self.state:self.state + size]
+        assert out.size == size
+        self.state += size
+        return out
+
+
+INVERSION_MEANS = [1e-300, 0.3, 1.0, 5.0, 9.999, 10.0]
+
+
+@pytest.mark.parametrize("gen", sorted(GENERATORS))
+@pytest.mark.parametrize("lam", INVERSION_MEANS)
+def test_inversion_matches_lockstep_reference(lam, gen):
+    for seed in range(5):
+        for size in (0, 1, 777):
+            rng, ref = GENERATORS[gen](seed), GENERATORS[gen](seed)
+            counts = poisson_counts(rng, lam, size)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, lockstep_inversion(ref.random(size), lam))
+            assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("gen", sorted(GENERATORS))
+def test_poisson_each_matches_lockstep_reference(gen):
+    pick = np.random.default_rng(77)
+    for seed in range(30):
+        n = int(pick.integers(0, 120))
+        kind = pick.integers(0, 4, n)
+        means = np.select(
+            [kind == 0, kind == 1, kind == 2],
+            [0.0, pick.choice([0.4, 2.0, 4.0, 10.0], n), pick.uniform(1e-6, 10.0, n)],
+            pick.uniform(10.5, 40.0, n),
+        )
+        rng, ref = GENERATORS[gen](seed), GENERATORS[gen](seed)
+        assert poisson_each(rng, means).tolist() == reference_each(ref, means)
+        assert rng.random() == ref.random()
+
+
+def sequential_cdf(lam):
+    """cdf_0..cdf_kmax summed term by term in Python doubles."""
+    k_max = int(lam + 40.0 * math.sqrt(lam) + 50.0)
+    p = cdf = math.exp(-lam)
+    table = [cdf]
+    for k in range(1, k_max + 1):
+        p *= lam / k
+        cdf += p
+        table.append(cdf)
+    return np.array(table)
+
+
+@pytest.mark.parametrize("lam", INVERSION_MEANS)
+def test_inversion_boundary_uniforms(lam):
+    # Each cdf entry, its neighbours on both sides, and the largest double
+    # below 1, which lies past every cdf entry at 9.999 (the k_max cut-off).
+    cdf = sequential_cdf(lam)
+    u = np.concatenate(
+        [cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), [0.0, 1.0 - 2.0**-53]]
+    )
+    u = u[u < 1.0]
+    expected = lockstep_inversion(u, lam)
+    assert np.array_equal(poisson_counts(ScriptedUniforms(u), lam, u.size), expected)
+    # poisson_each draws a block with room for PTRS, then rewinds to it
+    padded = np.concatenate([u, np.full(_ptrs_budget(0), 0.5)])
+    each = poisson_each(ScriptedUniforms(padded), np.full(u.size, lam))
+    assert np.array_equal(each, expected)
+    if lam == 9.999:
+        assert expected[-1] == cdf.size - 1 and cdf[-1] < u[-1]
+
+
 def test_poisson_counts_past_int64_raises():
     # The PTRS cast used to wrap such variates to -2^63 with a RuntimeWarning.
     with pytest.raises(OverflowError):

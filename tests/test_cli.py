@@ -1,5 +1,6 @@
 """CLI behavior: outputs, formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -204,6 +205,36 @@ def test_simulate_workers_do_not_change_output(capsys, tmp_path):
     run_cli(capsys, "simulate", "--preset", "q0-bern03", "--trials", "6",
             "--workers", "8", "--out", str(out2))
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# sha256 of the --out JSONL of every README preset at --seed 5 --trials 20.
+# They move only when the random stream or the record format changes, and
+# such a change re-pins them on purpose.
+PRESET_DIGESTS = {
+    ("simulate", "q0-poisson1"): "514bf4bcd01c044fed105b2efe0533223711ec1d754f120c615dcbd2efa642d2",
+    ("simulate", "q0-bern03"): "4b39d2d78ef102567da02e0c2de0d24d39b40fa8c17cb2fa1cd0930fff422878",
+    ("simulate", "chernoff-l64"): "31a467cca05cf5e0570468ff124e41b3ac291fbba0e3db7eeb2703faa567921f",
+    ("simulate", "coupon-m1000"): "f6599259eed59e059f91a686db328c403b6d3e1524ccabd5e9231359a898e72d",
+    ("roundtrip", "m16-clean"): "1012aebe61c5d098651dabaa2fe5681db3b2b6dee81c163655e4911fe6333d0f",
+    ("roundtrip", "m256-bern"): "93c6e4c54e9fb80620164b2a4e78ae28c2d1d9665fe75dc86d42ff2f33d7763c",
+    ("roundtrip", "m16-rep3-noisy"): "d3c7df3a3a011d4db8f18e01fe24d361cae49048bb0e82a4aa13aaad66a877b7",
+    ("roundtrip", "short-l4-m64"): "ee0069b8464f39adcd690ca8e55f7fb78aecd2844b6164914276aa02e2822e12",
+}
+
+
+def test_preset_digests_cover_every_preset():
+    names = {name for _, name in PRESET_DIGESTS}
+    assert names == set(cli.SIM_PRESET_NAMES) | set(cli.RT_PRESET_NAMES)
+
+
+@pytest.mark.parametrize("command,preset", sorted(PRESET_DIGESTS))
+def test_preset_jsonl_pinned_digest(capsys, tmp_path, command, preset):
+    path = tmp_path / f"{preset}.jsonl"
+    code, _, _ = run_cli(capsys, command, "--preset", preset, "--seed", "5",
+                         "--trials", "20", "--out", str(path))
+    assert code == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == PRESET_DIGESTS[command, preset]
 
 
 def test_simulate_seed_changes_output(capsys):

@@ -81,6 +81,23 @@ def test_repetition_corrects_one_flip_per_group():
         assert (inner_decode(corrupted, spec, 12) == bits("1010")).all()
 
 
+@pytest.mark.parametrize("r", [1, 3, 5, 255, 257])
+def test_repetition_decode_matches_sum_formula(r):
+    spec, k = InnerCodeSpec.repetition(r), 4
+    rng = substream(7, 30, r)
+    # random reads, then groups holding r // 2 and r // 2 + 1 ones and all ones
+    reads = rng.integers(0, 2, size=(60, k * r), dtype=np.uint8)
+    edges = np.zeros((3, k, r), dtype=np.uint8)
+    edges[0, :, : r // 2] = 1
+    edges[1, :, : r // 2 + 1] = 1
+    edges[2] = 1
+    reads = np.vstack([reads, edges.reshape(3, k * r)])
+    groups = reads.reshape(-1, k, r)
+    expected = (groups.sum(axis=2) * 2 > r).astype(np.uint8)
+    assert np.array_equal(inner_decode(reads, spec, k * r), expected)
+    assert expected[-3:].tolist() == [[0] * k, [1] * k, [1] * k]
+
+
 def test_repetition_requires_divisible_length():
     with pytest.raises(ConfigError):
         inner_encode(bits("101"), InnerCodeSpec.repetition(3), 10)
@@ -475,6 +492,19 @@ def test_short_molecule_payload_is_half_the_type_space():
         # every segment index keeps at least floor(M / 2^(L-1)) copies
         idx = bits_to_int(cw.molecules[:, : L - 1])
         assert np.bincount(idx, minlength=1 << (L - 1)).min() >= M // (1 << (L - 1))
+
+
+def test_short_molecule_encode_matches_concatenated_layout():
+    rng = substream(7, 31)
+    for L, M in ((4, 64), (5, 40), (3, 7), (1, 3)):
+        for _ in range(3):
+            K = 1 << (L - 1)
+            data = rng.integers(0, 2, size=K, dtype=np.uint8)
+            order = np.tile(np.arange(K), math.ceil(M / K))[:M]
+            expected = np.concatenate(
+                [int_to_bits(order, L - 1), data[order][:, None]], axis=1
+            )
+            assert np.array_equal(short_molecule_encode(data, M, L).molecules, expected)
 
 
 def test_short_molecule_missing_segments_marked():
