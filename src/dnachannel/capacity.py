@@ -124,7 +124,8 @@ def noisy_capacity(q: float, p: float, beta: float) -> CapacityResult:
         raise ValueError(f"beta must be > 0, got {beta}")
     value = max(0.0, (1.0 - q) * (1.0 - binary_entropy(p) - 1.0 / beta))
     margin = region_margin(p, beta)
-    return CapacityResult(value=value, valid=in_capacity_region(p, beta),
+    # in_capacity_region rejects p = 0.5, which lies outside the region anyway.
+    return CapacityResult(value=value, valid=p < 0.5 and in_capacity_region(p, beta),
                           condition_margin=margin)
 
 

@@ -283,8 +283,7 @@ def transmit(
     codeword: CodewordSet, params: ChannelParams, rng: np.random.Generator
 ) -> ChannelOutput:
     """Run one channel use: sample counts, expand, corrupt, shuffle."""
-    out, _, _ = _transmit_impl(codeword, params, rng)
-    return out
+    return transmit_traced(codeword, params, rng)[0]
 
 
 def transmit_traced(
@@ -295,10 +294,6 @@ def transmit_traced(
     ``source_index[i]`` is the molecule each output read was sampled from.
     Debug side-channel for test harnesses only; decoders must not see it.
     """
-    return _transmit_impl(codeword, params, rng)
-
-
-def _transmit_impl(codeword, params, rng):
     if codeword.M != params.M:
         raise ValueError(f"codeword has {codeword.M} molecules, params say {params.M}")
     if codeword.L != params.L:

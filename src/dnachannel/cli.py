@@ -221,7 +221,7 @@ def _cmd_experiment(args, parser, presets) -> int:
     table = presets(args.seed, args.trials)
     spec = table[args.preset]
     print(f"seed={args.seed}")
-    result = run(spec, workers=args.workers)
+    result = run(spec)
     jsonl = records_to_jsonl(result.records)
     summary_line = json.dumps(result.summary.to_json())
     if args.out:
@@ -308,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, help="override the preset trial count")
         p.add_argument("--workers", type=int,
                        default=int(os.environ.get(WORKERS_ENV, "1")),
-                       help=f"worker threads (default ${WORKERS_ENV} or 1)")
+                       help=f"accepted for compatibility, no effect: trials run "
+                            f"serially (default ${WORKERS_ENV} or 1)")
         p.add_argument("--out", help="JSONL output path (default stdout)")
         p.add_argument("--strict", action="store_true",
                        help="exit 1 if the verdict is FAIL")

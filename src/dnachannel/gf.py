@@ -7,41 +7,25 @@ numpy so whole codewords are processed at once.
 The Reed-Solomon code evaluates the degree-(k-1) polynomial interpolating
 the k data symbols at points 0..n-1, so the first k codeword symbols are
 the data itself.  Decoding from erasures re-interpolates from the first k
-surviving symbols (Lagrange in log space); any n-k erasures are
-recoverable, one more is not, which is reported by raising
-:class:`TooManyErasures`.
+surviving symbols; any n-k erasures are recoverable, one more is not,
+which is reported by raising :class:`TooManyErasures`.
 
-Two kernels compute the interpolation, and both give the same symbols, also
-for inputs that are no codeword, because both use the same base.  A codec
-picks one at construction from (n, k, w): the transform from 2^10 points
-up wherever the Lagrange work k*(n-k+min(k, 2^w-k)) is at least 1.5 times
-the transform's w^2 * 2^m (the measurement is noted at
-``_TRANSFORM_CROSSOVER``), Lagrange otherwise.
-
-Lagrange (small codes).  Denominators prod_{j in S, j != i} (x_i - x_j)
-over a base set S of k points need no k x k matrix: over the whole field
-prod_{y != x} (x - y) is the product of all of GF(2^w)*, which is 1, so the
-denominator is the inverse of prod_{y not in S} (x_i - y), and whichever of
-S and its complement is smaller is summed.  Basis values are applied to
-the data in row blocks of about ``_BLOCK`` elements, so beyond the O(2^w)
-lookup tables and the O(n*s) symbols for s interleaved codewords, no work
-array exceeds max(_BLOCK, k*s, 2^w - k) elements.  Construction costs
-O(k*min(k, 2^w - k)) (the denominators of the data points), encoding
-O((n-k)*k*s), and an erasure decode O(k*min(k, 2^w - k)) for the
-denominators of its base plus O(erasures*k*s) for the interpolation.
-
-XOR transform (large codes).  In characteristic 2, x_t - x_i = x_t ^ x_i,
-and the points 0..2^m - 1 (m = ceil(log2 n)) are closed under XOR.  So the
-Lagrange sum sum_i a_i / (x_t - x_i) is a convolution over (Z_2^m, XOR),
-and so are the log-sums sum_{j in S} log(x - x_j), which give every
-denominator of a base and its vanishing polynomial at every point.
-Walsh-Hadamard transforms (WHT) turn both into pointwise products: the
-log-sums take two int64 WHTs, and the field-valued sum splits into w bit
-planes (GF multiplication is bilinear over GF(2)) and takes 2w WHTs in
-wrap-around uint16 (uint32 for m = 16) plus w^2 pointwise products per
-codeword column.  Encoding and an erasure decode cost O(w^2 * 2^m * s)
-whatever k is, construction O(w * m * 2^m); the tables hold w + 1 spectra
-of 2^m entries, and a call's work arrays O(w * 2^m) entries.
+One kernel interpolates for every (n, k, w).  It works over the points
+0..2^m - 1 (m = ceil(log2 n)), the GF(2)-span of 1, 2, .., 2^(m-1) (in
+characteristic 2, x - y is x ^ y), and keeps the Lagrange form
+prod_j (x_t - x_j) * sum_i a_i / (x_t - x_i) with a_i = value_i /
+prod_{j != i} (x_i - x_j), so its output is that of Lagrange interpolation
+bit for bit, also for inputs that are no codeword.  The logs of both
+products at every point are an XOR correlation of the base with the log
+table: two int64 Walsh-Hadamard transforms (WHT).  The sum is the
+derivative of the polynomial through a (zero off the base), which the
+additive FFT in the novel polynomial basis of Lin, Chung and Han (FOCS
+2014) gives at every point: an inverse FFT, a formal derivative and a
+forward FFT, each m layers of 2^(m-1) butterflies.  Encoding and an
+erasure decode cost O(m * 2^m * s) table lookups for s interleaved
+codewords, whatever k is.  Construction costs O(m * 2^m); a codec holds
+O(2^w + 2^m) table entries (log/exp tables, the log spectrum, the
+butterfly constants), and a call's work arrays O(2^m * s).
 """
 
 from __future__ import annotations
@@ -58,31 +42,6 @@ _PRIMITIVE_POLY = {
     9: 0x211, 10: 0x409, 11: 0x805, 12: 0x1053, 13: 0x201B, 14: 0x4443,
     15: 0x8003, 16: 0x1100B,
 }
-
-
-# Row blocks of the Lagrange basis and of the denominator sums hold about
-# this many int64 elements (128 KiB, so a block's work arrays stay in cache).
-_BLOCK = 1 << 14
-
-
-# Kernel choice.  Per codeword, Lagrange costs about k*(n-k) to encode plus
-# k*min(k, 2^w-k) for a decode's denominators; the transform about w^2 * 2^m
-# (m = ceil(log2 n)) plus ~150 numpy calls.  Measured as the median encode +
-# 5 %-erasure decode with each kernel forced, for n = 256..4096, k/n =
-# 0.1..0.995 (2-vCPU Xeon, numpy 2.4): below 2^10 points the transform was
-# 1.0-7.6x slower in 23 of 24 codes; from 2^10 points up it was 1.1-16x
-# faster wherever the Lagrange work was at least 1.5 * w^2 * 2^m, and 1.4-4.5x
-# slower in 6 of the 7 codes below that.
-_TRANSFORM_MIN_POINTS = 1 << 10
-_TRANSFORM_CROSSOVER = 1.5
-
-
-def _use_transform(n: int, k: int, w: int) -> bool:
-    points = 1 << _log2_ceil(n)
-    lagrange_work = k * (n - k + min(k, (1 << w) - k))
-    if points < _TRANSFORM_MIN_POINTS:
-        return False
-    return lagrange_work >= _TRANSFORM_CROSSOVER * w * w * points
 
 
 def _log2_ceil(n: int) -> int:
@@ -126,6 +85,32 @@ def _butterflies(x: np.ndarray) -> None:
         s0 = a + b
         np.subtract(a, b, out=b)
         a[...] = s0
+
+
+def _novel_basis(field: "_Field", m: int) -> tuple[list, np.ndarray]:
+    """The additive-FFT constants over the points 0..2^m - 1.
+
+    W_i is the vanishing polynomial of span(1, 2, .., 2^(i-1)) and What_i =
+    W_i / W_i(2^i); both are GF(2)-linear, W_0(x) = x and W_{i+1}(x) =
+    W_i(x) * (W_i(x) + W_i(2^i)), so W_{i+1}' = W_i' * W_i(2^i) and each
+    c_i = What_i' is a constant.  Returns, per layer i, the skews What_i(b)
+    of the blocks b = 0, 2^(i+1), 2 * 2^(i+1), .. below 2^m, and per index j
+    the log of sigma_j = prod_{bits i of j} c_i.
+    """
+    log, exp, q = field.log, field.exp, field.q
+    at = 1 << np.arange(m)  # W_i(2^j) in entries j > i
+    skews, sigma, log_deriv = [], np.zeros(1 << m, dtype=np.int64), 0
+    for i in range(m):
+        norm, higher = log[at[i]], at[i + 1 :]
+        vals = np.zeros(1 << (m - i - 1), dtype=np.int64)
+        # What_i(b) is the xor of What_i(2^(i+1+j)) over the bits j of b >> (i+1).
+        for j, hat in enumerate(exp[(log[higher] - norm) % q]):
+            np.bitwise_xor(vals[: 1 << j], hat, out=vals[1 << j : 2 << j])
+        skews.append(vals)
+        sigma[1 << i : 2 << i] = (sigma[: 1 << i] + log_deriv - norm) % q
+        log_deriv = (log_deriv + norm) % q
+        at[i + 1 :] = exp[(log[higher] + log[higher ^ at[i]]) % q]
+    return skews, sigma
 
 
 class TooManyErasures(Exception):
@@ -189,84 +174,24 @@ class ReedSolomonErasure:
         self.n = n
         self.k = k
         self.field = field
-        self._neglog = -field.log % field.q  # log(1/x) for x != 0
-        # A kernel is a pair: base_logs(base) holds what interpolation needs
-        # to know about a base, interp(base, logs, values, targets) gives
-        # the values at the targets.
-        if _use_transform(n, k, w):
-            self._init_transform()
-            self._base_logs, self._interp = self._log_sums, self._interpolate_xor
-        else:
-            # exp over exponents [0, 2q) followed by q zeros
-            self._exp2 = np.concatenate([field.exp, field.exp, np.zeros(field.q, np.int64)])
-            self._base_logs, self._interp = self._log_denominators, self._interpolate
-        # Parity t is the polynomial through data points 0..k-1 evaluated at
-        # point k+t; the logs of that base are kept (k == n means no parity).
-        if n > k:
-            self._data_logs = self._base_logs(np.arange(k, dtype=np.int64))
-
-    def _log_denominators(self, base: np.ndarray) -> np.ndarray:
-        """log prod_{j in base, j != i} (x_i - x_j) for every i in base.
-
-        Over the whole field prod_{y != x} (x - y) is the product of all of
-        GF(2^w)*, which is 1, so the product over base is the inverse of the
-        product over the complement of base; the smaller set is summed.
-        """
-        f = self.field
-        if 2 * base.size > f.order:
-            outside = np.ones(f.order, dtype=bool)
-            outside[base] = False
-            others, table = np.flatnonzero(outside), self._neglog
-        else:
-            others, table = base, f.log  # x_i - x_i = 0 adds log[0] = 0
-        out = np.empty(base.size, dtype=np.int64)
-        step = max(1, _BLOCK // others.size)
-        for a in range(0, base.size, step):
-            out[a : a + step] = table[base[a : a + step, None] ^ others[None, :]].sum(axis=1)
-        return out % f.q
-
-    def _interpolate(self, base: np.ndarray, denom: np.ndarray, values: np.ndarray,
-                     targets: np.ndarray) -> np.ndarray:
-        """(len(targets), s) values at ``targets`` of the polynomials through
-        ``base`` with columns of ``values``; ``denom`` from _log_denominators.
-        """
-        f = self.field
-        q = f.q
-        vals = values.T  # (s, k): the reduction runs over the contiguous axis
-        # l_i(x_t) value_i = P(x_t) * value_i / (denom_i (x_t - x_i)) with
-        # P(x_t) = prod_j (x_t - x_j) a per-row factor applied last.  In
-        # logs, value_i / denom_i is in [0, q) and 1 / (x_t - x_i) in [0, q);
-        # a zero value points at 2q, where the lookup table holds 0.
-        coef = np.where(vals == 0, 2 * q, (f.log[vals] - denom[None, :]) % q)
-        out = np.empty((targets.size, vals.shape[0]), dtype=np.int64)
-        step = max(1, _BLOCK // max(1, vals.size))
-        for a in range(0, targets.size, step):
-            neglog = self._neglog[targets[a : a + step, None] ^ base[None, :]]  # (b, k)
-            terms = self._exp2[neglog[:, None, :] + coef[None, :, :]]  # (b, s, k)
-            sums = np.bitwise_xor.reduce(terms, axis=2)
-            p_log = -neglog.sum(axis=1) % q
-            out[a : a + step] = f.mul(sums, f.exp[p_log][:, None])
-        return out
-
-    def _init_transform(self) -> None:
-        """Tables of the transform kernel over the points 0..2^m - 1."""
-        f = self.field
-        self._m = m = _log2_ceil(self.n)
+        q = field.q
+        self._m = m = _log2_ceil(n)
         self._fwd_bits = (m + 1) // 2  # _wht(., fwd_bits) then _wht(., m - fwd_bits)
-        size = 1 << m
-        # Only sums modulo 2^(m+1) matter (see _interpolate_xor).
-        self._dtype = np.uint16 if m < 16 else np.uint32
         # Spectrum of log(z), z < 2^m (log 0 = 0), for the log-sums.
-        self._log_hat = _wht(f.log[:size].copy(), self._fwd_bits)
-        # Spectra of the w bit planes of g(z) = 1/z (g(0) = 0), (w, 2^m).
-        g = np.zeros(size, dtype=self._dtype)
-        g[1:] = f.exp[self._neglog[1:size]]
-        self._shifts = np.arange(f.w, dtype=self._dtype)[:, None]
-        self._inv_hat = _wht((g >> self._shifts) & 1, self._fwd_bits)
-        # Bit e >= w of a carry-less product stands for x^e = alpha^e, whose
-        # set bits are the low bits it folds into.
-        bits = np.arange(f.w)
-        self._fold = [(e, np.flatnonzero((f.exp[e] >> bits) & 1)) for e in range(f.w, 2 * f.w - 1)]
+        self._log_hat = _wht(field.log[: 1 << m].copy(), self._fwd_bits)
+        # c * x is _expz[_logz[x] + log c] for logs in [0, q).  A zero factor
+        # (x = 0, or the skew of a layer's block 0) has log 2q, which lands
+        # in the zeros after the two periods of exp.
+        self._logz = field.log.copy()
+        self._logz[0] = 2 * q
+        self._expz = np.concatenate([field.exp, field.exp, np.zeros(2 * q + 1, np.int64)])
+        skews, sigma = _novel_basis(field, m)
+        self._skews = [np.where(v == 0, 2 * q, field.log[v])[:, None] for v in skews]
+        self._sigma, self._unsigma = sigma[:, None], (-sigma % q)[:, None]
+        # Parity t is the polynomial through data points 0..k-1 evaluated at
+        # point k+t; the log-sums of that base are kept (k == n means no parity).
+        if n > k:
+            self._data_logs = self._log_sums(np.arange(k, dtype=np.int64))
 
     def _log_sums(self, base: np.ndarray) -> np.ndarray:
         """sum_{j in base} log(x ^ x_j) mod q for every point x < 2^m.
@@ -283,38 +208,83 @@ class ReedSolomonErasure:
         spec = _wht(ind, self._fwd_bits) * self._log_hat
         return (_wht(spec, m - self._fwd_bits) >> m) % self.field.q
 
-    def _interpolate_xor(self, base: np.ndarray, sums: np.ndarray, values: np.ndarray,
-                         targets: np.ndarray) -> np.ndarray:
-        """:meth:`_interpolate` with ``sums`` from :meth:`_log_sums`.
+    def _evaluate(self, base: np.ndarray, sums: np.ndarray, values: np.ndarray,
+                  targets: np.ndarray) -> np.ndarray:
+        """(len(targets), s) values at ``targets`` (none in ``base``) of the
+        polynomials through ``base`` with columns of ``values`` (k, s);
+        ``sums`` from :meth:`_log_sums`.
 
-        P(x_t) = prod_j (x_t - x_j) * C(x_t) with C(x) = sum_i a_i / (x ^ x_i),
-        a_i = value_i / denom_i: C is an XOR convolution of a with g(z) = 1/z
-        over the points 0..2^m - 1.  GF multiplication is bilinear over
-        GF(2), so C splits into bit planes: bit e of the carry-less product
-        a * g is the parity of sum_{b + c = e} (a_b conv g_c), an integer XOR
-        convolution, which is 2^-m times the WHT of sum_{b + c = e} WHT(a_b)
-        * WHT(g_c).  Bits e >= w are folded into the low w by the field
-        polynomial before the inverse WHT (it is linear), and the parity is
-        bit m of its result, which arithmetic modulo 2^(m+1) keeps exact.
+        Lagrange gives P(x_t) = prod_j (x_t - x_j) * C(x_t) with C(x) =
+        sum_i a_i / (x - x_i) and a_i = value_i / prod_{j != i} (x_i - x_j).
+        Put a on all points 0..2^m - 1 (zero off base) and let A be the
+        polynomial of degree < 2^m through it: A = (W / W') sum_i a_i / (x -
+        x_i), with W the vanishing polynomial of the points and W' its
+        constant derivative, so A'(x_t) = C(x_t) at every point off base.
+        A is the inverse FFT of a, and A' at every point the forward FFT of
+        its formal derivative.  X_j' = sum_{bits i of j} c_i X_{j - 2^i} for
+        the basis X_j = prod_{bits i of j} What_i; scaled by sigma_j, the
+        coefficients of the derivative are plain XORs of coefficients.
         """
-        f = self.field
-        q, w, m = f.q, f.w, self._m
-        vals = values.T  # (s, k)
-        coef = np.where(vals == 0, 0, f.exp[(f.log[vals] - sums[base][None, :]) % q])
-        out = np.empty((targets.size, vals.shape[0]), dtype=np.int64)
-        weights = (1 << np.arange(w, dtype=np.int64))[:, None]
-        for j, col in enumerate(coef):
-            a = np.zeros(1 << m, dtype=self._dtype)
-            a[base] = col
-            a_hat = _wht((a >> self._shifts) & 1, self._fwd_bits)  # (w, 2^m)
-            prod = np.zeros((2 * w - 1, 1 << m), dtype=self._dtype)
-            for b in range(w):
-                prod[b : b + w] += a_hat[b] * self._inv_hat
-            for e, low in self._fold:
-                prod[low] += prod[e]
-            conv = _wht(prod[:w], m - self._fwd_bits)[:, targets]
-            out[:, j] = (((conv >> m) & 1) * weights).sum(axis=0)
-        return f.mul(out, f.exp[sums[targets]][:, None])
+        q, s = self.field.q, values.shape[1]
+        a = np.zeros((1 << self._m, s), dtype=np.int64)
+        a[base] = self._scale(values, (-sums[base] % q)[:, None])
+        coef = self._scale(self._ifft(a), self._sigma)
+        deriv = np.zeros_like(coef)
+        for i in range(self._m):
+            deriv.reshape(-1, 2, s << i)[:, 0] ^= coef.reshape(-1, 2, s << i)[:, 1]
+        c = self._fft(self._scale(deriv, self._unsigma))
+        return self._scale(c[targets], sums[targets][:, None])
+
+    def _scale(self, x: np.ndarray, log_c) -> np.ndarray:
+        """c * x elementwise, c given by its log (broadcast)."""
+        return self._expz[self._logz[x] + log_c]
+
+    def _fft(self, x: np.ndarray) -> np.ndarray:
+        """Values at every point of the polynomial whose novel-basis
+        coefficients are the rows of ``x`` (overwritten), row t for point t.
+
+        Layer i = m-1, .., 0 splits each block of 2^(i+1) points b +
+        span(1, .., 2^i), b its first point, into halves on which What_i is
+        What_i(b) and What_i(b) + 1, so f0 + What_i * f1 becomes f0 +
+        What_i(b) * f1 on the lower half and that plus f1 on the upper.
+        Rows are kept with bit i of the index on top, so a layer reads two
+        contiguous halves; it writes its output pairs interleaved, which
+        moves bit i to the bottom.  Within a half the block number then runs
+        fastest, and after m layers the rows are back in natural order.
+        """
+        m, h, s = self._m, len(x) // 2, x.shape[1]
+        expz, logz, skews = self._expz, self._logz, self._skews
+        y = np.empty_like(x)
+        for i in reversed(range(m)):
+            lo, hi = x[:h], x[h:]
+            pair = y.reshape(h, 2, s)
+            out_lo, out_hi = pair[:, 0], pair[:, 1]
+            if i < m - 1:  # the single block of layer m - 1 has skew 0
+                prod = expz[logz[hi].reshape(1 << i, -1, s) + skews[i]]
+                np.bitwise_xor(lo, prod.reshape(h, s), out=out_lo)
+            else:
+                out_lo[...] = lo
+            np.bitwise_xor(hi, out_lo, out=out_hi)
+            x, y = y, x
+        return x
+
+    def _ifft(self, x: np.ndarray) -> np.ndarray:
+        """The inverse of :meth:`_fft`, also overwriting ``x``."""
+        m, h, s = self._m, len(x) // 2, x.shape[1]
+        expz, logz, skews = self._expz, self._logz, self._skews
+        y = np.empty_like(x)
+        for i in range(m):
+            pair = x.reshape(h, 2, s)
+            lo, hi = pair[:, 0], pair[:, 1]
+            out_lo, out_hi = y[:h], y[h:]
+            np.bitwise_xor(hi, lo, out=out_hi)
+            if i < m - 1:
+                prod = expz[logz[out_hi].reshape(1 << i, -1, s) + skews[i]]
+                np.bitwise_xor(lo, prod.reshape(h, s), out=out_lo)
+            else:
+                out_lo[...] = lo
+            x, y = y, x
+        return x
 
     def encode(self, data: np.ndarray) -> np.ndarray:
         """Map k data symbols (or a (k, s) block) to n symbols (systematic)."""
@@ -327,7 +297,7 @@ class ReedSolomonErasure:
             return data.copy()
         cols = data.reshape(self.k, -1)
         points = np.arange(self.n, dtype=np.int64)
-        parity = self._interp(points[: self.k], self._data_logs, cols, points[self.k :])
+        parity = self._evaluate(points[: self.k], self._data_logs, cols, points[self.k :])
         return np.concatenate([cols, parity]).reshape((self.n,) + data.shape[1:])
 
     def decode_erasures(self, symbols: np.ndarray, erased: np.ndarray) -> np.ndarray:
@@ -352,6 +322,6 @@ class ReedSolomonErasure:
             return data
         avail = np.flatnonzero(~erased)[: self.k]
         cols = symbols.reshape(self.n, -1)
-        recovered = self._interp(avail, self._base_logs(avail), cols[avail], missing)
+        recovered = self._evaluate(avail, self._log_sums(avail), cols[avail], missing)
         data[missing] = recovered.reshape((missing.size,) + symbols.shape[1:])
         return data

@@ -1,8 +1,8 @@
-"""Seeded, parallel experiment harness.
+"""Seeded experiment harness.
 
-Each experiment is a list of independent trials; trial t runs on a Philox
-stream whose seed is a pure function of (base_seed, t), so results are
-bit-identical whether trials run serially or on a worker pool.  Records
+Each experiment is a list of independent trials, run in order; trial t runs
+on a Philox stream whose seed is a pure function of (base_seed, t), so a
+trial's result does not depend on the trials before it.  Records
 serialize to JSON lines, summaries to a single JSON object, and parameter
 sweeps to CSV.
 
@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -62,6 +60,7 @@ __all__ = [
     "write_csv",
 ]
 
+# Default of the CLI's --workers; like --workers itself it has no effect.
 WORKERS_ENV = "DNACHANNEL_WORKERS"
 
 
@@ -211,9 +210,11 @@ _METRIC_NAME = {
 
 
 def run(spec: ExperimentSpec, workers: int | None = None) -> RunResult:
-    """Execute an experiment; deterministic given base_seed for any worker count."""
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+    """Execute an experiment's trials in order; deterministic given base_seed.
+
+    ``workers`` (and ``DNACHANNEL_WORKERS``) is accepted for compatibility
+    and has no effect.
+    """
     fn = _TRIAL_FN[spec.kind]
 
     def one(t: int) -> tuple[TrialRecord, float]:
@@ -226,12 +227,7 @@ def run(spec: ExperimentSpec, workers: int | None = None) -> RunResult:
             fields, metric = {}, math.nan
         return TrialRecord(trial=t, seed=seed, **fields), metric
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(spec.trials)))
-    else:
-        results = [one(t) for t in range(spec.trials)]
-
+    results = [one(t) for t in range(spec.trials)]
     records = [r for r, _ in results]
     metrics = np.array([m for _, m in results], dtype=float)
     return RunResult(records, _summarize(spec, metrics))

@@ -4,8 +4,7 @@ All randomness in this package flows through numpy's Philox bit generator,
 a counter-based PRNG.  Substreams are derived with ``numpy.random.SeedSequence``
 using the substream's index path as the ``spawn_key``, so the stream for
 (seed, trial 17) or (seed, trial 17, molecule 3) is a pure function of those
-integers.  That makes parallel trial execution bit-identical to serial
-execution regardless of worker count.
+integers: a trial's output does not depend on which trials ran before it.
 
 Stream contract of the Poisson samplers.  ``poisson_counts(rng, lam, size)``
 uses one uniform per variate for lam <= 10 (inversion) and a pair (u, v)

@@ -134,6 +134,14 @@ def test_noisy_capacity_invalid_above_quarter():
     assert not result.valid
 
 
+def test_noisy_capacity_at_half():
+    # p = 0.5 is admitted; H(2p) = H(1) = 0, so the margin is 1 - 2/beta.
+    result = cap.noisy_capacity(0.1, 0.5, 4.0)
+    assert result.value == 0.0
+    assert not result.valid
+    assert result.condition_margin == pytest.approx(0.5, abs=1e-15)
+
+
 def test_noisy_capacity_clamps_to_zero():
     assert cap.noisy_capacity(0.0, 0.4, 1.5).value == 0.0
     for beta in (0.3, 0.8, 1.0):

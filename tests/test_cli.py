@@ -53,6 +53,13 @@ def test_capacity_noisy_trivial(capsys):
     assert "margin=" in out
 
 
+def test_capacity_noisy_at_half(capsys):
+    code, out, _ = run_cli(capsys, "capacity", "--model", "noisy",
+                           "--q", "0.1", "--p", "0.5", "--beta", "4")
+    assert code == 0
+    assert out.split() == ["value=0", "valid=false", "margin=0.5"]
+
+
 def test_capacity_noisy_json_format(capsys):
     code, out, _ = run_cli(capsys, "capacity", "--model", "noisy", "--q", "0.1",
                            "--p", "0.01", "--beta", "4", "--format", "json")

@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dnachannel import gf
 from dnachannel.gf import GF2w, ReedSolomonErasure, TooManyErasures
 
 
@@ -115,8 +114,6 @@ def test_rs_parameter_validation():
 
 # sha256 of the little-endian int64 codeword for data drawn from
 # default_rng([n, k, w]), pinned from the k x k matrix implementation.
-# (256, 100, 16) sums denominators directly (complement larger than k),
-# (4096, 3600, 12) over the complement (smaller than k).
 PINNED_CODEWORDS = {
     (16, 12, 4): "02dad6f898ab25943a2a58e88cae0241ff1e420d657b3b3b0b858d4d702a82d5",
     (256, 100, 16): "3edab678f3796ccab40d54e406823601bdd3d5f29252d14137dab85d164b964d",
@@ -178,22 +175,47 @@ def test_rs_memory_at_m16384():
     assert _traced_peak_roundtrip(16384, 14400, 14) < 64 * 2**20
 
 
+def test_rs_memory_at_m65536():
+    # Paper scale; the Walsh-Hadamard bit-plane kernel peaked at ~33.9 MB.
+    assert _traced_peak_roundtrip(65536, 56316, 16) <= 33 * 2**20
+
+
 # ---------------------------------------------------------------------------
-# The XOR-transform kernel against the Lagrange kernel
+# The additive-FFT kernel against plain Lagrange interpolation
 # ---------------------------------------------------------------------------
 
-def _codec(monkeypatch, n, k, w, transform):
-    """ReedSolomonErasure(n, k, w) built with the chosen kernel."""
-    with monkeypatch.context() as m:
-        m.setattr(gf, "_use_transform", lambda *code: transform)
-        return ReedSolomonErasure(n, k, w)
+def _lagrange(w, base, values, targets):
+    """(len(targets), s) values at ``targets`` (none in ``base``) of the
+    polynomials through the points ``base`` with the columns of ``values``:
+    sum_i value_i * prod_{j != i} (x_t - x_j) / (x_i - x_j).
+    """
+    f = GF2w(w)
+    num = np.ones(targets.size, dtype=np.int64)  # prod_j (x_t - x_j)
+    den = np.ones(base.size, dtype=np.int64)  # prod_{j != i} (x_i - x_j)
+    for j, x_j in enumerate(base):
+        num = f.mul(num, targets ^ x_j)
+        diff = base ^ x_j
+        diff[j] = 1
+        den = f.mul(den, diff)
+    out = np.zeros((targets.size, values.shape[1]), dtype=np.int64)
+    for i, x_i in enumerate(base):
+        basis = f.mul(f.mul(num, f.inv(targets ^ x_i)), f.inv(den[i]))
+        out ^= f.mul(basis[:, None], values[i][None, :])
+    return out
 
 
-def test_kernel_choice():
-    assert gf._use_transform(4096, 3600, 12)  # archive scale
-    assert gf._use_transform(16384, 14400, 14)
-    assert not gf._use_transform(256, 192, 8)  # below 2^10 points
-    assert not gf._use_transform(4096, 4080, 12)  # too little Lagrange work
+def _reference_encode(n, k, w, data):
+    points = np.arange(n)
+    return np.concatenate([data, _lagrange(w, points[:k], data, points[k:])])
+
+
+def _reference_decode(n, k, w, symbols, erased):
+    """Interpolation through the first k surviving positions."""
+    data = symbols[:k].copy()
+    missing = np.flatnonzero(erased[:k])
+    avail = np.flatnonzero(~erased)[:k]
+    data[missing] = _lagrange(w, avail, symbols[avail], missing)
+    return data
 
 
 @pytest.mark.parametrize("n,k,w", [
@@ -201,16 +223,15 @@ def test_kernel_choice():
     (256, 1, 8), (256, 255, 8), (200, 120, 8), (256, 100, 13),
     (1024, 1, 13), (1024, 1023, 13), (1000, 700, 13),
 ])
-def test_transform_kernel_matches_lagrange(monkeypatch, n, k, w):
-    fast = _codec(monkeypatch, n, k, w, True)
-    ref = _codec(monkeypatch, n, k, w, False)
+def test_transform_kernel_matches_lagrange(n, k, w):
+    rs = ReedSolomonErasure(n, k, w)
     rng = np.random.default_rng([n, k, w])
     data = rng.integers(0, 1 << w, size=(k, 3))
     data[:, 1] = 0  # an all-zero column
-    cw = fast.encode(data)
-    assert (cw == ref.encode(data)).all()
-    assert (fast.encode(data[:, 0]) == cw[:, 0]).all()
-    assert (fast.encode(np.zeros(k, dtype=np.int64)) == 0).all()
+    cw = rs.encode(data)
+    assert (cw == _reference_encode(n, k, w, data)).all()
+    assert (rs.encode(data[:, 0]) == cw[:, 0]).all()
+    assert (rs.encode(np.zeros(k, dtype=np.int64)) == 0).all()
     for n_erase in sorted({1, (n - k + 1) // 2, n - k}):
         # One erased data position, so that decoding interpolates.
         erased = np.zeros(n, dtype=bool)
@@ -218,17 +239,18 @@ def test_transform_kernel_matches_lagrange(monkeypatch, n, k, w):
         erased[first] = True
         others = np.delete(np.arange(n), first)
         erased[rng.choice(others, size=n_erase - 1, replace=False)] = True
-        # Random symbols are no codeword: both kernels still interpolate
-        # through the same base, the first k surviving positions.
+        # Random symbols are no codeword: the kernel still interpolates
+        # through the reference's base, the first k surviving positions.
         noisy = rng.integers(0, 1 << w, size=(n, 2))
-        got = fast.decode_erasures(noisy, erased)
-        assert (got == ref.decode_erasures(noisy, erased)).all()
-        assert (fast.decode_erasures(noisy[:, 1], erased) == got[:, 1]).all()
-        assert (fast.decode_erasures(cw, erased) == data).all()
+        got = rs.decode_erasures(noisy, erased)
+        assert (got == _reference_decode(n, k, w, noisy, erased)).all()
+        assert (rs.decode_erasures(noisy[:, 1], erased) == got[:, 1]).all()
+        assert (rs.decode_erasures(cw, erased) == data).all()
 
 
+# The plain Lagrange reference reproduces the pinned codewords as well.
 @pytest.mark.parametrize("n,k,w", sorted(PINNED_CODEWORDS))
-def test_rs_codeword_pinned_other_kernel(monkeypatch, n, k, w):
-    data = np.random.default_rng([n, k, w]).integers(0, 1 << w, size=k)
-    cw = _codec(monkeypatch, n, k, w, not gf._use_transform(n, k, w)).encode(data)
+def test_rs_codeword_pinned_other_kernel(n, k, w):
+    data = np.random.default_rng([n, k, w]).integers(0, 1 << w, size=(k, 1))
+    cw = _reference_encode(n, k, w, data)[:, 0]
     assert hashlib.sha256(cw.astype("<i8").tobytes()).hexdigest() == PINNED_CODEWORDS[n, k, w]
