@@ -218,10 +218,10 @@ def _cmd_tradeoff(args, parser) -> int:
 
 
 def _cmd_experiment(args, parser, presets) -> int:
-    table = presets(args.seed, args.trials)
-    spec = table[args.preset]
+    workers = _workers(args)
+    spec = presets(args.seed, args.trials)[args.preset]
     print(f"seed={args.seed}")
-    result = run(spec)
+    result = run(spec, workers=workers)
     jsonl = records_to_jsonl(result.records)
     summary_line = json.dumps(result.summary.to_json())
     if args.out:
@@ -234,6 +234,17 @@ def _cmd_experiment(args, parser, presets) -> int:
     if args.strict and result.summary.verdict == "FAIL":
         return 1
     return 0
+
+
+def _workers(args) -> int:
+    """--workers, else $DNACHANNEL_WORKERS, else 1; read only where accepted."""
+    if args.workers is not None:
+        return args.workers
+    text = os.environ.get(WORKERS_ENV, "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
 
 
 def _cmd_sweep(args, parser) -> int:
@@ -307,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", choices=names, required=True)
         p.add_argument("--trials", type=int, help="override the preset trial count")
         p.add_argument("--workers", type=int,
-                       default=int(os.environ.get(WORKERS_ENV, "1")),
                        help=f"accepted for compatibility, no effect: trials run "
                             f"serially (default ${WORKERS_ENV} or 1)")
         p.add_argument("--out", help="JSONL output path (default stdout)")

@@ -2,7 +2,9 @@
 
 Each experiment is a list of independent trials, run in order; trial t runs
 on a Philox stream whose seed is a pure function of (base_seed, t), so a
-trial's result does not depend on the trials before it.  Records
+trial's result does not depend on the trials before it.  All seeds of a run
+are computed in one pass and its trials share one generator, reset to each
+trial's stream (``rng.trial_streams``).  Records
 serialize to JSON lines, summaries to a single JSON object, and parameter
 sweeps to CSV.
 
@@ -41,7 +43,7 @@ from .codec import (
     short_molecule_decode,
     short_molecule_encode,
 )
-from .rng import derive_seed, generator_from_seed
+from .rng import derive_seed, generator_from_seed, trial_streams
 
 __all__ = [
     "ExperimentKind",
@@ -109,8 +111,11 @@ class ExperimentSpec:
     min_rate: float | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        # Every trial index must fit one uint32 word of the seed hash.
+        if not 1 <= self.trials <= 1 << 32:
+            raise ValueError(f"trials must be in [1, 2^32], got {self.trials}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
 
     @classmethod
     def estimate_q0(cls, channel, trials, base_seed, **verdict):
@@ -217,9 +222,7 @@ def run(spec: ExperimentSpec, workers: int | None = None) -> RunResult:
     """
     fn = _TRIAL_FN[spec.kind]
 
-    def one(t: int) -> tuple[TrialRecord, float]:
-        seed = derive_seed(spec.base_seed, t)
-        rng = generator_from_seed(seed)
+    def one(t: int, seed: int, rng) -> tuple[TrialRecord, float]:
         try:
             fields, metric = fn(spec, rng)
         except Exception:
@@ -227,7 +230,8 @@ def run(spec: ExperimentSpec, workers: int | None = None) -> RunResult:
             fields, metric = {}, math.nan
         return TrialRecord(trial=t, seed=seed, **fields), metric
 
-    results = [one(t) for t in range(spec.trials)]
+    streams = trial_streams(spec.base_seed, spec.trials)
+    results = [one(t, seed, rng) for t, (seed, rng) in enumerate(streams)]
     records = [r for r, _ in results]
     metrics = np.array([m for _, m in results], dtype=float)
     return RunResult(records, _summarize(spec, metrics))
@@ -362,8 +366,7 @@ def measure_undetected_swaps(
 ) -> float:
     """Frequency of decodes that report success with a wrong message."""
     bad = 0
-    for t in range(trials):
-        rng = generator_from_seed(derive_seed(base_seed, t))
+    for _, rng in trial_streams(base_seed, trials):
         msg = random_message(cfg, rng)
         out = transmit(encode_message(msg, cfg), channel, rng)
         report = decode_output(out, cfg)

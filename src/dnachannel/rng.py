@@ -6,6 +6,13 @@ using the substream's index path as the ``spawn_key``, so the stream for
 (seed, trial 17) or (seed, trial 17, molecule 3) is a pure function of those
 integers: a trial's output does not depend on which trials ran before it.
 
+A run's trials are seeded together.  ``trial_streams`` computes every
+trial's seed and Philox key in one vectorised pass of numpy's SeedSequence
+algorithm, then resets one shared generator to each trial's key, so the
+stream is bit for bit that of ``generator_from_seed(derive_seed(base, t))``.
+Those two functions remain the scalar reference the tests compare against,
+and serve one-off streams.
+
 Stream contract of the Poisson samplers.  ``poisson_counts(rng, lam, size)``
 uses one uniform per variate for lam <= 10 (inversion) and a pair (u, v)
 per attempt above that (PTRS), in array order.  Inversion is the first cdf
@@ -26,7 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["derive_seed", "substream", "poisson_counts", "poisson_each"]
+__all__ = ["derive_seed", "substream", "trial_streams", "poisson_counts",
+           "poisson_each"]
 
 
 def derive_seed(base_seed: int, *path: int) -> int:
@@ -44,6 +52,180 @@ def substream(base_seed: int, *path: int) -> np.random.Generator:
 def generator_from_seed(seed: int) -> np.random.Generator:
     """Philox generator seeded directly with an integer (e.g. a derived seed)."""
     return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(seed)))
+
+
+def trial_streams(base_seed: int, trials: int):
+    """Yield ``(seed, rng)`` for trials 0..trials-1 of a run, in order.
+
+    ``seed`` is ``derive_seed(base_seed, t)`` and ``rng`` is in the state
+    ``generator_from_seed(seed)`` would start in.  ``rng`` is one generator
+    reset for every trial, so a trial must be done with it before the next
+    pair is drawn.
+    """
+    words = _seed_words(base_seed, trials)
+    seeds = _as_uint64(words)[:, 0].tolist()
+    keys = _philox_keys(words)
+    bitgen = np.random.Philox(_any_seed())
+    rng = np.random.Generator(bitgen)
+    inner = {"counter": (0, 0, 0, 0)}
+    state = {"bit_generator": "Philox", "state": inner, "buffer": (0, 0, 0, 0),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for seed, key in zip(seeds, keys):
+        inner["key"] = key
+        bitgen.state = state
+        yield seed, rng
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx), vectorised over the
+# trials of a run.  hashmix(value) xors the running hash constant into value,
+# advances the constant by MULT_A, multiplies by it, and folds the high half
+# into the low; mix(x, y) = fold(MIX_MULT_L*x - MIX_MULT_R*y); generate_state
+# hashes pool words the same way from INIT_B/MULT_B.  All arithmetic is
+# mod 2^32: masked on Python ints, wrapping on uint32 arrays.  Arrays hold
+# one trial per row and one 32-bit word per column.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_HALF = np.uint32(16)  # a uint32 shift count, cheaper than a Python int
+
+
+@lru_cache(maxsize=1)
+def _any_seed() -> np.random.SeedSequence:
+    """Seeds trial_streams' generator before its first reset.
+
+    Cheaper than Philox(key=...), which draws OS entropy for a SeedSequence
+    it never uses.  Built on first use: numpy imports numpy.random lazily.
+    """
+    return np.random.SeedSequence(0)
+
+
+@lru_cache(maxsize=16)
+def _powers(init: int, mult: int, n: int) -> tuple[int, ...]:
+    """The running hash constant before each of n calls, and after the last."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return tuple(out)
+
+
+def _hashmix(value: int, xor: int, mult: int) -> int:
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _fold(h: np.ndarray) -> np.ndarray:
+    h ^= h >> _HALF
+    return h
+
+
+def _scramble(h: np.ndarray, mult) -> np.ndarray:
+    """hashmix after its xor, in place on a uint32 array."""
+    h *= mult
+    return _fold(h)
+
+
+def _row(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint32)
+
+
+def _key_rounds() -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Cross-mix round s of the key hash: (s, xor row, mult row).
+
+    Round s hashes pool word s into each other word d (calls 4+3s..6+3s).
+    The three updates are independent, so a round updates all four words
+    at once and then restores word s; column s holds placeholders.
+    """
+    rounds = []
+    for s in range(_POOL):
+        calls = iter(range(4 + 3 * s, 7 + 3 * s))
+        j = [0 if d == s else next(calls) for d in range(_POOL)]
+        rounds.append((s, _row([_A[i] for i in j]), _row([_A[i + 1] for i in j])))
+    return rounds
+
+
+# Key hash: the seed's words [lo, hi] enter calls 0 and 1.  A seed below
+# 2^32 is one word, and numpy hashes a missing pool word as 0, so [lo]
+# mixes exactly like [lo, 0].  Pool words 2 and 3 start as hashmix(0).
+_A = _powers(_INIT_A, _MULT_A, 16)
+_B = _powers(_INIT_B, _MULT_B, _POOL)
+_KEY_IN = (_row(_A[0:2]), _row(_A[1:3]))
+_KEY_START = _row([_hashmix(0, _A[j], _A[j + 1]) for j in (2, 3)])
+_KEY_ROUNDS = _key_rounds()
+_KEY_OUT = (_row(_B[:-1]), _row(_B[1:]))
+_SEED_OUT = (_KEY_OUT[0][:2], _KEY_OUT[1][:2])
+
+
+def _as_uint64(words: np.ndarray) -> np.ndarray:
+    """Pairs of 32-bit words, low first, as 64-bit values (numpy's order)."""
+    return words.astype("<u4", copy=False).view("<u8")
+
+
+def _seed_words(base_seed: int, trials: int) -> np.ndarray:
+    """(trials, 2) uint32 words of derive_seed(base_seed, t), low word first.
+
+    The entropy is the base seed's 32-bit words, zero-padded to the pool
+    size, then t.  Everything before t depends on the base seed alone and
+    runs once on Python ints.  Of t's four pool updates only the two that
+    reach generate_state(1, uint64) are computed, as array operations.
+    """
+    if base_seed < 0:
+        raise ValueError(f"base seed must be >= 0, got {base_seed}")
+    if not 1 <= trials <= 1 << 32:
+        raise ValueError(f"trials must be in [1, 2^32], got {trials}")
+    words, x = [], int(base_seed)
+    while True:
+        words.append(x & _MASK32)
+        x >>= 32
+        if not x:
+            break
+    words += [0] * (_POOL - len(words))
+    a = _powers(_INIT_A, _MULT_A, _POOL * (len(words) + 1))
+    pool = [_hashmix(w, a[j], a[j + 1]) for j, w in enumerate(words[:_POOL])]
+    j = _POOL
+    for s in range(_POOL):
+        for d in range(_POOL):
+            if d != s:
+                pool[d] = _mix(pool[d], _hashmix(pool[s], a[j], a[j + 1]))
+                j += 1
+    for w in words[_POOL:]:
+        for d in range(_POOL):
+            pool[d] = _mix(pool[d], _hashmix(w, a[j], a[j + 1]))
+            j += 1
+    xor, mult, scaled = _row([a[j:j + 2], a[j + 1:j + 3],
+                              [_MIX_MULT_L * p & _MASK32 for p in pool[:2]]])
+    h = _scramble(np.arange(trials, dtype=np.uint32)[:, None] ^ xor, mult)
+    h *= _MIX_MULT_R
+    h = _fold(np.subtract(scaled, h, out=h))
+    h ^= _SEED_OUT[0]
+    return _scramble(h, _SEED_OUT[1])
+
+
+def _philox_keys(words: np.ndarray) -> np.ndarray:
+    """(n, 2) uint64 keys SeedSequence(seed).generate_state(2, np.uint64).
+
+    ``words`` holds each seed's low and high 32-bit words, shape (n, 2).
+    """
+    pool = np.empty((words.shape[0], _POOL), dtype=np.uint32)
+    pool[:, :2] = words ^ _KEY_IN[0]
+    _scramble(pool[:, :2], _KEY_IN[1])
+    pool[:, 2:] = _KEY_START
+    for s, xor, mult in _KEY_ROUNDS:
+        h = _scramble(pool[:, s, None] ^ xor, mult)
+        h *= _MIX_MULT_R
+        mixed = pool * _MIX_MULT_L
+        mixed -= h
+        _fold(mixed)
+        mixed[:, s] = pool[:, s]
+        pool = mixed
+    pool ^= _KEY_OUT[0]
+    return _as_uint64(_scramble(pool, _KEY_OUT[1]))
 
 
 # Switch point between the two Poisson sampling algorithms.

@@ -169,6 +169,20 @@ def test_sweep_csv_columns(capsys):
     assert first[0] == ""  # no lambda for Bernoulli sampling
 
 
+# sha256 of the README sweep example's CSV at --seed 5 --trials 20.  Like
+# PRESET_DIGESTS it moves only when the random stream or the format changes.
+SWEEP_DIGEST = "0ca48db6f7192ccf5680c20e73fae00511f555367b9025f51cf53ae9fa7e5603"
+
+
+def test_sweep_csv_pinned_digest(capsys, tmp_path):
+    path = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--var", "q", "--grid", "0:0.3:0.05",
+                         "--codec", "m16-identity", "--beta", "2",
+                         "--trials", "20", "--seed", "5", "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # simulate / roundtrip
 # ---------------------------------------------------------------------------
@@ -282,6 +296,30 @@ def test_workers_env_var_sets_default(capsys, monkeypatch, tmp_path):
     run_cli(capsys, "simulate", "--preset", "q0-bern03", "--trials", "4",
             "--workers", "1", "--out", str(out2))
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_workers_env_var_ignored_by_other_commands(capsys, monkeypatch):
+    monkeypatch.setenv("DNACHANNEL_WORKERS", "x")
+    code, out, _ = run_cli(capsys, "capacity", "--model", "noisy", "--q", "0.1",
+                           "--p", "0.01", "--beta", "4")
+    assert code == 0
+    assert out.startswith("value=")
+
+
+def test_bad_workers_env_var_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("DNACHANNEL_WORKERS", "x")
+    code, out, err = run_cli(capsys, "simulate", "--preset", "q0-bern03",
+                             "--trials", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: DNACHANNEL_WORKERS must be an integer, got 'x'\n"
+
+
+def test_negative_seed_exit_2(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--preset", "q0-bern03",
+                             "--trials", "2", "--seed", "-1")
+    assert code == 2
+    assert err == "error: base_seed must be >= 0, got -1\n"
 
 
 def test_unknown_preset_exit_2(capsys):

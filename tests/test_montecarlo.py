@@ -139,6 +139,12 @@ def test_record_json_key_order():
     ]
 
 
+@pytest.mark.parametrize("trials,base_seed", [(0, 1), (2**32 + 1, 1), (1, -1)])
+def test_spec_rejects_trials_or_seed_out_of_range(trials, base_seed):
+    with pytest.raises(ValueError):
+        ExperimentSpec.estimate_q0(bern_channel(16, 8, 0.5), trials, base_seed)
+
+
 def test_min_rate_verdict_fails_when_unreachable():
     spec = ExperimentSpec.decode_success(bern_channel(16, 8, 0.0), M16,
                                          trials=5, base_seed=110, min_rate=2.0)
@@ -210,6 +216,13 @@ def test_undetected_swaps_observed_under_heavy_noise():
     cfg = CodecConfig(M=16, L=8, inner=InnerCodeSpec.identity(), outer_k=4)
     freq = measure_undetected_swaps(cfg, bern_channel(16, 8, 0.0, p=0.2), 400, 118)
     assert freq > 0.0
+
+
+def test_undetected_swaps_pinned_value():
+    # Pinned value: trial t must run on generator_from_seed(derive_seed(7, t)).
+    cfg = CodecConfig(M=16, L=8, inner=InnerCodeSpec.identity(), outer_k=4)
+    freq = measure_undetected_swaps(cfg, bern_channel(16, 8, 0.1, p=0.1), 200, 7)
+    assert freq == 178 / 200
 
 
 def test_undetected_swaps_below_union_bound():
