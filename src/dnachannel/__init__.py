@@ -62,7 +62,10 @@ from .codec import (
     write_reads_file,
 )
 from .montecarlo import (
-    ExperimentKind,
+    BoundCheck,
+    CouponTail,
+    DecodeSuccess,
+    EstimateQ0,
     ExperimentSpec,
     RunResult,
     ShortMoleculeConfig,

@@ -135,8 +135,9 @@ def _rt_presets(seed: int, trials: int | None) -> dict[str, ExperimentSpec]:
     }
 
 
-SIM_PRESET_NAMES = ["q0-poisson1", "q0-bern03", "chernoff-l64", "coupon-m1000"]
-RT_PRESET_NAMES = ["m16-clean", "m256-bern", "m16-rep3-noisy", "short-l4-m64"]
+# The preset builders' keys, in order: the one list of preset names.
+SIM_PRESET_NAMES = list(_sim_presets(DEFAULT_SEED, None))
+RT_PRESET_NAMES = list(_rt_presets(DEFAULT_SEED, None))
 
 
 # ---------------------------------------------------------------------------

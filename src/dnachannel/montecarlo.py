@@ -1,12 +1,16 @@
 """Seeded experiment harness.
 
-Each experiment is a list of independent trials, run in order; trial t runs
+Each experiment kind is a subclass of ``ExperimentSpec`` carrying its own
+parameters and its trial: ``EstimateQ0`` (unseen fraction q0),
+``DecodeSuccess`` (encode, transmit, decode), ``BoundCheck`` (per-read
+Chernoff tail) and ``CouponTail`` (coupon-collector tail).
+
+An experiment is a list of independent trials, run in order; trial t runs
 on a Philox stream whose seed is a pure function of (base_seed, t), so a
 trial's result does not depend on the trials before it.  All seeds of a run
 are computed in one pass and its trials share one generator, reset to each
-trial's stream (``rng.trial_streams``).  Records
-serialize to JSON lines, summaries to a single JSON object, and parameter
-sweeps to CSV.
+trial's stream (``rng.trial_streams``).  Records serialize to JSON lines,
+summaries to a single JSON object, and parameter sweeps to CSV.
 
 Verdicts are one-sided where the target is an analytic bound (empirical
 values may sit far below a loose bound; only exceeding it by more than
@@ -19,8 +23,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -46,9 +49,12 @@ from .codec import (
 from .rng import derive_seed, generator_from_seed, trial_streams
 
 __all__ = [
-    "ExperimentKind",
     "ShortMoleculeConfig",
     "ExperimentSpec",
+    "EstimateQ0",
+    "DecodeSuccess",
+    "BoundCheck",
+    "CouponTail",
     "TrialRecord",
     "Summary",
     "RunResult",
@@ -66,13 +72,6 @@ __all__ = [
 WORKERS_ENV = "DNACHANNEL_WORKERS"
 
 
-class ExperimentKind(Enum):
-    ESTIMATE_Q0 = "EstimateQ0"
-    DECODE_SUCCESS = "DecodeSuccess"
-    BOUND_CHECK = "BoundCheck"
-    COUPON_TAIL = "CouponTail"
-
-
 @dataclass(frozen=True)
 class ShortMoleculeConfig:
     """Codec stand-in selecting the short-molecule replication scheme."""
@@ -81,30 +80,21 @@ class ShortMoleculeConfig:
     L: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentSpec:
-    """One reproducible experiment: kind, parameters, trial count, seed.
+    """What every experiment shares: trial count, seed and verdict target.
 
+    Each kind is a subclass (built by the classmethods below) with its own
+    parameters, a ``metric`` name and a ``trial(rng) -> (fields, metric)``.
     Verdict fields are optional; when set, the summary carries a PASS/FAIL:
     ``expected``/``tolerance`` check |mean - expected| <= tolerance,
     ``bound`` checks mean <= bound + 3*stderr (one-sided), and
     ``min_rate`` checks mean >= min_rate.
     """
 
-    kind: ExperimentKind
+    metric: ClassVar[str]
     trials: int
     base_seed: int
-    channel: ChannelParams | None = None
-    codec: CodecConfig | ShortMoleculeConfig | None = None
-    # BoundCheck (per-read Chernoff) parameters
-    read_len: int = 0
-    p: float = 0.0
-    delta: float = 0.0
-    reads_per_trial: int = 0
-    # CouponTail parameters (delta shared with above)
-    coupon_M: int = 0
-    coupon_lam: float = 0.0
-    # Verdict targets
     expected: float | None = None
     tolerance: float | None = None
     bound: float | None = None
@@ -116,26 +106,149 @@ class ExperimentSpec:
             raise ValueError(f"trials must be in [1, 2^32], got {self.trials}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        if (self.expected is None) != (self.tolerance is None):
+            raise ValueError(f"expected and tolerance must be set together, got "
+                             f"expected={self.expected}, tolerance={self.tolerance}")
+        rules = [r for r in ("expected", "bound", "min_rate")
+                 if getattr(self, r) is not None]
+        if len(rules) > 1:
+            raise ValueError(f"set at most one verdict rule (expected/tolerance, "
+                             f"bound, min_rate), got {', '.join(rules)}")
 
     @classmethod
     def estimate_q0(cls, channel, trials, base_seed, **verdict):
-        return cls(ExperimentKind.ESTIMATE_Q0, trials, base_seed,
-                   channel=channel, **verdict)
+        return EstimateQ0(channel=channel, trials=trials, base_seed=base_seed, **verdict)
 
     @classmethod
     def decode_success(cls, channel, codec, trials, base_seed, **verdict):
-        return cls(ExperimentKind.DECODE_SUCCESS, trials, base_seed,
-                   channel=channel, codec=codec, **verdict)
+        return DecodeSuccess(channel=channel, codec=codec, trials=trials,
+                             base_seed=base_seed, **verdict)
 
     @classmethod
     def chernoff(cls, read_len, p, delta, reads_per_trial, trials, base_seed, **verdict):
-        return cls(ExperimentKind.BOUND_CHECK, trials, base_seed, read_len=read_len,
-                   p=p, delta=delta, reads_per_trial=reads_per_trial, **verdict)
+        return BoundCheck(read_len=read_len, p=p, delta=delta, trials=trials,
+                          base_seed=base_seed, reads_per_trial=reads_per_trial, **verdict)
 
     @classmethod
     def coupon_tail(cls, M, lam, delta, trials, base_seed, **verdict):
-        return cls(ExperimentKind.COUPON_TAIL, trials, base_seed,
-                   coupon_M=M, coupon_lam=lam, delta=delta, **verdict)
+        return CouponTail(M=M, lam=lam, delta=delta, trials=trials,
+                          base_seed=base_seed, **verdict)
+
+
+@dataclass(frozen=True, kw_only=True)
+class EstimateQ0(ExperimentSpec):
+    """Fraction of the M molecules the sampling channel never draws (q0)."""
+
+    metric: ClassVar[str] = "miss_fraction"
+    channel: ChannelParams
+
+    def trial(self, rng) -> tuple[dict, float]:
+        ch = self.channel
+        counts = sample_counts(ch.sampling, ch.M, rng)
+        distinct = int((counts > 0).sum())
+        miss = 1.0 - distinct / ch.M
+        return {"N": int(counts.sum()), "distinct_seen": distinct}, miss
+
+
+@dataclass(frozen=True, kw_only=True)
+class DecodeSuccess(ExperimentSpec):
+    """Encode a random message, pass it through the channel, decode it."""
+
+    metric: ClassVar[str] = "success_rate"
+    channel: ChannelParams
+    codec: CodecConfig | ShortMoleculeConfig
+
+    def trial(self, rng) -> tuple[dict, float]:
+        ch = self.channel
+        if isinstance(self.codec, ShortMoleculeConfig):
+            K = 1 << (self.codec.L - 1)
+            bits = rng.integers(0, 2, size=K, dtype=np.uint8)
+            cw = short_molecule_encode(bits, self.codec.M, self.codec.L)
+            out, sources, counts = transmit_traced(cw, ch, rng)
+            recovered = short_molecule_decode(out, self.codec.L)
+            success = bool((recovered == bits).all())
+            erasures = int((recovered < 0).sum())
+            collisions = None
+        else:
+            msg = random_message(self.codec, rng)
+            cw = encode_message(msg, self.codec)
+            out, sources, counts = transmit_traced(cw, ch, rng)
+            report = decode_output(out, self.codec)
+            # The decoder's own verdict (erasures within the outer budget); a
+            # rare wrong message behind a reported success is a separate,
+            # measured phenomenon (see measure_undetected_swaps).
+            success = report.ok
+            erasures = report.erasures
+            collisions = report.collisions
+        flip_rate = None
+        if out.N > 0:
+            # An exact count and one rounded division: the same double as .mean().
+            flips = int(np.count_nonzero(out.reads != cw.molecules[sources]))
+            flip_rate = flips / out.reads.size
+        fields = {
+            "N": out.N,
+            "distinct_seen": int((counts > 0).sum()),
+            "decode_success": success,
+            "erasures": erasures,
+            "collisions": collisions,
+            "flip_rate": flip_rate,
+        }
+        return fields, float(success)
+
+
+@dataclass(frozen=True, kw_only=True)
+class BoundCheck(ExperimentSpec):
+    """Per-read Chernoff tail: fraction of reads with >= delta*L flipped bits."""
+
+    metric: ClassVar[str] = "tail_fraction"
+    read_len: int
+    p: float
+    delta: float
+    reads_per_trial: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.read_len < 1:
+            raise ValueError(f"read_len must be >= 1, got {self.read_len}")
+        if self.reads_per_trial < 1:
+            raise ValueError(f"reads_per_trial must be >= 1, got {self.reads_per_trial}")
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"p must be in [0, 1], got {self.p}")
+
+    def trial(self, rng) -> tuple[dict, float]:
+        reads = apply_noise(
+            np.zeros((self.reads_per_trial, self.read_len), dtype=np.uint8), self.p, rng
+        )
+        flips = reads.sum(axis=1)
+        tail = float((flips >= self.delta * self.read_len).mean())
+        fields = {"N": self.reads_per_trial, "flip_rate": float(reads.mean())}
+        return fields, tail
+
+
+@dataclass(frozen=True, kw_only=True)
+class CouponTail(ExperimentSpec):
+    """Coupon-collector tail: round(lam*M) draws see >= (1-e^-lam+delta)M coupons."""
+
+    metric: ClassVar[str] = "exceed_fraction"
+    M: int
+    lam: float
+    delta: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.M < 1:
+            raise ValueError(f"M must be >= 1, got {self.M}")
+        if not self.lam > 0.0:
+            raise ValueError(f"lam must be > 0, got {self.lam}")
+
+    def trial(self, rng) -> tuple[dict, float]:
+        M, lam = self.M, self.lam
+        n_draws = round(lam * M)
+        draws = rng.integers(0, M, size=n_draws)
+        distinct = int(np.unique(draws).size)
+        threshold = (1.0 - math.exp(-lam) + self.delta) * M
+        fields = {"N": n_draws, "distinct_seen": distinct}
+        return fields, float(distinct >= threshold)
 
 
 @dataclass(frozen=True)
@@ -206,25 +319,17 @@ class RunResult:
     summary: Summary
 
 
-_METRIC_NAME = {
-    ExperimentKind.ESTIMATE_Q0: "miss_fraction",
-    ExperimentKind.DECODE_SUCCESS: "success_rate",
-    ExperimentKind.BOUND_CHECK: "tail_fraction",
-    ExperimentKind.COUPON_TAIL: "exceed_fraction",
-}
-
-
 def run(spec: ExperimentSpec, workers: int | None = None) -> RunResult:
     """Execute an experiment's trials in order; deterministic given base_seed.
 
     ``workers`` (and ``DNACHANNEL_WORKERS``) is accepted for compatibility
     and has no effect.
     """
-    fn = _TRIAL_FN[spec.kind]
+    trial = spec.trial
 
     def one(t: int, seed: int, rng) -> tuple[TrialRecord, float]:
         try:
-            fields, metric = fn(spec, rng)
+            fields, metric = trial(rng)
         except Exception:
             # A failed trial yields an empty record, never aborts the batch.
             fields, metric = {}, math.nan
@@ -244,95 +349,17 @@ def _summarize(spec: ExperimentSpec, metrics: np.ndarray) -> Summary:
     stderr = float(good.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     ci95 = (mean - 1.96 * stderr, mean + 1.96 * stderr)
     verdict = None
-    if spec.expected is not None and spec.tolerance is not None:
+    if spec.expected is not None:
         verdict = "PASS" if abs(mean - spec.expected) <= spec.tolerance else "FAIL"
     elif spec.bound is not None:
         verdict = "PASS" if mean <= spec.bound + 3.0 * stderr else "FAIL"
     elif spec.min_rate is not None:
         verdict = "PASS" if mean >= spec.min_rate else "FAIL"
     return Summary(
-        metric=_METRIC_NAME[spec.kind], mean=mean, stderr=stderr, ci95=ci95,
+        metric=spec.metric, mean=mean, stderr=stderr, ci95=ci95,
         trials=int(n), expected=spec.expected, tolerance=spec.tolerance,
         bound=spec.bound, min_rate=spec.min_rate, verdict=verdict,
     )
-
-
-# ---------------------------------------------------------------------------
-# Trial bodies
-# ---------------------------------------------------------------------------
-
-def _trial_estimate_q0(spec: ExperimentSpec, rng) -> tuple[dict, float]:
-    ch = spec.channel
-    counts = sample_counts(ch.sampling, ch.M, rng)
-    distinct = int((counts > 0).sum())
-    miss = 1.0 - distinct / ch.M
-    return {"N": int(counts.sum()), "distinct_seen": distinct}, miss
-
-
-def _trial_decode(spec: ExperimentSpec, rng) -> tuple[dict, float]:
-    ch = spec.channel
-    if isinstance(spec.codec, ShortMoleculeConfig):
-        K = 1 << (spec.codec.L - 1)
-        bits = rng.integers(0, 2, size=K, dtype=np.uint8)
-        cw = short_molecule_encode(bits, spec.codec.M, spec.codec.L)
-        out, sources, counts = transmit_traced(cw, ch, rng)
-        recovered = short_molecule_decode(out, spec.codec.L)
-        success = bool((recovered == bits).all())
-        erasures = int((recovered < 0).sum())
-        collisions = None
-    else:
-        msg = random_message(spec.codec, rng)
-        cw = encode_message(msg, spec.codec)
-        out, sources, counts = transmit_traced(cw, ch, rng)
-        report = decode_output(out, spec.codec)
-        # The decoder's own verdict (erasures within the outer budget); a
-        # rare wrong message behind a reported success is a separate,
-        # measured phenomenon (see measure_undetected_swaps).
-        success = report.ok
-        erasures = report.erasures
-        collisions = report.collisions
-    flip_rate = None
-    if out.N > 0:
-        # An exact count and one rounded division: the same double as .mean().
-        flips = int(np.count_nonzero(out.reads != cw.molecules[sources]))
-        flip_rate = flips / out.reads.size
-    fields = {
-        "N": out.N,
-        "distinct_seen": int((counts > 0).sum()),
-        "decode_success": success,
-        "erasures": erasures,
-        "collisions": collisions,
-        "flip_rate": flip_rate,
-    }
-    return fields, float(success)
-
-
-def _trial_chernoff(spec: ExperimentSpec, rng) -> tuple[dict, float]:
-    reads = apply_noise(
-        np.zeros((spec.reads_per_trial, spec.read_len), dtype=np.uint8), spec.p, rng
-    )
-    flips = reads.sum(axis=1)
-    tail = float((flips >= spec.delta * spec.read_len).mean())
-    fields = {"N": spec.reads_per_trial, "flip_rate": float(reads.mean())}
-    return fields, tail
-
-
-def _trial_coupon(spec: ExperimentSpec, rng) -> tuple[dict, float]:
-    M, lam = spec.coupon_M, spec.coupon_lam
-    n_draws = round(lam * M)
-    draws = rng.integers(0, M, size=n_draws)
-    distinct = int(np.unique(draws).size)
-    threshold = (1.0 - math.exp(-lam) + spec.delta) * M
-    fields = {"N": n_draws, "distinct_seen": distinct}
-    return fields, float(distinct >= threshold)
-
-
-_TRIAL_FN = {
-    ExperimentKind.ESTIMATE_Q0: _trial_estimate_q0,
-    ExperimentKind.DECODE_SUCCESS: _trial_decode,
-    ExperimentKind.BOUND_CHECK: _trial_chernoff,
-    ExperimentKind.COUPON_TAIL: _trial_coupon,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +381,8 @@ def verify_chernoff(L: int, p: float, delta: float, reads: int, seed: int) -> Ch
     3 binomial standard errors (one-sided: falling far below is fine).
     """
     bound = cap.chernoff_read_error_bound(L, p, delta)
-    rng = generator_from_seed(seed)
-    noisy = apply_noise(np.zeros((reads, L), dtype=np.uint8), p, rng)
-    empirical = float((noisy.sum(axis=1) >= delta * L).mean())
+    spec = ExperimentSpec.chernoff(L, p, delta, reads, trials=1, base_seed=seed)
+    _, empirical = spec.trial(generator_from_seed(seed))
     stderr = math.sqrt(max(empirical * (1.0 - empirical), 1.0 / reads) / reads)
     return ChernoffCheck(empirical, bound, empirical <= bound + 3.0 * stderr, stderr)
 
@@ -399,6 +425,8 @@ def rate_vs_capacity_sweep(
         raise ValueError(f"var must be lambda, q, or p, got {var!r}")
     if var == "p" and sampling is None:
         raise ValueError("sweeping p requires a fixed sampling spec")
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be >= 0, got {base_seed}")
     beta_geom = cfg.L / math.log2(cfg.M)
     if beta is None:
         beta = beta_geom

@@ -322,6 +322,15 @@ def test_negative_seed_exit_2(capsys):
     assert err == "error: base_seed must be >= 0, got -1\n"
 
 
+def test_sweep_negative_seed_exit_2(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--var", "q", "--grid", "0,0.1",
+                             "--codec", "m16-identity", "--beta", "2",
+                             "--trials", "2", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: base_seed must be >= 0, got -1\n"
+
+
 def test_unknown_preset_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["simulate", "--preset", "nope"])

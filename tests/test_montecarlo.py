@@ -145,6 +145,53 @@ def test_spec_rejects_trials_or_seed_out_of_range(trials, base_seed):
         ExperimentSpec.estimate_q0(bern_channel(16, 8, 0.5), trials, base_seed)
 
 
+@pytest.mark.parametrize("params", [
+    dict(read_len=0),
+    dict(reads_per_trial=0),
+    dict(p=-0.1),
+    dict(p=1.5),
+    dict(p=math.nan),
+])
+def test_chernoff_spec_rejects_bad_parameters(params):
+    args = dict(read_len=64, p=0.05, delta=0.15, reads_per_trial=100) | params
+    with pytest.raises(ValueError, match=f"^{next(iter(params))} must be"):
+        ExperimentSpec.chernoff(**args, trials=1, base_seed=1)
+
+
+@pytest.mark.parametrize("params", [
+    dict(M=0),
+    dict(lam=0.0),
+    dict(lam=-1.0),
+    dict(lam=math.nan),
+])
+def test_coupon_spec_rejects_bad_parameters(params):
+    args = dict(M=1000, lam=1.0, delta=0.1) | params
+    with pytest.raises(ValueError, match=f"^{next(iter(params))} must be"):
+        ExperimentSpec.coupon_tail(**args, trials=1, base_seed=1)
+
+
+@pytest.mark.parametrize("verdict", [dict(expected=0.3), dict(tolerance=0.01)])
+def test_spec_rejects_expected_without_tolerance(verdict):
+    with pytest.raises(ValueError, match="expected and tolerance must be set together"):
+        ExperimentSpec.estimate_q0(bern_channel(16, 8, 0.3), 1, 1, **verdict)
+
+
+@pytest.mark.parametrize("verdict", [
+    dict(expected=0.3, tolerance=0.01, bound=0.5),
+    dict(expected=0.3, tolerance=0.01, min_rate=0.2),
+    dict(bound=0.5, min_rate=0.2),
+])
+def test_spec_rejects_more_than_one_verdict_rule(verdict):
+    with pytest.raises(ValueError, match="at most one verdict rule"):
+        ExperimentSpec.estimate_q0(bern_channel(16, 8, 0.3), 1, 1, **verdict)
+
+
+def test_spec_without_trial_fails_loudly():
+    # The base class has no trial: run() raises instead of recording failures.
+    with pytest.raises(AttributeError):
+        run(ExperimentSpec(trials=1, base_seed=1))
+
+
 def test_min_rate_verdict_fails_when_unreachable():
     spec = ExperimentSpec.decode_success(bern_channel(16, 8, 0.0), M16,
                                          trials=5, base_seed=110, min_rate=2.0)
@@ -193,6 +240,13 @@ def test_verify_chernoff_default_point():
     # P(Binom(64, 0.05) >= 10) = 0.0012367131... (exact rational, frozen)
     exact = 0.001236713122242812
     assert abs(check.empirical - exact) < 4 * math.sqrt(exact * (1 - exact) / 100_000)
+
+
+def test_verify_chernoff_pinned_value():
+    # Pinned value: the reads run on generator_from_seed(seed), so any change
+    # of random stream shows here, not just a move outside the 4-sigma band.
+    check = verify_chernoff(64, 0.05, 0.15, reads=100_000, seed=114)
+    assert check.empirical == 0.00119
 
 
 def test_verify_chernoff_delta_near_p_trivially_passes():
