@@ -30,9 +30,13 @@ from .capacity import (
     tradeoff_point,
 )
 from .channel import (
+    Bernoulli,
     ChannelOutput,
     ChannelParams,
     CodewordSet,
+    CustomPMF,
+    Poisson,
+    PoissonPCR,
     SamplingSpec,
     apply_noise,
     q0_of,
@@ -45,7 +49,10 @@ from .codec import (
     CodecConfig,
     ConfigError,
     DecodeReport,
+    IdentityCode,
     InnerCodeSpec,
+    RepetitionCode,
+    TableMLCode,
     achieved_rate,
     decode_output,
     encode_message,

@@ -6,6 +6,11 @@ distribution, (2) flips each bit of every sampled copy independently with
 probability p, and (3) shuffles the surviving reads uniformly, discarding
 all ordering information.
 
+The sampling distribution is a :class:`SamplingSpec` subclass --
+:class:`Bernoulli`, :class:`Poisson`, :class:`PoissonPCR` or
+:class:`CustomPMF` -- that holds only its own parameters and draws its own
+counts.
+
 Every operation is pure given an explicit ``numpy.random.Generator``; the
 stream consumption order inside :func:`transmit` is fixed (counts, then
 noise, then one shuffle permutation), so identical inputs and seed give
@@ -22,7 +27,7 @@ import numpy as np
 from .rng import poisson_counts, poisson_each
 
 __all__ = [
-    "SamplingSpec",
+    "SamplingSpec", "Bernoulli", "Poisson", "PoissonPCR", "CustomPMF",
     "ChannelParams",
     "CodewordSet",
     "ChannelOutput",
@@ -38,66 +43,30 @@ __all__ = [
 PMF_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
 class SamplingSpec:
-    """How often each stored molecule is sampled (the distribution Q).
+    """How often each stored molecule is sampled (the distribution Q): one frozen
+    subclass per distribution, built by the classmethods below, implements
+    ``q0()``, ``mean_coverage()`` and ``sample(M, rng)``."""
 
-    Variants:
-      * ``bernoulli``: never sampled with probability q, once with 1-q.
-      * ``poisson``: counts are Poisson(lam); lam is the coverage depth.
-      * ``poisson_pcr``: amplification draws a Poisson(alpha) number of
-        physical copies, then sequencing samples the pool at effective
-        depth lam/alpha per copy.
-      * ``custom``: explicit finite pmf over counts 0, 1, 2, ...
-    """
-
-    kind: str
-    q: float | None = None
-    lam: float | None = None
-    alpha: float | None = None
-    pmf: tuple[float, ...] | None = None
-    truncated: bool = field(default=False, compare=False)
-
-    def __post_init__(self):
-        if self.kind == "bernoulli":
-            if self.q is None or not 0.0 <= self.q <= 1.0:
-                raise ValueError(f"bernoulli q must be in [0, 1], got {self.q}")
-        elif self.kind == "poisson":
-            if self.lam is None or self.lam <= 0.0:
-                raise ValueError(f"poisson lambda must be > 0, got {self.lam}")
-        elif self.kind == "poisson_pcr":
-            if self.lam is None or self.lam <= 0.0:
-                raise ValueError(f"poisson_pcr lambda must be > 0, got {self.lam}")
-            if self.alpha is None or self.alpha <= 0.0:
-                raise ValueError(f"poisson_pcr alpha must be > 0, got {self.alpha}")
-        elif self.kind == "custom":
-            if not self.pmf:
-                raise ValueError("custom pmf table is empty")
-            arr = np.asarray(self.pmf, dtype=float)
-            if (arr < 0.0).any() or (arr > 1.0).any():
-                raise ValueError("pmf entries must be probabilities")
-            if abs(arr.sum() - 1.0) > PMF_TOLERANCE:
-                raise ValueError(
-                    f"pmf must sum to 1 within {PMF_TOLERANCE}, got {arr.sum()!r}"
-                )
-        else:
-            raise ValueError(f"unknown sampling kind {self.kind!r}")
+    def __init__(self, *args, **kwargs):
+        raise ValueError("SamplingSpec is abstract; build one with SamplingSpec.bernoulli, "
+                         ".poisson, .poisson_pcr, .custom or .custom_truncated")
 
     @classmethod
     def bernoulli(cls, q: float) -> "SamplingSpec":
-        return cls(kind="bernoulli", q=q)
+        return Bernoulli(q)
 
     @classmethod
     def poisson(cls, lam: float) -> "SamplingSpec":
-        return cls(kind="poisson", lam=lam)
+        return Poisson(lam)
 
     @classmethod
     def poisson_pcr(cls, lam: float, alpha: float) -> "SamplingSpec":
-        return cls(kind="poisson_pcr", lam=lam, alpha=alpha)
+        return PoissonPCR(lam, alpha)
 
     @classmethod
     def custom(cls, pmf) -> "SamplingSpec":
-        return cls(kind="custom", pmf=tuple(float(x) for x in pmf))
+        return CustomPMF(tuple(float(x) for x in pmf))
 
     @classmethod
     def custom_truncated(cls, pmf_terms) -> "SamplingSpec":
@@ -108,45 +77,121 @@ class SamplingSpec:
         """
         table: list[float] = []
         total = 0.0
-        cut = False
-        for term in pmf_terms:
-            table.append(float(term))
-            total += float(term)
+        for term in map(float, pmf_terms):
+            table.append(term)
+            total += term
             if total >= 1.0 - PMF_TOLERANCE:
-                cut = True
-                break
-        if not cut:
-            raise ValueError(
-                f"pmf terms sum to {total}, never reaching 1 - {PMF_TOLERANCE}"
-            )
-        pmf = tuple(x / total for x in table)
-        return cls(kind="custom", pmf=pmf, truncated=True)
+                return CustomPMF(tuple(x / total for x in table), truncated=True)
+        raise ValueError(f"pmf terms sum to {total}, never reaching 1 - {PMF_TOLERANCE}")
+
+
+@dataclass(frozen=True)
+class Bernoulli(SamplingSpec):
+    """Never sampled with probability q, once with probability 1 - q."""
+
+    q: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.q <= 1.0:
+            raise ValueError(f"bernoulli q must be in [0, 1], got {self.q}")
+
+    def q0(self) -> float:
+        return float(self.q)
+
+    def mean_coverage(self) -> float:
+        return 1.0 - self.q
+
+    def sample(self, M: int, rng: np.random.Generator) -> np.ndarray:
+        return (rng.random(M) >= self.q).astype(np.int64)
+
+
+@dataclass(frozen=True)
+class Poisson(SamplingSpec):
+    """Poisson(lam) counts; lam is the coverage depth."""
+
+    lam: float
+
+    def __post_init__(self):
+        if not 0.0 < self.lam < math.inf:  # False for NaN too
+            raise ValueError(f"poisson lambda must be finite and > 0, got {self.lam}")
+
+    def q0(self) -> float:
+        return math.exp(-self.lam)
+
+    def mean_coverage(self) -> float:
+        return float(self.lam)
+
+    def sample(self, M: int, rng: np.random.Generator) -> np.ndarray:
+        return poisson_counts(rng, self.lam, M)
+
+
+@dataclass(frozen=True)
+class PoissonPCR(SamplingSpec):
+    """Poisson(alpha) PCR copies per molecule, each read at depth lam/alpha."""
+
+    lam: float
+    alpha: float
+
+    def __post_init__(self):
+        if not (0.0 < self.lam < math.inf and 0.0 < self.alpha < math.inf):
+            raise ValueError(f"poisson_pcr lambda and alpha must be finite and > 0, "
+                             f"got lambda={self.lam}, alpha={self.alpha}")
+
+    def q0(self) -> float:
+        # E[(e^{-lam/alpha})^A], the mgf of A ~ Poisson(alpha) at -lam/alpha.
+        return math.exp(-self.alpha * (1.0 - math.exp(-self.lam / self.alpha)))
+
+    def mean_coverage(self) -> float:
+        return float(self.lam)
+
+    def sample(self, M: int, rng: np.random.Generator) -> np.ndarray:
+        copies = poisson_counts(rng, self.alpha, M)
+        counts = np.zeros(M, dtype=np.int64)
+        live = copies > 0
+        if live.any():
+            # N_i | A_i=a ~ Poisson(a * lam / alpha); one conditional draw
+            # per molecule with surviving copies, in index order, consuming
+            # the stream as one poisson_counts(rng, m, 1) call per molecule
+            # would (the per-element contract in rng's module docstring).
+            counts[live] = poisson_each(rng, copies[live] * (self.lam / self.alpha))
+        return counts
+
+
+@dataclass(frozen=True)
+class CustomPMF(SamplingSpec):
+    """Explicit finite pmf over counts 0, 1, 2, ...; ``truncated`` marks a cut tail."""
+
+    pmf: tuple[float, ...]
+    truncated: bool = field(default=False, compare=False)
+
+    def __post_init__(self):
+        arr = np.asarray(self.pmf, dtype=float)
+        if not ((arr >= 0.0) & (arr <= 1.0)).all():  # also rejects NaN
+            raise ValueError("pmf entries must be probabilities")
+        if abs(arr.sum() - 1.0) > PMF_TOLERANCE:
+            raise ValueError(f"pmf must sum to 1 within {PMF_TOLERANCE}, got {arr.sum()!r}")
+
+    def q0(self) -> float:
+        return float(self.pmf[0])
+
+    def mean_coverage(self) -> float:
+        return float(sum(i * p for i, p in enumerate(self.pmf)))
+
+    def sample(self, M: int, rng: np.random.Generator) -> np.ndarray:
+        counts = np.searchsorted(np.cumsum(self.pmf), rng.random(M), side="right")
+        # Residual mass above the table (only possible within PMF_TOLERANCE
+        # roundoff) falls into the last bin.
+        return np.minimum(counts, len(self.pmf) - 1).astype(np.int64)
 
 
 def q0_of(spec: SamplingSpec) -> float:
     """Exact probability that one molecule is sampled zero times."""
-    if spec.kind == "bernoulli":
-        return float(spec.q)
-    if spec.kind == "poisson":
-        return math.exp(-spec.lam)
-    if spec.kind == "poisson_pcr":
-        # E[(e^{-lam/alpha})^A] with A ~ Poisson(alpha): the mgf of A at
-        # -lam/alpha, giving exp(-alpha * (1 - e^{-lam/alpha})).
-        return math.exp(-spec.alpha * (1.0 - math.exp(-spec.lam / spec.alpha)))
-    if spec.kind == "custom":
-        return float(spec.pmf[0])
-    raise ValueError(f"unknown sampling kind {spec.kind!r}")
+    return spec.q0()
 
 
 def mean_coverage(spec: SamplingSpec) -> float:
     """Expected number of reads per stored molecule, E[N_i]."""
-    if spec.kind == "bernoulli":
-        return 1.0 - spec.q
-    if spec.kind in ("poisson", "poisson_pcr"):
-        return float(spec.lam)
-    if spec.kind == "custom":
-        return float(sum(i * p for i, p in enumerate(spec.pmf)))
-    raise ValueError(f"unknown sampling kind {spec.kind!r}")
+    return spec.mean_coverage()
 
 
 @dataclass(frozen=True)
@@ -235,30 +280,7 @@ def sample_counts(spec: SamplingSpec, M: int, rng: np.random.Generator) -> np.nd
     """Draw the per-molecule sample counts N_1..N_M i.i.d. from the sampling spec."""
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    if spec.kind == "bernoulli":
-        return (rng.random(M) >= spec.q).astype(np.int64)
-    if spec.kind == "poisson":
-        return poisson_counts(rng, spec.lam, M)
-    if spec.kind == "poisson_pcr":
-        copies = poisson_counts(rng, spec.alpha, M)
-        counts = np.zeros(M, dtype=np.int64)
-        live = copies > 0
-        if live.any():
-            # N_i | A_i=a ~ Poisson(a * lam / alpha); one conditional draw
-            # per molecule with surviving copies, in index order, consuming
-            # the stream as one poisson_counts(rng, m, 1) call per molecule
-            # would (the per-element contract in rng's module docstring).
-            means = copies[live] * (spec.lam / spec.alpha)
-            counts[live] = poisson_each(rng, means)
-        return counts
-    if spec.kind == "custom":
-        cum = np.cumsum(spec.pmf)
-        u = rng.random(M)
-        counts = np.searchsorted(cum, u, side="right")
-        # Residual mass above the table (only possible within PMF_TOLERANCE
-        # roundoff) falls into the last bin.
-        return np.minimum(counts, len(spec.pmf) - 1).astype(np.int64)
-    raise ValueError(f"unknown sampling kind {spec.kind!r}")
+    return spec.sample(M, rng)
 
 
 def apply_noise(reads: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Index-based concatenated coding for the shuffling-sampling channel.
 
 Each molecule carries a unique ceil(log2 M)-bit index followed by payload
-bits, protected per-molecule by a pluggable inner code and across molecules
-by a systematic Reed-Solomon erasure code of block length M.  The decoder
+bits, protected per-molecule by a pluggable inner code (an
+:class:`InnerCodeSpec` subclass: :class:`IdentityCode`,
+:class:`RepetitionCode` or :class:`TableMLCode`) and across molecules by a
+systematic Reed-Solomon erasure code of block length M.  The decoder
 inner-decodes every read, uses the indices to sort and deduplicate, erases
 missing or conflicting indices, and erasure-decodes the outer code.
 
@@ -25,7 +27,7 @@ from .gf import ReedSolomonErasure
 
 __all__ = [
     "ConfigError",
-    "InnerCodeSpec",
+    "InnerCodeSpec", "IdentityCode", "RepetitionCode", "TableMLCode",
     "CodecConfig",
     "DecodeReport",
     "inner_encode",
@@ -68,136 +70,134 @@ def bits_to_int(bits: np.ndarray) -> np.ndarray:
 # Inner codes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# Bytes of distance temporaries one chunk of the table code's decode may use;
+# a single read over a codebook larger than this is still decoded whole.
+TABLE_DECODE_BUDGET = 1 << 24
+
+
 class InnerCodeSpec:
-    """Per-molecule code choice.
+    """Per-molecule code choice: one frozen subclass per code, built by the
+    classmethods below, implements ``info_bits(L)``, ``encode(info, L)`` on
+    (..., k) uint8 info bits and ``decode(reads, L)`` on (N, L) uint8 reads."""
 
-    * ``identity``: rate 1, no protection.
-    * ``repetition``: each info bit repeated r times (r odd), majority decode.
-    * ``table_ml``: random codebook of 2^k_info length-L words drawn from a
-      seeded stream, decoded to the nearest codeword in Hamming distance
-      (ties resolved to the lowest codeword index).
-    """
-
-    kind: str
-    r: int = 0
-    k_info: int = 0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind == "identity":
-            pass
-        elif self.kind == "repetition":
-            if self.r < 1 or self.r % 2 == 0:
-                raise ConfigError(f"repetition factor must be odd >= 1, got {self.r}")
-        elif self.kind == "table_ml":
-            if not 1 <= self.k_info <= 20:
-                raise ConfigError(f"table code needs 1 <= k_info <= 20, got {self.k_info}")
-        else:
-            raise ConfigError(f"unknown inner code kind {self.kind!r}")
+    def __init__(self, *args, **kwargs):
+        raise ConfigError("InnerCodeSpec is abstract; build one with "
+                          "InnerCodeSpec.identity, .repetition or .table_ml")
 
     @classmethod
     def identity(cls) -> "InnerCodeSpec":
-        return cls(kind="identity")
+        return IdentityCode()
 
     @classmethod
     def repetition(cls, r: int) -> "InnerCodeSpec":
-        return cls(kind="repetition", r=r)
+        return RepetitionCode(r)
 
     @classmethod
     def table_ml(cls, k_info: int, seed: int) -> "InnerCodeSpec":
-        return cls(kind="table_ml", k_info=k_info, seed=seed)
+        return TableMLCode(k_info, seed)
 
-    def rate(self) -> Fraction:
-        if self.kind == "identity":
-            return Fraction(1)
-        if self.kind == "repetition":
-            return Fraction(1, self.r)
-        raise ConfigError("table_ml rate depends on L; use info_bits(L) / L")
+
+@dataclass(frozen=True)
+class IdentityCode(InnerCodeSpec):
+    """Rate 1, no protection."""
 
     def info_bits(self, L: int) -> int:
-        """floor(L * r_inner): info bits carried per length-L molecule."""
-        if self.kind == "identity":
-            return L
-        if self.kind == "repetition":
-            if L % self.r != 0:
-                raise ConfigError(f"repetition({self.r}) needs r | L, got L={L}")
-            return L // self.r
+        return L
+
+    def encode(self, bits: np.ndarray, L: int) -> np.ndarray:
+        return bits.copy()
+
+    decode = encode
+
+
+@dataclass(frozen=True)
+class RepetitionCode(InnerCodeSpec):
+    """Each info bit repeated r times (r odd), majority decode."""
+
+    r: int
+
+    def __post_init__(self):
+        if self.r < 1 or self.r % 2 == 0:
+            raise ConfigError(f"repetition factor must be odd >= 1, got {self.r}")
+
+    def info_bits(self, L: int) -> int:
+        if L % self.r != 0:
+            raise ConfigError(f"repetition({self.r}) needs r | L, got L={L}")
+        return L // self.r
+
+    def encode(self, info: np.ndarray, L: int) -> np.ndarray:
+        return np.repeat(info, self.r, axis=-1)
+
+    def decode(self, reads: np.ndarray, L: int) -> np.ndarray:
+        r = self.r
+        groups = reads.reshape(reads.shape[0], self.info_bits(L), r)
+        # Count the ones among the r copies in the narrowest dtype that
+        # holds r, one strided slice at a time; majority means > r // 2.
+        ones = groups[:, :, 0].astype(np.min_scalar_type(r))
+        for i in range(1, r):
+            ones += groups[:, :, i]
+        return (ones > r // 2).astype(np.uint8)
+
+
+@dataclass(frozen=True)
+class TableMLCode(InnerCodeSpec):
+    """Random codebook of 2^k_info length-L words from a seeded stream, decoded
+    to the nearest codeword in Hamming distance (ties to the lowest index)."""
+
+    k_info: int
+    seed: int
+
+    def __post_init__(self):
+        if not 1 <= self.k_info <= 20:
+            raise ConfigError(f"table code needs 1 <= k_info <= 20, got {self.k_info}")
+
+    def info_bits(self, L: int) -> int:
+        if self.k_info > L:
+            raise ConfigError(f"inner info bits {self.k_info} exceed molecule length {L}")
         return self.k_info
 
+    @lru_cache(maxsize=None)
+    def codebook(self, L: int) -> np.ndarray:
+        """The 2^k_info distinct length-L codewords, built once per L."""
+        rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(self.seed)))
+        book = rng.integers(0, 2, size=(1 << self.info_bits(L), L), dtype=np.uint8)
+        if np.unique(book, axis=0).shape[0] != book.shape[0]:
+            raise ConfigError(f"table_ml seed {self.seed} produced duplicate codewords "
+                              f"for k={self.k_info}, L={L}; pick another seed")
+        book.setflags(write=False)  # one cached array serves every caller
+        return book
 
-class _InnerCode:
-    """Inner spec bound to a molecule length; does the actual bit work."""
+    def encode(self, info: np.ndarray, L: int) -> np.ndarray:
+        return self.codebook(L)[bits_to_int(info)]
 
-    def __init__(self, spec: InnerCodeSpec, L: int):
-        self.spec = spec
-        self.L = L
-        self.k = spec.info_bits(L)
-        if self.k > L:
-            raise ConfigError(f"inner info bits {self.k} exceed molecule length {L}")
-        if spec.kind == "table_ml":
-            rng = np.random.Generator(
-                np.random.Philox(seed=np.random.SeedSequence(spec.seed))
-            )
-            book = rng.integers(0, 2, size=(1 << self.k, L), dtype=np.uint8)
-            uniq = np.unique(book, axis=0)
-            if uniq.shape[0] != book.shape[0]:
-                raise ConfigError(
-                    f"table_ml seed {spec.seed} produced duplicate codewords "
-                    f"for k={self.k}, L={L}; pick another seed"
-                )
-            self.codebook = book
-
-    def encode(self, info: np.ndarray) -> np.ndarray:
-        """Encode (..., k) info bits into (..., L) code bits."""
-        info = np.asarray(info, dtype=np.uint8)
-        if info.shape[-1] != self.k:
-            raise ConfigError(f"expected {self.k} info bits, got {info.shape[-1]}")
-        if self.spec.kind == "identity":
-            return info.copy()
-        if self.spec.kind == "repetition":
-            return np.repeat(info, self.spec.r, axis=-1)
-        return self.codebook[bits_to_int(info)]
-
-    def decode(self, reads: np.ndarray) -> np.ndarray:
-        """Decode (..., L) reads back to (..., k) info bits."""
-        reads = np.atleast_2d(np.asarray(reads, dtype=np.uint8))
-        if reads.shape[-1] != self.L:
-            raise ConfigError(f"expected length-{self.L} reads, got {reads.shape[-1]}")
-        if self.spec.kind == "identity":
-            return reads.copy()
-        if self.spec.kind == "repetition":
-            r = self.spec.r
-            groups = reads.reshape(reads.shape[0], self.k, r)
-            # Count the ones among the r copies in the narrowest dtype that
-            # holds r, one strided slice at a time; majority means > r // 2.
-            ones = groups[:, :, 0].astype(np.min_scalar_type(r))
-            for i in range(1, r):
-                ones += groups[:, :, i]
-            return (ones > r // 2).astype(np.uint8)
-        # Nearest codeword; argmin takes the first minimum, i.e. lowest index.
-        dists = (reads[:, None, :] ^ self.codebook[None, :, :]).sum(axis=2)
-        best = np.argmin(dists, axis=1)
-        return int_to_bits(best, self.k)
-
-
-@lru_cache(maxsize=None)
-def _inner_code(spec: InnerCodeSpec, L: int) -> _InnerCode:
-    return _InnerCode(spec, L)
+    def decode(self, reads: np.ndarray, L: int) -> np.ndarray:
+        book = self.codebook(L)
+        # Each read costs L XOR bytes and one 8-byte distance per codeword.
+        step = max(1, TABLE_DECODE_BUDGET // (book.shape[0] * (L + 8)))
+        best = np.empty(reads.shape[0], dtype=np.int64)
+        for i in range(0, reads.shape[0], step):
+            # Nearest codeword; argmin takes the first minimum, i.e. lowest index.
+            dists = (reads[i:i + step, None, :] ^ book[None, :, :]).sum(axis=2)
+            best[i:i + step] = np.argmin(dists, axis=1)
+        return int_to_bits(best, self.k_info)
 
 
 def inner_encode(info: np.ndarray, spec: InnerCodeSpec, L: int) -> np.ndarray:
     """Encode one info word (or a batch) to length-L molecules."""
-    return _inner_code(spec, L).encode(info)
+    info = np.asarray(info, dtype=np.uint8)
+    k = spec.info_bits(L)
+    if info.shape[-1] != k:
+        raise ConfigError(f"expected {k} info bits, got {info.shape[-1]}")
+    return spec.encode(info, L)
 
 
 def inner_decode(read: np.ndarray, spec: InnerCodeSpec, L: int) -> np.ndarray:
     """Decode one read (or a batch) back to info bits."""
-    code = _inner_code(spec, L)
     read = np.asarray(read, dtype=np.uint8)
-    single = read.ndim == 1
-    out = code.decode(read)
-    return out[0] if single else out
+    if read.shape[-1] != L:
+        raise ConfigError(f"expected length-{L} reads, got {read.shape[-1]}")
+    out = spec.decode(np.atleast_2d(read), L)
+    return out[0] if read.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +344,7 @@ def decode_output(out: ChannelOutput, cfg: CodecConfig) -> DecodeReport:
         raise ConfigError(f"reads have length {out.L}, config says {cfg.L}")
     s, w = cfg.symbols_per_molecule, cfg.field_width
 
-    info = _inner_code(cfg.inner, cfg.L).decode(out.reads)
+    info = cfg.inner.decode(out.reads, cfg.L)
     index = bits_to_int(info[:, : cfg.index_bits])
     in_range = index < cfg.M
     undetected_risk = not in_range.all()

@@ -214,6 +214,8 @@ class BoundCheck(ExperimentSpec):
             raise ValueError(f"reads_per_trial must be >= 1, got {self.reads_per_trial}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta}")
 
     def trial(self, rng) -> tuple[dict, float]:
         reads = apply_noise(
@@ -240,6 +242,8 @@ class CouponTail(ExperimentSpec):
             raise ValueError(f"M must be >= 1, got {self.M}")
         if not self.lam > 0.0:
             raise ValueError(f"lam must be > 0, got {self.lam}")
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta}")
 
     def trial(self, rng) -> tuple[dict, float]:
         M, lam = self.M, self.lam
@@ -452,7 +456,7 @@ def rate_vs_capacity_sweep(
         )
         success = run(sub).summary.mean
         rows.append({
-            "lambda": spec_i.lam,
+            "lambda": getattr(spec_i, "lam", None),  # empty unless a Poisson kind
             "beta": beta,
             "p": p_i,
             "q": q0,

@@ -240,7 +240,7 @@ def poisson_counts(rng: np.random.Generator, lam: float, size: int) -> np.ndarra
     Both consume the stream in array order, so results are reproducible
     from the generator state alone.
     """
-    if lam < 0:
+    if not lam >= 0:  # NaN too: PTRS would reject every candidate forever
         raise ValueError(f"lambda must be >= 0, got {lam}")
     if lam == 0:
         return np.zeros(size, dtype=np.int64)

@@ -68,6 +68,10 @@ def test_custom_pmf_validation():
         SamplingSpec.custom([0.5, 0.6])  # mass 1.1
     with pytest.raises(ValueError):
         SamplingSpec.custom([1.5, -0.5])
+    with pytest.raises(ValueError):
+        SamplingSpec.custom([math.nan])
+    with pytest.raises(ValueError):
+        SamplingSpec.custom([0.5, math.nan, 0.5])
 
 
 def test_custom_truncated_renormalizes_and_flags():
@@ -91,6 +95,19 @@ def test_sampling_spec_validation():
         SamplingSpec.poisson(0.0)
     with pytest.raises(ValueError):
         SamplingSpec.poisson_pcr(1.0, 0.0)
+    # NaN used to pass these checks, then hang in the PTRS rejection loop.
+    with pytest.raises(ValueError):
+        SamplingSpec.poisson(math.nan)
+    with pytest.raises(ValueError):
+        SamplingSpec.poisson(math.inf)
+    with pytest.raises(ValueError):
+        SamplingSpec.poisson_pcr(math.nan, 5.0)
+    with pytest.raises(ValueError):
+        SamplingSpec.poisson_pcr(1.0, math.nan)
+    with pytest.raises(ValueError):
+        poisson_counts(np.random.default_rng(0), math.nan, 3)
+    with pytest.raises(ValueError, match="SamplingSpec.bernoulli"):
+        SamplingSpec()
 
 
 # ---------------------------------------------------------------------------

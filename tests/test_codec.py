@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from dnachannel import codec
 from dnachannel.channel import ChannelOutput, SamplingSpec, ChannelParams, apply_noise, transmit
 from dnachannel.codec import (
     CodecConfig,
@@ -112,9 +114,7 @@ def test_table_ml_roundtrip_all_inputs():
 
 def test_table_ml_tie_breaks_to_lowest_index():
     spec = InnerCodeSpec.table_ml(4, 7)
-    from dnachannel.codec import _inner_code
-
-    book = _inner_code(spec, 16).codebook
+    book = spec.codebook(16)
     # midpoint between codewords 2 and 9: flip half the differing bits of 2
     diff = np.flatnonzero(book[2] ^ book[9])
     read = book[2].copy()
@@ -129,9 +129,7 @@ def test_table_ml_error_rate_below_union_bound():
     """Measured ML decoding error vs the exact pairwise-distance union bound."""
     p = 0.05
     spec = InnerCodeSpec.table_ml(4, 7)
-    from dnachannel.codec import _inner_code
-
-    book = _inner_code(spec, 16).codebook
+    book = spec.codebook(16)
     n = book.shape[0]
     # exact union bound averaged over sent codewords: the decoder errs toward
     # codeword c iff more than half the differing bits flip, or exactly half
@@ -154,15 +152,47 @@ def test_table_ml_error_rate_below_union_bound():
     trials_per_word = 1500
     errors = 0
     total = 0
-    code = _inner_code(spec, 16)
     for i in range(n):
         sent = np.tile(book[i], (trials_per_word, 1))
-        got = code.decode(apply_noise(sent, p, rng))
+        got = spec.decode(apply_noise(sent, p, rng), 16)
         errors += int((bits_to_int(got) != i).sum())
         total += trials_per_word
     empirical = errors / total
     stderr = math.sqrt(empirical * (1 - empirical) / total)
     assert empirical <= bound + 3 * stderr
+
+
+@pytest.mark.parametrize("budget", [1, 3 * 16 * (16 + 8)])
+def test_table_ml_chunked_decode_matches_one_shot(monkeypatch, budget):
+    spec = InnerCodeSpec.table_ml(4, 7)
+    book = spec.codebook(16)
+    # exact midpoints between codeword pairs (ties where the distance is even)
+    # and random reads; with three reads per chunk, 100 leave a one-read tail
+    mids = []
+    for i, j in itertools.combinations(range(16), 2):
+        read = book[i].copy()
+        diff = np.flatnonzero(book[i] ^ book[j])
+        read[diff[: len(diff) // 2]] ^= 1
+        mids.append(read)
+    rng = substream(2024, 51)
+    reads = np.vstack(mids[:60] + [rng.integers(0, 2, size=(40, 16), dtype=np.uint8)])
+    one_shot = inner_decode(reads, spec, 16)
+    monkeypatch.setattr(codec, "TABLE_DECODE_BUDGET", budget)
+    assert np.array_equal(inner_decode(reads, spec, 16), one_shot)
+
+
+def test_table_ml_decode_memory_bounded():
+    # One-shot, these 200 reads need 200 * 2^14 * (32 + 8) bytes, ~131 MB.
+    spec, L = InnerCodeSpec.table_ml(14, 0), 32
+    reads = substream(2024, 52).integers(0, 2, size=(200, L), dtype=np.uint8)
+    spec.codebook(L)  # built and cached outside the measurement
+    tracemalloc.start()
+    try:
+        inner_decode(reads, spec, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * codec.TABLE_DECODE_BUDGET
 
 
 def test_table_ml_duplicate_codebook_rejected():

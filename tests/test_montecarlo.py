@@ -151,6 +151,7 @@ def test_spec_rejects_trials_or_seed_out_of_range(trials, base_seed):
     dict(p=-0.1),
     dict(p=1.5),
     dict(p=math.nan),
+    dict(delta=math.nan),
 ])
 def test_chernoff_spec_rejects_bad_parameters(params):
     args = dict(read_len=64, p=0.05, delta=0.15, reads_per_trial=100) | params
@@ -163,6 +164,7 @@ def test_chernoff_spec_rejects_bad_parameters(params):
     dict(lam=0.0),
     dict(lam=-1.0),
     dict(lam=math.nan),
+    dict(delta=math.nan),
 ])
 def test_coupon_spec_rejects_bad_parameters(params):
     args = dict(M=1000, lam=1.0, delta=0.1) | params
