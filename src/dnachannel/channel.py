@@ -15,6 +15,13 @@ Every operation is pure given an explicit ``numpy.random.Generator``; the
 stream consumption order inside :func:`transmit` is fixed (counts, then
 noise, then one shuffle permutation), so identical inputs and seed give
 bit-identical outputs.
+
+Noise stream contract: :func:`apply_noise` consumes one 64-bit word per bit,
+in C order, and flips the bit when the word is below the integer threshold
+``ceil(p * 2^53) << 11`` (every bit when p = 1).  For the bit generators
+whose ``random()`` double is ``(word >> 11) * 2^-53`` (Philox, PCG64,
+PCG64DXSM, SFC64) this is exactly ``rng.random(shape) < p``; any other bit
+generator (MT19937) draws ``rng.random(shape) < p`` itself.
 """
 
 from __future__ import annotations
@@ -212,8 +219,8 @@ class ChannelParams:
     def __post_init__(self):
         if self.M < 2:
             raise ValueError(f"M must be >= 2, got {self.M}")
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+        if not 0.0 < self.beta < math.inf:  # False for NaN too
+            raise ValueError(f"beta must be in (0, inf), got {self.beta}")
         if not 0.0 <= self.p < 0.5:
             raise ValueError(f"p must be in [0, 0.5), got {self.p}")
         if self.L == 0:
@@ -290,8 +297,23 @@ def apply_noise(reads: np.ndarray, p: float, rng: np.random.Generator) -> np.nda
     reads = np.asarray(reads, dtype=np.uint8)
     if p == 0.0 or reads.size == 0:
         return reads.copy()
-    flips = rng.random(reads.shape) < p
-    return reads ^ flips.astype(np.uint8)
+    bitgen = rng.bit_generator
+    if type(bitgen) in (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM,
+                        np.random.SFC64):
+        flips = _raw_flips(bitgen, reads.shape, p)
+    else:
+        flips = rng.random(reads.shape) < p
+    return reads ^ flips.view(np.uint8)
+
+
+def _raw_flips(bitgen, shape: tuple, p: float) -> np.ndarray:
+    """``random(shape) < p`` for a bit generator whose random() is
+    (word >> 11) * 2^-53, decided on the raw words: u < p exactly when
+    word < ceil(p * 2^53) << 11, p * 2^53 being exact in a double."""
+    words = bitgen.random_raw(math.prod(shape)).reshape(shape)
+    if p == 1.0:  # the threshold 2^64 overflows uint64; every u < 1 flips
+        return np.ones(shape, dtype=bool)
+    return words < np.uint64(math.ceil(p * 2.0**53) << 11)
 
 
 def shuffle_reads(reads: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -322,7 +344,7 @@ def transmit_traced(
         raise ValueError(f"codeword length {codeword.L} != params L={params.L}")
     counts = sample_counts(params.sampling, params.M, rng)
     sources = np.repeat(np.arange(params.M), counts)
-    expanded = codeword.molecules[sources]
+    expanded = codeword.molecules.take(sources, axis=0)
     noisy = apply_noise(expanded, params.p, rng)
     perm = rng.permutation(noisy.shape[0])
-    return ChannelOutput(reads=noisy[perm]), sources[perm], counts
+    return ChannelOutput(reads=noisy.take(perm, axis=0)), sources.take(perm), counts

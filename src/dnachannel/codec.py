@@ -331,9 +331,16 @@ def encode_message(msg: np.ndarray, cfg: CodecConfig) -> CodewordSet:
     data = bits_to_int(msg.reshape(cfg.outer_k, s, w))
     payload_syms = outer_encode(data, cfg.M, cfg.outer_k, w)
     payload = int_to_bits(payload_syms, w).reshape(cfg.M, cfg.payload_bits)
-    index = int_to_bits(np.arange(cfg.M), cfg.index_bits)
-    info = np.concatenate([index, payload], axis=1)
+    info = np.concatenate([_index_block(cfg.M, cfg.index_bits), payload], axis=1)
     return CodewordSet(molecules=inner_encode(info, cfg.inner, cfg.L))
+
+
+@lru_cache(maxsize=16)
+def _index_block(M: int, index_bits: int) -> np.ndarray:
+    """The index bits of molecules 0..M-1, one row each, read-only."""
+    block = int_to_bits(np.arange(M), index_bits)
+    block.setflags(write=False)
+    return block
 
 
 def decode_output(out: ChannelOutput, cfg: CodecConfig) -> DecodeReport:
@@ -348,17 +355,21 @@ def decode_output(out: ChannelOutput, cfg: CodecConfig) -> DecodeReport:
     index = bits_to_int(info[:, : cfg.index_bits])
     in_range = index < cfg.M
     undetected_risk = not in_range.all()
-    index, payload = index[in_range], info[in_range, cfg.index_bits:]
+    index = index[in_range]
+    # Each kept read's payload bits as one void item (compress returns a
+    # C-ordered copy), so a whole row compares at once.
+    payload = info[:, cfg.index_bits:].compress(in_range, axis=0)
+    payload = payload.view(f"V{cfg.payload_bits}").reshape(-1)
     # Identical duplicates merge; an index read with a payload other than
     # its representative's (any one read of that index) has conflicting
     # payloads and is erased.
     rep = np.full(cfg.M, -1, dtype=np.int64)
     rep[index] = np.arange(index.size)
     conflict = np.zeros(cfg.M, dtype=bool)
-    conflict[index[(payload != payload[rep[index]]).any(axis=1)]] = True
+    conflict[index[payload != payload.take(rep.take(index))]] = True
     collisions = int(conflict.sum())
     index = np.flatnonzero((rep >= 0) & ~conflict)
-    payload = payload[rep[index]]
+    payload = payload.take(rep.take(index)).view(np.uint8)
 
     erasures = cfg.M - index.size
     if erasures > cfg.M - cfg.outer_k:

@@ -39,6 +39,7 @@ from .channel import (
 )
 from .codec import (
     CodecConfig,
+    ConfigError,
     decode_output,
     encode_message,
     achieved_rate,
@@ -78,6 +79,11 @@ class ShortMoleculeConfig:
 
     M: int
     L: int
+
+    def __post_init__(self):
+        if not (self.L >= 1 and self.M >= 1 << (self.L - 1)):
+            raise ConfigError(f"short-molecule scheme needs L >= 1 and M >= 2^(L-1), "
+                              f"got M={self.M}, L={self.L}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -158,6 +164,13 @@ class DecodeSuccess(ExperimentSpec):
     channel: ChannelParams
     codec: CodecConfig | ShortMoleculeConfig
 
+    def __post_init__(self):
+        super().__post_init__()
+        ch, codec = self.channel, self.codec
+        if (codec.M, codec.L) != (ch.M, ch.L):
+            raise ConfigError(f"codec geometry M={codec.M}, L={codec.L} does not match "
+                              f"channel M={ch.M}, L={ch.L}")
+
     def trial(self, rng) -> tuple[dict, float]:
         ch = self.channel
         if isinstance(self.codec, ShortMoleculeConfig):
@@ -183,7 +196,8 @@ class DecodeSuccess(ExperimentSpec):
         flip_rate = None
         if out.N > 0:
             # An exact count and one rounded division: the same double as .mean().
-            flips = int(np.count_nonzero(out.reads != cw.molecules[sources]))
+            flips = int(np.count_nonzero(
+                out.reads != cw.molecules.take(sources, axis=0)))
             flip_rate = flips / out.reads.size
         fields = {
             "N": out.N,
@@ -240,8 +254,8 @@ class CouponTail(ExperimentSpec):
         super().__post_init__()
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
-        if not self.lam > 0.0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
+        if not 0.0 < self.lam < math.inf:  # False for NaN too
+            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
         if not math.isfinite(self.delta):
             raise ValueError(f"delta must be finite, got {self.delta}")
 

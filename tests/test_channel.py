@@ -432,6 +432,47 @@ def test_noise_rejects_bad_p():
         apply_noise(np.zeros((1, 4), dtype=np.uint8), -0.1, rng_for(12))
 
 
+NOISE_BIT_GENERATORS = [np.random.Philox, np.random.PCG64, np.random.SFC64,
+                        np.random.MT19937]
+
+
+# The smallest positive double, tiny p, p * 2^53 integral (0.25), the doubles
+# just below 1/2 and 1, and p = 1, whose integer threshold overflows uint64.
+@pytest.mark.parametrize("p", [2**-53, 5e-324, 1e-300, 0.01, 0.25, 0.5 - 2**-54,
+                               1 - 2**-53, 1.0])
+@pytest.mark.parametrize("bitgen", NOISE_BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_noise_matches_uniform_reference(bitgen, p):
+    # An odd word count and one word drawn first, so Philox's four-word
+    # buffer is part-used on both sides of the call.
+    reads = rng_for(12, 1).integers(0, 2, size=(301, 37), dtype=np.uint8)
+    rng, ref = np.random.Generator(bitgen(5)), np.random.Generator(bitgen(5))
+    assert rng.random() == ref.random()
+    got = apply_noise(reads, p, rng)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, reads ^ (ref.random(reads.shape) < p))
+    # the generator is left where the reference leaves it
+    assert np.array_equal(rng.random(5), ref.random(5))
+
+
+@pytest.mark.parametrize("bitgen", NOISE_BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_noise_threshold_is_exact_at_drawn_uniforms(bitgen):
+    # p equal to a drawn uniform must not flip that bit; the next double up must.
+    reads = np.zeros((1, 4000), dtype=np.uint8)
+    u = np.random.Generator(bitgen(6)).random(reads.shape)
+    for k in (0, 1234, 3999):
+        for p in (u[0, k], np.nextafter(u[0, k], 1.0)):
+            got = apply_noise(reads, float(p), np.random.Generator(bitgen(6)))
+            assert np.array_equal(got, (u < p).astype(np.uint8))
+        assert got[0, k] == 1
+
+
+def test_noise_leaves_input_unchanged():
+    reads = rng_for(12, 2).integers(0, 2, size=(20, 16), dtype=np.uint8)
+    before = reads.copy()
+    out = apply_noise(reads, 0.5, rng_for(12, 3))
+    assert np.array_equal(reads, before) and out is not reads
+
+
 # ---------------------------------------------------------------------------
 # shuffle_reads
 # ---------------------------------------------------------------------------
@@ -521,6 +562,22 @@ def test_transmit_deterministic_given_seed():
     assert not np.array_equal(a.reads, c.reads)  # different substream differs
 
 
+def test_transmit_traced_pinned_digest():
+    # sha256 of reads, then little-endian int64 sources and counts, computed
+    # with the rng.random(shape) < p noise and fancy-indexed row gathers; the
+    # JSONL digests only see flip counts, this sees where every flip lands.
+    cw = CodewordSet(molecules=rng_for(27).integers(0, 2, size=(64, 24), dtype=np.uint8))
+    params = _params(64, 0.05, SamplingSpec.poisson_pcr(12.0, 3.0), 24)
+    out, sources, counts = transmit_traced(cw, params, rng_for(28))
+    assert out.N == 637
+    digest = hashlib.sha256()
+    for part in (out.reads, sources.astype("<i8"), counts.astype("<i8")):
+        digest.update(part.tobytes())
+    assert digest.hexdigest() == (
+        "7682e8a0e38628dd884679ee6c28dc521f29d4ba62621d6d814325f0fc652fca"
+    )
+
+
 def test_transmit_rejects_mismatched_codeword():
     cw = CodewordSet(molecules=np.zeros((4, 8), dtype=np.uint8))
     params = _params(5, 0.0, SamplingSpec.bernoulli(0.0), 8)
@@ -546,6 +603,13 @@ def test_channel_params_validation():
         ChannelParams(M=16, beta=2.0, p=0.5, sampling=spec)
     with pytest.raises(ValueError):
         ChannelParams(M=16, beta=2.0, p=0.0, sampling=spec, L=4)  # beta_eff 1 < 2
+
+
+@pytest.mark.parametrize("beta,L", [(math.nan, 8), (math.nan, 0), (math.inf, 0),
+                                    (math.inf, 8), (0.0, 8), (-1.0, 0)])
+def test_channel_params_rejects_non_finite_or_non_positive_beta(beta, L):
+    with pytest.raises(ValueError, match=r"^beta must be in \(0, inf\), got"):
+        ChannelParams(M=16, beta=beta, p=0.0, sampling=SamplingSpec.bernoulli(0.0), L=L)
 
 
 def test_codeword_set_rejects_non_bits():

@@ -32,6 +32,7 @@ from dnachannel.codec import (
     short_molecule_encode,
     write_reads_file,
 )
+from dnachannel.codec import _index_block
 from dnachannel.gf import TooManyErasures
 from dnachannel.rng import substream
 
@@ -413,6 +414,16 @@ def _reference_dedup(info, cfg):
             del payload_of[idx]
     collisions = sum(1 for v in seen.values() if v is None)
     return payload_of, collisions, risk
+
+
+def test_index_block_cached_read_only():
+    block = _index_block(12, 4)
+    assert block is _index_block(12, 4)
+    assert not block.flags.writeable
+    assert np.array_equal(bits_to_int(block), np.arange(12))
+    cfg = CodecConfig(M=12, L=12, inner=InnerCodeSpec.identity(), outer_k=8)
+    cw = encode_message(random_message(cfg, substream(7, 9)), cfg)
+    assert np.array_equal(cw.molecules[:, :4], block)
 
 
 def test_dedup_matches_reference_loop():

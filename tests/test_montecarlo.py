@@ -2,6 +2,8 @@
 
 import json
 import math
+from dataclasses import dataclass
+from typing import ClassVar
 
 import mpmath
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 from dnachannel.capacity import chernoff_read_error_bound, coupon_tail_bound
 from dnachannel.channel import ChannelParams, SamplingSpec
-from dnachannel.codec import CodecConfig, InnerCodeSpec
+from dnachannel.codec import CodecConfig, ConfigError, InnerCodeSpec
 from dnachannel.montecarlo import (
     ExperimentSpec,
     ShortMoleculeConfig,
@@ -107,10 +109,18 @@ def test_bound_check_kind_passes():
     assert result.summary.verdict == "PASS"
 
 
+@dataclass(frozen=True, kw_only=True)
+class FailingTrials(ExperimentSpec):
+    """An experiment whose every trial raises inside the harness."""
+
+    metric: ClassVar[str] = "success_rate"
+
+    def trial(self, rng):
+        raise RuntimeError("trial failed")
+
+
 def test_failed_trials_recorded_not_raised():
-    # codec molecule length disagrees with the channel: every trial errors out
-    spec = ExperimentSpec.decode_success(bern_channel(16, 8, 0.0), M16_REP3,
-                                         trials=4, base_seed=108, min_rate=0.5)
+    spec = FailingTrials(trials=4, base_seed=108, min_rate=0.5)
     result = run(spec)
     assert len(result.records) == 4
     assert all(r.N is None and r.decode_success is None for r in result.records)
@@ -119,8 +129,7 @@ def test_failed_trials_recorded_not_raised():
 
 
 def test_all_failed_summary_is_strict_json():
-    spec = ExperimentSpec.decode_success(bern_channel(16, 8, 0.0), M16_REP3,
-                                         trials=3, base_seed=108, min_rate=0.5)
+    spec = FailingTrials(trials=3, base_seed=108, min_rate=0.5)
     out = run(spec).summary.to_json()
     text = json.dumps(out, allow_nan=False)
     assert list(out) == ["metric", "mean", "stderr", "ci95", "trials",
@@ -165,11 +174,29 @@ def test_chernoff_spec_rejects_bad_parameters(params):
     dict(lam=-1.0),
     dict(lam=math.nan),
     dict(delta=math.nan),
+    dict(lam=math.inf),
 ])
 def test_coupon_spec_rejects_bad_parameters(params):
     args = dict(M=1000, lam=1.0, delta=0.1) | params
     with pytest.raises(ValueError, match=f"^{next(iter(params))} must be"):
         ExperimentSpec.coupon_tail(**args, trials=1, base_seed=1)
+
+
+@pytest.mark.parametrize("channel,codec", [
+    (bern_channel(16, 8, 0.0), M16_REP3),  # L 8 vs 24
+    (bern_channel(32, 8, 0.0), M16),  # M 32 vs 16
+    (ChannelParams(M=64, beta=5 / 6, p=0.0, sampling=SamplingSpec.poisson(1.0), L=5),
+     ShortMoleculeConfig(M=64, L=4)),
+])
+def test_decode_success_rejects_geometry_mismatch(channel, codec):
+    with pytest.raises(ConfigError, match="^codec geometry M=.* does not match channel"):
+        ExperimentSpec.decode_success(channel, codec, trials=1, base_seed=1)
+
+
+@pytest.mark.parametrize("M,L", [(4, 4), (64, 0)])
+def test_short_molecule_config_rejects_impossible_geometry(M, L):
+    with pytest.raises(ConfigError, match="^short-molecule scheme needs"):
+        ShortMoleculeConfig(M=M, L=L)
 
 
 @pytest.mark.parametrize("verdict", [dict(expected=0.3), dict(tolerance=0.01)])
