@@ -102,8 +102,8 @@ def noise_free_capacity(q0: float, beta: float) -> CapacityResult:
     """Capacity (1 - q0)(1 - 1/beta) of the noise-free channel; 0 for beta <= 1."""
     if not 0.0 <= q0 <= 1.0:
         raise ValueError(f"q0 must be in [0, 1], got {q0}")
-    if beta <= 0.0:
-        raise ValueError(f"beta must be > 0, got {beta}")
+    if not 0.0 < beta < math.inf:  # False for NaN too
+        raise ValueError(f"beta must be in (0, inf), got {beta}")
     if beta <= 1.0:
         return CapacityResult(value=0.0, valid=True)
     return CapacityResult(value=(1.0 - q0) * (1.0 - 1.0 / beta), valid=True)
@@ -120,8 +120,8 @@ def noisy_capacity(q: float, p: float, beta: float) -> CapacityResult:
         raise ValueError(f"q must be in [0, 1], got {q}")
     if not 0.0 <= p <= 0.5:
         raise ValueError(f"p must be in [0, 0.5], got {p}")
-    if beta <= 0.0:
-        raise ValueError(f"beta must be > 0, got {beta}")
+    if not 0.0 < beta < math.inf:  # False for NaN too
+        raise ValueError(f"beta must be in (0, inf), got {beta}")
     value = max(0.0, (1.0 - q) * (1.0 - binary_entropy(p) - 1.0 / beta))
     margin = region_margin(p, beta)
     # in_capacity_region rejects p = 0.5, which lies outside the region anyway.
@@ -133,8 +133,8 @@ def capacity_upper_bound(q: float, p: float, beta: float) -> float:
     """(1 - q) * min(1 - H(p), 1 - 1/beta)."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
-    if beta <= 0.0:
-        raise ValueError(f"beta must be > 0, got {beta}")
+    if not 0.0 < beta < math.inf:  # False for NaN too
+        raise ValueError(f"beta must be in (0, inf), got {beta}")
     return (1.0 - q) * min(1.0 - binary_entropy(p), 1.0 - 1.0 / beta)
 
 
@@ -148,8 +148,8 @@ def in_capacity_region(p: float, beta: float) -> bool:
     """True iff p < 1/4 and 1 - H(2p) - 2/beta > 0 (the proven region)."""
     if not 0.0 <= p < 0.5:
         raise ValueError(f"p must be in [0, 0.5), got {p}")
-    if beta <= 0.0:
-        raise ValueError(f"beta must be > 0, got {beta}")
+    if not 0.0 < beta < math.inf:  # False for NaN too
+        raise ValueError(f"beta must be in (0, inf), got {beta}")
     return p < 0.25 and region_margin(p, beta) > 0.0
 
 
@@ -218,8 +218,8 @@ def sdmc_capacity(
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
-    if beta <= 0.0:
-        raise ValueError(f"beta must be > 0, got {beta}")
+    if not 0.0 < beta < math.inf:  # False for NaN too
+        raise ValueError(f"beta must be in (0, inf), got {beta}")
     c_dmc = dmc_capacity_ba(transition, tol=tol, max_iter=max_iter)
     n_outputs = np.asarray(transition).shape[1]
     value = (1.0 - q) * max(0.0, c_dmc - 1.0 / beta)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -24,7 +23,6 @@ from .codec import CodecConfig, InnerCodeSpec
 from .montecarlo import (
     ExperimentSpec,
     ShortMoleculeConfig,
-    WORKERS_ENV,
     rate_vs_capacity_sweep,
     records_to_jsonl,
     region_sweep,
@@ -219,10 +217,9 @@ def _cmd_tradeoff(args, parser) -> int:
 
 
 def _cmd_experiment(args, parser, presets) -> int:
-    workers = _workers(args)
     spec = presets(args.seed, args.trials)[args.preset]
     print(f"seed={args.seed}")
-    result = run(spec, workers=workers)
+    result = run(spec)
     jsonl = records_to_jsonl(result.records)
     summary_line = json.dumps(result.summary.to_json())
     if args.out:
@@ -235,17 +232,6 @@ def _cmd_experiment(args, parser, presets) -> int:
     if args.strict and result.summary.verdict == "FAIL":
         return 1
     return 0
-
-
-def _workers(args) -> int:
-    """--workers, else $DNACHANNEL_WORKERS, else 1; read only where accepted."""
-    if args.workers is not None:
-        return args.workers
-    text = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
 
 
 def _cmd_sweep(args, parser) -> int:
@@ -319,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", choices=names, required=True)
         p.add_argument("--trials", type=int, help="override the preset trial count")
         p.add_argument("--workers", type=int,
-                       help=f"accepted for compatibility, no effect: trials run "
-                            f"serially (default ${WORKERS_ENV} or 1)")
+                       help="accepted for compatibility, no effect: trials run "
+                            "serially")
         p.add_argument("--out", help="JSONL output path (default stdout)")
         p.add_argument("--strict", action="store_true",
                        help="exit 1 if the verdict is FAIL")

@@ -16,7 +16,7 @@ replication.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -228,8 +228,8 @@ def outer_decode(symbols: np.ndarray, erased: np.ndarray, n: int, k: int, w: int
 class CodecConfig:
     """Full scheme parameters: molecule count/length, inner code, outer code.
 
-    ``field_width`` defaults to the smallest w with 2^w >= M that divides
-    the per-molecule payload (payload bits = inner info bits - index bits);
+    ``field_width`` is the smallest w <= 16 with 2^w >= M that divides the
+    per-molecule payload (payload bits = inner info bits - index bits);
     each molecule then carries payload_bits / w outer symbols, outer
     codewords being interleaved across molecules.
     """
@@ -238,7 +238,7 @@ class CodecConfig:
     L: int
     inner: InnerCodeSpec
     outer_k: int
-    field_width: int = 0
+    field_width: int = field(init=False)
 
     def __post_init__(self):
         if self.M < 2:
@@ -250,15 +250,7 @@ class CodecConfig:
                 f"no payload room: inner info bits {self.info_bits} <= "
                 f"index bits {self.index_bits}"
             )
-        if self.field_width == 0:
-            object.__setattr__(self, "field_width", self._auto_field_width())
-        w = self.field_width
-        if (1 << w) < self.M:
-            raise ConfigError(f"field GF(2^{w}) too small for M={self.M} symbols")
-        if self.payload_bits % w != 0:
-            raise ConfigError(
-                f"field width {w} must divide payload bits {self.payload_bits}"
-            )
+        object.__setattr__(self, "field_width", self._auto_field_width())
 
     def _auto_field_width(self) -> int:
         for w in range(self.index_bits, self.payload_bits + 1):

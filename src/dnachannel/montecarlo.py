@@ -69,10 +69,6 @@ __all__ = [
     "write_csv",
 ]
 
-# Default of the CLI's --workers; like --workers itself it has no effect.
-WORKERS_ENV = "DNACHANNEL_WORKERS"
-
-
 @dataclass(frozen=True)
 class ShortMoleculeConfig:
     """Codec stand-in selecting the short-molecule replication scheme."""
@@ -340,8 +336,7 @@ class RunResult:
 def run(spec: ExperimentSpec, workers: int | None = None) -> RunResult:
     """Execute an experiment's trials in order; deterministic given base_seed.
 
-    ``workers`` (and ``DNACHANNEL_WORKERS``) is accepted for compatibility
-    and has no effect.
+    ``workers`` is accepted for compatibility and has no effect.
     """
     trial = spec.trial
 

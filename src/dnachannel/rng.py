@@ -6,12 +6,15 @@ using the substream's index path as the ``spawn_key``, so the stream for
 (seed, trial 17) or (seed, trial 17, molecule 3) is a pure function of those
 integers: a trial's output does not depend on which trials ran before it.
 
-A run's trials are seeded together.  ``trial_streams`` computes every
-trial's seed and Philox key in one vectorised pass of numpy's SeedSequence
-algorithm, then resets one shared generator to each trial's key, so the
-stream is bit for bit that of ``generator_from_seed(derive_seed(base, t))``.
-Those two functions remain the scalar reference the tests compare against,
-and serve one-off streams.
+A run's trials are seeded together.  ``_generate_state`` transcribes
+numpy's SeedSequence (``mix_entropy`` and ``generate_state``) onto a
+(rows, 4) uint32 pool, one seed per row.  ``trial_streams`` calls it twice:
+for every trial's seed, with the base seed's words shared by every row and
+the trial index as a column, and for every seed's Philox key, with the
+seed's two words as columns.  It then resets one shared generator to each
+trial's key, so the stream is bit for bit that of
+``generator_from_seed(derive_seed(base, t))``.  Those two functions remain
+the scalar reference the tests compare against, and serve one-off streams.
 
 Stream contract of the Poisson samplers.  ``poisson_counts(rng, lam, size)``
 uses one uniform per variate for lam <= 10 (inversion) and a pair (u, v)
@@ -76,19 +79,19 @@ def trial_streams(base_seed: int, trials: int):
         yield seed, rng
 
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx), vectorised over the
-# trials of a run.  hashmix(value) xors the running hash constant into value,
-# advances the constant by MULT_A, multiplies by it, and folds the high half
-# into the low; mix(x, y) = fold(MIX_MULT_L*x - MIX_MULT_R*y); generate_state
-# hashes pool words the same way from INIT_B/MULT_B.  All arithmetic is
-# mod 2^32: masked on Python ints, wrapping on uint32 arrays.  Arrays hold
-# one trial per row and one 32-bit word per column.
-_MASK32 = 0xFFFFFFFF
+# numpy's SeedSequence (numpy/random/bit_generator.pyx), vectorised over
+# rows: one seed per row, one 32-bit pool word per column.  All arithmetic
+# wraps mod 2^32 on uint32 arrays.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# uint32 scalars: cheaper than Python ints as array operands.
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_HALF = np.uint32(16)
 _POOL = 4
-_HALF = np.uint32(16)  # a uint32 shift count, cheaper than a Python int
+# Calls of the cross-mix: round s hashes word s into each word d != s in
+# turn (calls 4+3s..6+3s).  Entry [s, s] is a placeholder call.
+_CROSS_CALLS = np.array([[_POOL + 3 * s + d - (d >= s) for d in range(_POOL)]
+                         for s in range(_POOL)])
 
 
 @lru_cache(maxsize=1)
@@ -102,64 +105,55 @@ def _any_seed() -> np.random.SeedSequence:
 
 
 @lru_cache(maxsize=16)
-def _powers(init: int, mult: int, n: int) -> tuple[int, ...]:
-    """The running hash constant before each of n calls, and after the last."""
-    out = [init]
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """(2, n) uint32: the running hash constant before and after each of n calls."""
+    c = [init]
     for _ in range(n):
-        out.append(out[-1] * mult & _MASK32)
-    return tuple(out)
+        c.append(c[-1] * mult & 0xFFFFFFFF)
+    out = np.array([c[:-1], c[1:]], dtype=np.uint32)
+    out.setflags(write=False)
+    return out
 
 
-def _hashmix(value: int, xor: int, mult: int) -> int:
-    value = (value ^ xor) * mult & _MASK32
-    return value ^ value >> 16
+def _generate_state(entropy: list[np.ndarray], n_words: int) -> np.ndarray:
+    """Rows of ``SeedSequence(entropy).generate_state(n_words)``, n_words <= 4.
 
-
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return r ^ r >> 16
-
-
-def _fold(h: np.ndarray) -> np.ndarray:
-    h ^= h >> _HALF
-    return h
-
-
-def _scramble(h: np.ndarray, mult) -> np.ndarray:
-    """hashmix after its xor, in place on a uint32 array."""
-    h *= mult
-    return _fold(h)
-
-
-def _row(values) -> np.ndarray:
-    return np.array(values, dtype=np.uint32)
-
-
-def _key_rounds() -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Cross-mix round s of the key hash: (s, xor row, mult row).
-
-    Round s hashes pool word s into each other word d (calls 4+3s..6+3s).
-    The three updates are independent, so a round updates all four words
-    at once and then restores word s; column s holds placeholders.
+    ``entropy`` lists the 32-bit entropy words in order, each a (rows, 1)
+    uint32 column or a (1, 1) word shared by every row; shared words keep
+    the pool one row wide until the first column reaches it.  A missing
+    pool word hashes as a zero word, as numpy's does.
     """
-    rounds = []
+    def hashmix(value, consts):  # consts: (2, ...) hash constant per call
+        h = value ^ consts[0]
+        h *= consts[1]
+        h ^= h >> _HALF
+        return h
+
+    def mix(x, y):
+        r = x * _MIX_MULT_L - y * _MIX_MULT_R
+        r ^= r >> _HALF
+        return r
+
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL * (max(len(entropy), _POOL) + 1))
+    head = entropy[:_POOL]
+    pool = np.zeros((max(w.shape[0] for w in head), _POOL), dtype=np.uint32)
+    for i, w in enumerate(head):
+        pool[:, i:i + 1] = w
+    pool = hashmix(pool, a[:, :_POOL])
+    # No update of round s changes word s, so one array step does all
+    # three; it writes a placeholder into column s, restored afterwards.
+    cross = a[:, _CROSS_CALLS]
     for s in range(_POOL):
-        calls = iter(range(4 + 3 * s, 7 + 3 * s))
-        j = [0 if d == s else next(calls) for d in range(_POOL)]
-        rounds.append((s, _row([_A[i] for i in j]), _row([_A[i + 1] for i in j])))
-    return rounds
-
-
-# Key hash: the seed's words [lo, hi] enter calls 0 and 1.  A seed below
-# 2^32 is one word, and numpy hashes a missing pool word as 0, so [lo]
-# mixes exactly like [lo, 0].  Pool words 2 and 3 start as hashmix(0).
-_A = _powers(_INIT_A, _MULT_A, 16)
-_B = _powers(_INIT_B, _MULT_B, _POOL)
-_KEY_IN = (_row(_A[0:2]), _row(_A[1:3]))
-_KEY_START = _row([_hashmix(0, _A[j], _A[j + 1]) for j in (2, 3)])
-_KEY_ROUNDS = _key_rounds()
-_KEY_OUT = (_row(_B[:-1]), _row(_B[1:]))
-_SEED_OUT = (_KEY_OUT[0][:2], _KEY_OUT[1][:2])
+        mixed = mix(pool, hashmix(pool[:, s:s + 1], cross[:, s]))
+        mixed[:, s] = pool[:, s]
+        pool = mixed
+    # Entropy beyond the pool is hashed into each pool word on its own, so
+    # the words generate_state never reads are dropped first.  Slicing, not
+    # fancy indexing, keeps the result C-ordered for callers' uint64 views.
+    pool = pool[:, :n_words]
+    for i, w in enumerate(entropy[_POOL:], start=_POOL):
+        pool = mix(pool, hashmix(w, a[:, _POOL * i:_POOL * i + n_words]))
+    return hashmix(pool, _hash_constants(_INIT_B, _MULT_B, n_words))
 
 
 def _as_uint64(words: np.ndarray) -> np.ndarray:
@@ -170,62 +164,27 @@ def _as_uint64(words: np.ndarray) -> np.ndarray:
 def _seed_words(base_seed: int, trials: int) -> np.ndarray:
     """(trials, 2) uint32 words of derive_seed(base_seed, t), low word first.
 
-    The entropy is the base seed's 32-bit words, zero-padded to the pool
-    size, then t.  Everything before t depends on the base seed alone and
-    runs once on Python ints.  Of t's four pool updates only the two that
-    reach generate_state(1, uint64) are computed, as array operations.
+    The entropy is the base seed's 32-bit words, shared by every trial and
+    zero-padded to the pool size as numpy pads before a spawn key, then t.
     """
     if base_seed < 0:
         raise ValueError(f"base seed must be >= 0, got {base_seed}")
     if not 1 <= trials <= 1 << 32:
         raise ValueError(f"trials must be in [1, 2^32], got {trials}")
-    words, x = [], int(base_seed)
-    while True:
-        words.append(x & _MASK32)
-        x >>= 32
-        if not x:
-            break
-    words += [0] * (_POOL - len(words))
-    a = _powers(_INIT_A, _MULT_A, _POOL * (len(words) + 1))
-    pool = [_hashmix(w, a[j], a[j + 1]) for j, w in enumerate(words[:_POOL])]
-    j = _POOL
-    for s in range(_POOL):
-        for d in range(_POOL):
-            if d != s:
-                pool[d] = _mix(pool[d], _hashmix(pool[s], a[j], a[j + 1]))
-                j += 1
-    for w in words[_POOL:]:
-        for d in range(_POOL):
-            pool[d] = _mix(pool[d], _hashmix(w, a[j], a[j + 1]))
-            j += 1
-    xor, mult, scaled = _row([a[j:j + 2], a[j + 1:j + 3],
-                              [_MIX_MULT_L * p & _MASK32 for p in pool[:2]]])
-    h = _scramble(np.arange(trials, dtype=np.uint32)[:, None] ^ xor, mult)
-    h *= _MIX_MULT_R
-    h = _fold(np.subtract(scaled, h, out=h))
-    h ^= _SEED_OUT[0]
-    return _scramble(h, _SEED_OUT[1])
+    base_seed = int(base_seed)
+    n = max(_POOL, -(-base_seed.bit_length() // 32))
+    words = np.frombuffer(base_seed.to_bytes(4 * n, "little"), "<u4")
+    t = np.arange(trials, dtype=np.uint32)[:, None]
+    return _generate_state([*words.astype(np.uint32).reshape(n, 1, 1), t], 2)
 
 
 def _philox_keys(words: np.ndarray) -> np.ndarray:
     """(n, 2) uint64 keys SeedSequence(seed).generate_state(2, np.uint64).
 
-    ``words`` holds each seed's low and high 32-bit words, shape (n, 2).
+    ``words`` holds each seed's low and high 32-bit words, shape (n, 2); a
+    seed below 2^32 is numpy's entropy [lo], which mixes like [lo, 0].
     """
-    pool = np.empty((words.shape[0], _POOL), dtype=np.uint32)
-    pool[:, :2] = words ^ _KEY_IN[0]
-    _scramble(pool[:, :2], _KEY_IN[1])
-    pool[:, 2:] = _KEY_START
-    for s, xor, mult in _KEY_ROUNDS:
-        h = _scramble(pool[:, s, None] ^ xor, mult)
-        h *= _MIX_MULT_R
-        mixed = pool * _MIX_MULT_L
-        mixed -= h
-        _fold(mixed)
-        mixed[:, s] = pool[:, s]
-        pool = mixed
-    pool ^= _KEY_OUT[0]
-    return _as_uint64(_scramble(pool, _KEY_OUT[1]))
+    return _as_uint64(_generate_state([words[:, :1], words[:, 1:]], 4))
 
 
 # Switch point between the two Poisson sampling algorithms.

@@ -176,6 +176,24 @@ def test_upper_bound_dominates_noisy_capacity():
         ) + 1e-12
 
 
+BETA_CHECKED = {
+    "noise_free_capacity": lambda beta: cap.noise_free_capacity(0.1, beta),
+    "noisy_capacity": lambda beta: cap.noisy_capacity(0.1, 0.01, beta),
+    "capacity_upper_bound": lambda beta: cap.capacity_upper_bound(0.1, 0.01, beta),
+    "in_capacity_region": lambda beta: cap.in_capacity_region(0.01, beta),
+    "sdmc_capacity": lambda beta: cap.sdmc_capacity(
+        np.array([[0.9, 0.1], [0.1, 0.9]]), 0.1, beta),
+}
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(BETA_CHECKED))
+def test_capacity_functions_reject_bad_beta(name, beta):
+    # NaN compares False with everything, so a bare beta <= 0 check let it by.
+    with pytest.raises(ValueError, match=r"^beta must be in \(0, inf\), got"):
+        BETA_CHECKED[name](beta)
+
+
 def test_degradation_ordering_noise_free_dominates():
     rng = np.random.default_rng(8)
     for _ in range(500):

@@ -287,32 +287,16 @@ def test_strict_failure_exits_1(capsys, monkeypatch):
     assert code == 0
 
 
-def test_workers_env_var_sets_default(capsys, monkeypatch, tmp_path):
-    out1, out2 = tmp_path / "env.jsonl", tmp_path / "flag.jsonl"
-    monkeypatch.setenv("DNACHANNEL_WORKERS", "4")
-    run_cli(capsys, "simulate", "--preset", "q0-bern03", "--trials", "4",
-            "--out", str(out1))
+def test_workers_env_var_is_ignored(capsys, monkeypatch, tmp_path):
+    out1, out2 = tmp_path / "env.jsonl", tmp_path / "plain.jsonl"
+    monkeypatch.setenv("DNACHANNEL_WORKERS", "x")
+    code, _, _ = run_cli(capsys, "simulate", "--preset", "q0-bern03", "--trials", "4",
+                         "--out", str(out1))
+    assert code == 0
     monkeypatch.delenv("DNACHANNEL_WORKERS")
     run_cli(capsys, "simulate", "--preset", "q0-bern03", "--trials", "4",
-            "--workers", "1", "--out", str(out2))
+            "--out", str(out2))
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_workers_env_var_ignored_by_other_commands(capsys, monkeypatch):
-    monkeypatch.setenv("DNACHANNEL_WORKERS", "x")
-    code, out, _ = run_cli(capsys, "capacity", "--model", "noisy", "--q", "0.1",
-                           "--p", "0.01", "--beta", "4")
-    assert code == 0
-    assert out.startswith("value=")
-
-
-def test_bad_workers_env_var_exit_2(capsys, monkeypatch):
-    monkeypatch.setenv("DNACHANNEL_WORKERS", "x")
-    code, out, err = run_cli(capsys, "simulate", "--preset", "q0-bern03",
-                             "--trials", "2")
-    assert code == 2
-    assert out == ""
-    assert err == "error: DNACHANNEL_WORKERS must be an integer, got 'x'\n"
 
 
 def test_negative_seed_exit_2(capsys):
@@ -329,6 +313,19 @@ def test_sweep_negative_seed_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: base_seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--model", "noise-free", "--q0", "0.1"],
+    ["sweep", "--var", "lambda", "--grid", "1,2", "--codec", "m16-identity",
+     "--trials", "2"],
+])
+def test_non_finite_beta_exit_2(capsys, argv, beta):
+    code, out, err = run_cli(capsys, *argv, "--beta", beta)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: beta must be in (0, inf), got {beta}\n"
 
 
 def test_unknown_preset_exit_2(capsys):

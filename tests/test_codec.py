@@ -244,9 +244,13 @@ def test_config_validation():
         CodecConfig(M=16, L=4, inner=InnerCodeSpec.identity(), outer_k=4)  # no payload
     with pytest.raises(ConfigError):
         CodecConfig(M=16, L=8, inner=InnerCodeSpec.identity(), outer_k=17)  # k > M
-    with pytest.raises(ConfigError):
+    # 17 payload bits: the only divisor >= 4 is 17, wider than GF(2^16).
+    with pytest.raises(ConfigError, match=r"no field width w in \[4, 16\] "
+                                          r"divides payload bits 17"):
+        CodecConfig(M=16, L=21, inner=InnerCodeSpec.identity(), outer_k=12)
+    with pytest.raises(TypeError):  # field_width is derived, not an argument
         CodecConfig(M=16, L=8, inner=InnerCodeSpec.identity(), outer_k=12,
-                    field_width=3)  # 2^3 < 16
+                    field_width=8)
 
 
 def test_achieved_rate_simple_counts():
