@@ -5,7 +5,8 @@ and the sweep generators; simulation results are emitted as JSON lines plus
 a summary JSON object, sweeps as CSV.  All commands are deterministic given
 their flags and --seed.  Presets bundle the flag settings used by the
 acceptance suite so CI can run them under --strict, where a FAIL verdict
-exits with status 1 (invalid flags exit with status 2).
+or a trial that raised exits with status 1 (invalid flags exit with
+status 2).
 """
 
 from __future__ import annotations
@@ -229,7 +230,10 @@ def _cmd_experiment(args, parser, presets) -> int:
     else:
         sys.stdout.write(jsonl)
     print(summary_line)
-    if args.strict and result.summary.verdict == "FAIL":
+    if result.failed:
+        print(f"error: {result.failed} of {spec.trials} trials failed; "
+              f"first: {result.first_error}", file=sys.stderr)
+    if args.strict and (result.summary.verdict == "FAIL" or result.failed):
         return 1
     return 0
 
@@ -309,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "serially")
         p.add_argument("--out", help="JSONL output path (default stdout)")
         p.add_argument("--strict", action="store_true",
-                       help="exit 1 if the verdict is FAIL")
+                       help="exit 1 if the verdict is FAIL or a trial failed")
         common(p)
         p.set_defaults(func=lambda a, pp: _cmd_experiment(a, pp, presets))
         return p

@@ -28,22 +28,11 @@ from .gf import ReedSolomonErasure
 __all__ = [
     "ConfigError",
     "InnerCodeSpec", "IdentityCode", "RepetitionCode", "TableMLCode",
-    "CodecConfig",
-    "DecodeReport",
-    "inner_encode",
-    "inner_decode",
-    "outer_encode",
-    "outer_decode",
-    "encode_message",
-    "decode_output",
-    "achieved_rate",
-    "random_message",
-    "short_molecule_encode",
-    "short_molecule_decode",
-    "dump_reads",
-    "parse_reads",
-    "write_reads_file",
-    "read_reads_file",
+    "CodecConfig", "DecodeReport",
+    "inner_encode", "inner_decode", "outer_encode", "outer_decode",
+    "encode_message", "decode_output", "achieved_rate", "random_message",
+    "short_molecule_encode", "short_molecule_decode",
+    "dump_reads", "parse_reads", "write_reads_file", "read_reads_file",
 ]
 
 
@@ -52,18 +41,32 @@ class ConfigError(ValueError):
 
 
 def int_to_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """Big-endian bit expansion of integers along a trailing axis."""
-    values = np.asarray(values, dtype=np.int64)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    return ((values[..., None] >> shifts) & 1).astype(np.uint8)
+    """Big-endian bits of integers along a new last axis, 0 <= width <= 63.
+
+    Each value is one big-endian 64-bit word; one flat ``np.unpackbits`` of
+    all words gives 64 bits per value.  The last ``width`` are copied out,
+    so the 64-column buffer is freed at once (a view would keep it alive).
+    """
+    if not 0 <= width <= 63:
+        raise ValueError(f"bit width must be in 0..63, got {width}")
+    values = np.asarray(values)
+    bits = np.unpackbits(values.astype(">u8").reshape(-1).view(np.uint8))
+    return np.ascontiguousarray(bits.reshape(values.shape + (64,))[..., 64 - width:])
 
 
 def bits_to_int(bits: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`int_to_bits` (big-endian, last axis)."""
-    bits = np.asarray(bits, dtype=np.int64)
-    width = bits.shape[-1]
-    weights = 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
-    return bits @ weights
+    """Inverse of :func:`int_to_bits`: the int64 value of each (..., width) row.
+
+    The rows are right-aligned in a zeroed (..., 64) buffer, whose one flat
+    ``np.packbits`` is read back as big-endian 64-bit words.
+    """
+    bits = np.asarray(bits)
+    *lead, width = bits.shape
+    if width > 63:
+        raise ValueError(f"bit width must be in 0..63, got {width}")
+    buf = np.zeros((*lead, 64), dtype=np.uint8)
+    buf[..., 64 - width:] = bits
+    return np.packbits(buf.reshape(-1)).view(">u8").astype(np.int64).reshape(lead)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +363,8 @@ def decode_output(out: ChannelOutput, cfg: CodecConfig) -> DecodeReport:
     conflict = np.zeros(cfg.M, dtype=bool)
     conflict[index[payload != payload.take(rep.take(index))]] = True
     collisions = int(conflict.sum())
-    index = np.flatnonzero((rep >= 0) & ~conflict)
+    kept = (rep >= 0) & ~conflict
+    index = np.flatnonzero(kept)
     payload = payload.take(rep.take(index)).view(np.uint8)
 
     erasures = cfg.M - index.size
@@ -369,9 +373,7 @@ def decode_output(out: ChannelOutput, cfg: CodecConfig) -> DecodeReport:
 
     symbols = np.zeros((cfg.M, s), dtype=np.int64)
     symbols[index] = bits_to_int(payload.reshape(-1, s, w))
-    erased = np.ones(cfg.M, dtype=bool)
-    erased[index] = False
-    data = outer_decode(symbols, erased, cfg.M, cfg.outer_k, w)
+    data = outer_decode(symbols, ~kept, cfg.M, cfg.outer_k, w)
     msg = int_to_bits(data, w).reshape(cfg.message_bits)
     return DecodeReport(msg, erasures, collisions, undetected_risk)
 
@@ -405,8 +407,7 @@ def _short_layout(M: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Segment of each molecule, and the molecules with a zero data bit."""
     K = 1 << (L - 1)
     order = np.tile(np.arange(K), math.ceil(M / K))[:M]
-    layout = np.zeros((M, L), dtype=np.uint8)
-    layout[:, :-1] = int_to_bits(order, L - 1)
+    layout = int_to_bits(order << 1, L)  # index bits, then a zero data bit
     order.setflags(write=False)
     layout.setflags(write=False)
     return order, layout
@@ -424,11 +425,10 @@ def short_molecule_decode(out: ChannelOutput, L: int) -> np.ndarray:
         return result
     if out.L != L:
         raise ConfigError(f"reads have length {out.L}, expected {L}")
-    idx = bits_to_int(out.reads[:, : L - 1])
-    ones = np.bincount(idx, weights=out.reads[:, -1].astype(float), minlength=K)
-    total = np.bincount(idx, minlength=K)
-    observed = total > 0
-    result[observed] = (2 * ones[observed] > total[observed]).astype(np.int8)
+    # Reads per (segment, data bit): a whole read is segment * 2 + bit.
+    zeros, ones = np.bincount(bits_to_int(out.reads), minlength=2 * K).reshape(K, 2).T
+    observed = zeros + ones > 0
+    result[observed] = ones[observed] > zeros[observed]
     return result
 
 

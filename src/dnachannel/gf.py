@@ -145,18 +145,6 @@ class _Field:
         self.exp = exp
         self.log = log
 
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = self.exp[(self.log[a] + self.log[b]) % self.q]
-        return np.where((a == 0) | (b == 0), 0, out)
-
-    def inv(self, a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        if (a == 0).any():
-            raise ZeroDivisionError("inverse of 0 in GF(2^w)")
-        return self.exp[(self.q - self.log[a]) % self.q]
-
 
 class ReedSolomonErasure:
     """Systematic [n, k] Reed-Solomon code over GF(2^w), erasure decoding only.

@@ -329,8 +329,16 @@ def _json_float(x):
 
 @dataclass(frozen=True)
 class RunResult:
+    """Per-trial records and their summary, plus the trials that raised.
+
+    A failed trial leaves an empty record and is left out of the summary;
+    ``failed`` counts them and ``first_error`` names the first one.
+    """
+
     records: list
     summary: Summary
+    failed: int
+    first_error: str | None
 
 
 def run(spec: ExperimentSpec, workers: int | None = None) -> RunResult:
@@ -339,20 +347,20 @@ def run(spec: ExperimentSpec, workers: int | None = None) -> RunResult:
     ``workers`` is accepted for compatibility and has no effect.
     """
     trial = spec.trial
-
-    def one(t: int, seed: int, rng) -> tuple[TrialRecord, float]:
+    records, metrics = [], []
+    failed, first_error = 0, None
+    for t, (seed, rng) in enumerate(trial_streams(spec.base_seed, spec.trials)):
         try:
             fields, metric = trial(rng)
-        except Exception:
+        except Exception as e:
             # A failed trial yields an empty record, never aborts the batch.
+            failed += 1
+            first_error = first_error or f"trial {t}: {type(e).__name__}: {e}"
             fields, metric = {}, math.nan
-        return TrialRecord(trial=t, seed=seed, **fields), metric
-
-    streams = trial_streams(spec.base_seed, spec.trials)
-    results = [one(t, seed, rng) for t, (seed, rng) in enumerate(streams)]
-    records = [r for r, _ in results]
-    metrics = np.array([m for _, m in results], dtype=float)
-    return RunResult(records, _summarize(spec, metrics))
+        records.append(TrialRecord(trial=t, seed=seed, **fields))
+        metrics.append(metric)
+    summary = _summarize(spec, np.array(metrics, dtype=float))
+    return RunResult(records, summary, failed, first_error)
 
 
 def _summarize(spec: ExperimentSpec, metrics: np.ndarray) -> Summary:

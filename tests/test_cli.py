@@ -1,7 +1,10 @@
 """CLI behavior: outputs, formats, exit codes, determinism."""
 
 import hashlib
+import itertools
 import json
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import pytest
 
@@ -285,6 +288,36 @@ def test_strict_failure_exits_1(capsys, monkeypatch):
     # without --strict the same FAIL exits 0
     code, _, _ = run_cli(capsys, "roundtrip", "--preset", "m16-clean")
     assert code == 0
+
+
+@dataclass(frozen=True, kw_only=True)
+class OddTrialsRaise(ExperimentSpec):
+    """Trial t succeeds for even t and raises for odd t; no verdict rule."""
+
+    metric: ClassVar[str] = "success_rate"
+    calls: itertools.count = field(default_factory=itertools.count)
+
+    def trial(self, rng):
+        t = next(self.calls)
+        if t % 2:
+            raise ZeroDivisionError(f"odd trial {t}")
+        return {"decode_success": True}, 1.0
+
+
+def test_failed_trials_reported_and_strict_exits_1(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "_sim_presets",
+                        lambda seed, trials: {"q0-bern03": OddTrialsRaise(
+                            trials=trials or 5, base_seed=seed)})
+    message = "error: 2 of 5 trials failed; first: trial 1: ZeroDivisionError: odd trial 1\n"
+    code, out, err = run_cli(capsys, "simulate", "--preset", "q0-bern03", "--strict")
+    assert (code, err) == (1, message)
+    summary = json.loads(out.strip().splitlines()[-1])
+    assert summary["trials"] == 3 and "verdict" not in summary and "failed" not in summary
+    # Without --strict the run exits 0, with the same report and bytes.
+    out_path = tmp_path / "odd.jsonl"
+    code, _, err = run_cli(capsys, "simulate", "--preset", "q0-bern03", "--out", str(out_path))
+    assert (code, err) == (0, message)
+    assert out_path.read_text().splitlines()[-1] == json.dumps(summary)
 
 
 def test_workers_env_var_is_ignored(capsys, monkeypatch, tmp_path):

@@ -55,6 +55,66 @@ def test_bit_helpers_roundtrip():
     assert int_to_bits(np.array([5]), 4).tolist() == [[0, 1, 0, 1]]
 
 
+def _reference_int_to_bits(values, width):
+    """The int64 shift form the 64-bit-word helpers replaced."""
+    values = np.asarray(values, dtype=np.int64)
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    return ((values[..., None] >> shifts) & 1).astype(np.uint8)
+
+
+def _reference_bits_to_int(bits):
+    """The int64 matmul form the 64-bit-word helpers replaced."""
+    bits = np.asarray(bits, dtype=np.int64)
+    weights = 1 << np.arange(bits.shape[-1] - 1, -1, -1, dtype=np.int64)
+    return bits @ weights
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 12, 16, 20, 33, 63])
+@pytest.mark.parametrize("shape", [(37,), (5, 7), (2, 3, 4)])
+def test_bit_helpers_match_int64_reference(width, shape):
+    rng = np.random.default_rng([width, *shape])
+    values = rng.integers(0, 1 << width, size=shape, dtype=np.int64)
+    values.flat[0] = (1 << width) - 1  # every bit set
+    bits = int_to_bits(values, width)
+    want = _reference_int_to_bits(values, width)
+    assert bits.dtype == np.uint8 and bits.flags.c_contiguous
+    assert bits.shape == want.shape and np.array_equal(bits, want)
+    back = bits_to_int(want)
+    assert back.dtype == np.int64 and np.array_equal(back, values)
+    # A column slice of wider rows, as decode_output cuts the index.
+    rows = rng.integers(0, 2, size=(*shape, width + 5), dtype=np.uint8)
+    assert np.array_equal(bits_to_int(rows[..., :width]),
+                          _reference_bits_to_int(rows[..., :width]))
+    assert np.array_equal(bits_to_int(rows[..., 5:]), _reference_bits_to_int(rows[..., 5:]))
+
+
+def test_bit_helpers_one_row_gives_a_scalar():
+    assert bits_to_int(bits("1011")) == 11 and np.ndim(bits_to_int(bits("1011"))) == 0
+    assert int_to_bits(11, 4).tolist() == [1, 0, 1, 1]
+
+
+def test_bit_helpers_reject_64_bit_fields():
+    with pytest.raises(ValueError, match="0..63"):
+        int_to_bits(np.arange(3), 64)
+    with pytest.raises(ValueError, match="0..63"):
+        bits_to_int(np.zeros((3, 64), dtype=np.uint8))
+    with pytest.raises(ValueError, match="0..63"):
+        int_to_bits(np.arange(3), -1)
+
+
+def test_roundtrip_with_molecules_longer_than_64_bits():
+    # Every field the codec converts (index, symbol) stays within 16 bits.
+    cfg = CodecConfig(M=256, L=80, inner=InnerCodeSpec.identity(), outer_k=200)
+    assert (cfg.index_bits, cfg.field_width, cfg.symbols_per_molecule) == (8, 8, 9)
+    rng = substream(7, 10)
+    msg = random_message(cfg, rng)
+    cw = encode_message(msg, cfg)
+    assert np.array_equal(bits_to_int(cw.molecules[:, :8]), np.arange(256))
+    keep = np.sort(rng.choice(256, size=200, replace=False))
+    report = decode_output(ChannelOutput(reads=cw.molecules[rng.permutation(keep)]), cfg)
+    assert report.ok and report.erasures == 56 and np.array_equal(report.message, msg)
+
+
 def test_inner_spec_validation():
     with pytest.raises(ConfigError):
         InnerCodeSpec.repetition(2)  # even

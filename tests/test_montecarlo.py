@@ -1,8 +1,9 @@
 """Harness tests: reproducibility, verdicts, bound checks, sweeps."""
 
+import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import mpmath
@@ -126,6 +127,34 @@ def test_failed_trials_recorded_not_raised():
     assert all(r.N is None and r.decode_success is None for r in result.records)
     assert math.isnan(result.summary.mean)
     assert result.summary.verdict == "FAIL"
+    assert result.failed == 4
+    assert result.first_error == "trial 0: RuntimeError: trial failed"
+
+
+@dataclass(frozen=True, kw_only=True)
+class OddTrialsRaise(ExperimentSpec):
+    """Trial t returns N=t for even t and raises for odd t."""
+
+    metric: ClassVar[str] = "success_rate"
+    calls: itertools.count = field(default_factory=itertools.count)
+
+    def trial(self, rng):
+        t = next(self.calls)
+        if t % 2:
+            raise ZeroDivisionError(f"odd trial {t}")
+        return {"N": t}, 1.0
+
+
+def test_failed_trials_counted_with_first_error():
+    result = run(OddTrialsRaise(trials=5, base_seed=108))
+    assert (result.failed, result.first_error) == (2, "trial 1: ZeroDivisionError: odd trial 1")
+    assert [r.N for r in result.records] == [0, None, 2, None, 4]
+    assert result.summary.trials == 3
+    # Neither the records nor the summary carry the failures.
+    assert "failed" not in result.summary.to_json()
+    assert "failed" not in records_to_jsonl(result.records)
+    clean = run(ExperimentSpec.estimate_q0(bern_channel(16, 8, 0.5), trials=2, base_seed=1))
+    assert (clean.failed, clean.first_error) == (0, None)
 
 
 def test_all_failed_summary_is_strict_json():
