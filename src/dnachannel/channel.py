@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import poisson_counts, poisson_each
+from .rng import poisson_counts, poisson_each, raw_word_generators
 
 __all__ = [
     "SamplingSpec", "Bernoulli", "Poisson", "PoissonPCR", "CustomPMF",
@@ -298,8 +298,7 @@ def apply_noise(reads: np.ndarray, p: float, rng: np.random.Generator) -> np.nda
     if p == 0.0 or reads.size == 0:
         return reads.copy()
     bitgen = rng.bit_generator
-    if type(bitgen) in (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM,
-                        np.random.SFC64):
+    if type(bitgen) in raw_word_generators():
         flips = _raw_flips(bitgen, reads.shape, p)
     else:
         flips = rng.random(reads.shape) < p
@@ -332,11 +331,13 @@ def transmit(
 
 def transmit_traced(
     codeword: CodewordSet, params: ChannelParams, rng: np.random.Generator
-) -> tuple[ChannelOutput, np.ndarray, np.ndarray]:
-    """Like :func:`transmit`, but also return (source_index, counts).
+) -> tuple[ChannelOutput, np.ndarray, np.ndarray, int]:
+    """Like :func:`transmit`, but also return (source_index, counts, flips).
 
-    ``source_index[i]`` is the molecule each output read was sampled from.
-    Debug side-channel for test harnesses only; decoders must not see it.
+    ``source_index[i]`` is the molecule each output read was sampled from,
+    and ``flips`` is the number of bits the noise flipped over all reads (0
+    without a comparison pass when p = 0).  Debug side-channel for test
+    harnesses only; decoders must not see it.
     """
     if codeword.M != params.M:
         raise ValueError(f"codeword has {codeword.M} molecules, params say {params.M}")
@@ -346,5 +347,7 @@ def transmit_traced(
     sources = np.repeat(np.arange(params.M), counts)
     expanded = codeword.molecules.take(sources, axis=0)
     noisy = apply_noise(expanded, params.p, rng)
+    flips = int(np.count_nonzero(noisy != expanded)) if params.p else 0
     perm = rng.permutation(noisy.shape[0])
-    return ChannelOutput(reads=noisy.take(perm, axis=0)), sources.take(perm), counts
+    out = ChannelOutput(reads=noisy.take(perm, axis=0))
+    return out, sources.take(perm), counts, flips

@@ -33,6 +33,8 @@ from .montecarlo import (
 )
 
 DEFAULT_SEED = 12345
+# Most points a start:stop:step grid may expand to.
+MAX_GRID_POINTS = 10**6
 
 
 def _fmt(x: float, precision: int) -> str:
@@ -46,10 +48,16 @@ def _parse_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"grid start, stop and step must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("grid step must be > 0")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(max(n, 0))]
+        # Checked as a float, before any list is built: stop - start can
+        # overflow to +-inf even for finite bounds.
+        steps = (stop - start) / step + 1e-9
+        if steps >= MAX_GRID_POINTS:
+            raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+        return [start + i * step for i in range(math.floor(max(steps, -1.0)) + 1)]
     if "," in text:
         return [float(p) for p in text.split(",")]
     return [float(text)]
@@ -247,13 +255,20 @@ def _cmd_sweep(args, parser) -> int:
             sampling = SamplingSpec.bernoulli(args.q if args.q is not None else 0.0)
     else:
         sampling = None
+    grid = _parse_grid(args.grid)
     rows = rate_vs_capacity_sweep(
-        var=args.var, values=_parse_grid(args.grid), cfg=cfg, trials=args.trials,
+        var=args.var, values=grid, cfg=cfg, trials=args.trials,
         base_seed=args.seed, beta=args.beta, p=args.p or 0.0, sampling=sampling,
     )
     write_csv(args.out, rows, ["lambda", "beta", "p", "q", "capacity",
                                "achieved_rate", "success_rate"])
-    return 0
+    code = 0
+    for value, row in zip(grid, rows):
+        if row["failed"]:
+            print(f"error: {row['failed']} of {args.trials} trials failed at "
+                  f"{args.var}={value:g}; first: {row['first_error']}", file=sys.stderr)
+            code = 1
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import numpy as np
 
 from .channel import ChannelOutput, CodewordSet
 from .gf import ReedSolomonErasure
+from .rng import random_bits
 
 __all__ = [
     "ConfigError",
@@ -306,7 +307,7 @@ class DecodeReport:
 
 def random_message(cfg: CodecConfig, rng: np.random.Generator) -> np.ndarray:
     """Uniformly random message of the exact length the config encodes."""
-    return rng.integers(0, 2, size=cfg.message_bits, dtype=np.uint8)
+    return random_bits(rng, cfg.message_bits)
 
 
 def achieved_rate(cfg: CodecConfig) -> Fraction:
@@ -420,16 +421,13 @@ def short_molecule_decode(out: ChannelOutput, L: int) -> np.ndarray:
     segments never observed.
     """
     K = 1 << (L - 1)
-    result = np.full(K, -1, dtype=np.int8)
     if out.N == 0:
-        return result
+        return np.full(K, -1, dtype=np.int8)
     if out.L != L:
         raise ConfigError(f"reads have length {out.L}, expected {L}")
     # Reads per (segment, data bit): a whole read is segment * 2 + bit.
     zeros, ones = np.bincount(bits_to_int(out.reads), minlength=2 * K).reshape(K, 2).T
-    observed = zeros + ones > 0
-    result[observed] = ones[observed] > zeros[observed]
-    return result
+    return np.where(zeros + ones > 0, (ones > zeros).view(np.int8), np.int8(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .codec import (
     short_molecule_decode,
     short_molecule_encode,
 )
-from .rng import derive_seed, generator_from_seed, trial_streams
+from .rng import derive_seed, generator_from_seed, random_bits, trial_streams
 
 __all__ = [
     "ShortMoleculeConfig",
@@ -147,7 +147,7 @@ class EstimateQ0(ExperimentSpec):
     def trial(self, rng) -> tuple[dict, float]:
         ch = self.channel
         counts = sample_counts(ch.sampling, ch.M, rng)
-        distinct = int((counts > 0).sum())
+        distinct = int(np.count_nonzero(counts))
         miss = 1.0 - distinct / ch.M
         return {"N": int(counts.sum()), "distinct_seen": distinct}, miss
 
@@ -170,18 +170,17 @@ class DecodeSuccess(ExperimentSpec):
     def trial(self, rng) -> tuple[dict, float]:
         ch = self.channel
         if isinstance(self.codec, ShortMoleculeConfig):
-            K = 1 << (self.codec.L - 1)
-            bits = rng.integers(0, 2, size=K, dtype=np.uint8)
+            bits = random_bits(rng, 1 << (self.codec.L - 1))
             cw = short_molecule_encode(bits, self.codec.M, self.codec.L)
-            out, sources, counts = transmit_traced(cw, ch, rng)
+            out, _, counts, flips = transmit_traced(cw, ch, rng)
             recovered = short_molecule_decode(out, self.codec.L)
-            success = bool((recovered == bits).all())
-            erasures = int((recovered < 0).sum())
+            success = np.array_equal(recovered, bits)
+            erasures = int(np.count_nonzero(recovered < 0))
             collisions = None
         else:
             msg = random_message(self.codec, rng)
             cw = encode_message(msg, self.codec)
-            out, sources, counts = transmit_traced(cw, ch, rng)
+            out, _, counts, flips = transmit_traced(cw, ch, rng)
             report = decode_output(out, self.codec)
             # The decoder's own verdict (erasures within the outer budget); a
             # rare wrong message behind a reported success is a separate,
@@ -189,15 +188,11 @@ class DecodeSuccess(ExperimentSpec):
             success = report.ok
             erasures = report.erasures
             collisions = report.collisions
-        flip_rate = None
-        if out.N > 0:
-            # An exact count and one rounded division: the same double as .mean().
-            flips = int(np.count_nonzero(
-                out.reads != cw.molecules.take(sources, axis=0)))
-            flip_rate = flips / out.reads.size
+        # An exact count and one rounded division: the same double as .mean().
+        flip_rate = flips / out.reads.size if out.N > 0 else None
         fields = {
             "N": out.N,
-            "distinct_seen": int((counts > 0).sum()),
+            "distinct_seen": int(np.count_nonzero(counts)),
             "decode_success": success,
             "erasures": erasures,
             "collisions": collisions,
@@ -437,7 +432,9 @@ def rate_vs_capacity_sweep(
     ``var`` selects the swept quantity: "lambda" (Poisson depth), "q"
     (Bernoulli miss probability), or "p" (crossover, with ``sampling``
     fixed).  Each row reports the capacity formula value at that point, the
-    config's exact rate, and the decode success rate over ``trials``.
+    config's exact rate, and the decode success rate over ``trials``.  Each
+    row also carries the point's ``failed`` trial count and ``first_error``
+    (as ``run`` reports them); they are not CSV columns.
 
     ``beta`` feeds only the capacity column (default: the codec's own
     L / log2 M); the simulated channel always uses the codec's geometry.
@@ -471,7 +468,7 @@ def rate_vs_capacity_sweep(
         sub = ExperimentSpec.decode_success(
             channel, cfg, trials, derive_seed(base_seed, i)
         )
-        success = run(sub).summary.mean
+        result = run(sub)
         rows.append({
             "lambda": getattr(spec_i, "lam", None),  # empty unless a Poisson kind
             "beta": beta,
@@ -479,7 +476,9 @@ def rate_vs_capacity_sweep(
             "q": q0,
             "capacity": c,
             "achieved_rate": rate,
-            "success_rate": success,
+            "success_rate": result.summary.mean,
+            "failed": result.failed,
+            "first_error": result.first_error,
         })
     return rows
 

@@ -6,15 +6,30 @@ using the substream's index path as the ``spawn_key``, so the stream for
 (seed, trial 17) or (seed, trial 17, molecule 3) is a pure function of those
 integers: a trial's output does not depend on which trials ran before it.
 
-A run's trials are seeded together.  ``_generate_state`` transcribes
-numpy's SeedSequence (``mix_entropy`` and ``generate_state``) onto a
-(rows, 4) uint32 pool, one seed per row.  ``trial_streams`` calls it twice:
-for every trial's seed, with the base seed's words shared by every row and
-the trial index as a column, and for every seed's Philox key, with the
-seed's two words as columns.  It then resets one shared generator to each
-trial's key, so the stream is bit for bit that of
-``generator_from_seed(derive_seed(base, t))``.  Those two functions remain
-the scalar reference the tests compare against, and serve one-off streams.
+``trial_streams`` seeds a run's trials by one of two paths, then resets one
+shared Philox generator to each trial's key, so the stream is bit for bit
+that of ``generator_from_seed(derive_seed(base, t))``.  A run of at most
+``_PER_TRIAL_MAX`` trials asks numpy's SeedSequence for each trial's seed
+and key, exactly as those two functions do.  A longer run seeds its trials
+together: ``_generate_state`` transcribes numpy's SeedSequence
+(``mix_entropy`` and ``generate_state``) onto a (rows, 4) uint32 pool, one
+seed per row, and ``trial_streams`` calls it twice: for every trial's seed,
+with the base seed's words shared by every row and the trial index as a
+column, and for every seed's Philox key, with the seed's two words as
+columns.  That pass costs about as much for one trial as for a few dozen,
+numpy's per-call overhead being most of it, so the two paths cross at about
+six trials (timings at ``_PER_TRIAL_MAX``).
+
+Stream contract of ``random_bits(rng, n)``: it returns exactly
+``rng.integers(0, 2, size=n, dtype=np.uint8)`` and leaves the generator in
+the same state.  numpy draws those bits one byte at a time from 32-bit
+draws, low byte first, and maps a byte to its top bit; a 64-bit generator's
+32-bit draws are the halves of one word, low half first, the high half
+kept in the ``has_uint32``/``uinteger`` buffer.  So for the generators in
+``raw_word_generators()`` the bits are the top bits of the bytes of
+ceil(n/4) halves: a buffered half first, then raw words, and an unused high
+half of the last word left buffered.  Any other generator (MT19937), and
+any n too small for the state round trip to pay, calls ``rng.integers``.
 
 Stream contract of the Poisson samplers.  ``poisson_counts(rng, lam, size)``
 uses one uniform per variate for lam <= 10 (inversion) and a pair (u, v)
@@ -36,8 +51,19 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["derive_seed", "substream", "trial_streams", "poisson_counts",
-           "poisson_each"]
+__all__ = ["derive_seed", "substream", "trial_streams", "random_bits",
+           "poisson_counts", "poisson_each", "raw_word_generators"]
+
+# Runs of at most this many trials are seeded one trial at a time.  A whole
+# trial_streams run, timeit on a 2-vCPU Xeon (Python 3.11, numpy 2.4), per
+# trial vs vectorised: 25/73/89/105/121/137 us vs 96/101/102/103/104/105 us
+# for 1/4/5/6/7/8 trials.  Six trials is a tie.
+_PER_TRIAL_MAX = 5
+
+# random_bits draws raw words from this many bits on; below it the three
+# state accesses cost more than numpy's per-byte draws (they break even
+# near 1700 bits on the host above).
+_RAW_BITS_MIN = 2048
 
 
 def derive_seed(base_seed: int, *path: int) -> int:
@@ -65,9 +91,17 @@ def trial_streams(base_seed: int, trials: int):
     reset for every trial, so a trial must be done with it before the next
     pair is drawn.
     """
-    words = _seed_words(base_seed, trials)
-    seeds = _as_uint64(words)[:, 0].tolist()
-    keys = _philox_keys(words)
+    if base_seed < 0:
+        raise ValueError(f"base seed must be >= 0, got {base_seed}")
+    if not 1 <= trials <= 1 << 32:
+        raise ValueError(f"trials must be in [1, 2^32], got {trials}")
+    if trials <= _PER_TRIAL_MAX:
+        seeds = [derive_seed(base_seed, t) for t in range(trials)]
+        keys = [np.random.SeedSequence(s).generate_state(2, np.uint64) for s in seeds]
+    else:
+        words = _seed_words(base_seed, trials)
+        seeds = _as_uint64(words)[:, 0].tolist()
+        keys = _philox_keys(words)
     bitgen = np.random.Philox(_any_seed())
     rng = np.random.Generator(bitgen)
     inner = {"counter": (0, 0, 0, 0)}
@@ -92,6 +126,20 @@ _POOL = 4
 # turn (calls 4+3s..6+3s).  Entry [s, s] is a placeholder call.
 _CROSS_CALLS = np.array([[_POOL + 3 * s + d - (d >= s) for d in range(_POOL)]
                          for s in range(_POOL)])
+
+
+@lru_cache(maxsize=1)
+def raw_word_generators() -> tuple[type, ...]:
+    """64-bit bit generators whose random() double is (word >> 11) * 2^-53
+    and whose 32-bit draws are the halves of one word, low half first, the
+    high half buffered.  ``channel.apply_noise`` and :func:`random_bits`
+    draw raw words for these; MT19937 is neither.
+
+    Built on first use, so importing this package leaves numpy.random
+    unimported (about 6 MB resident with numpy 2.4) until a stream is drawn.
+    """
+    return (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM,
+            np.random.SFC64)
 
 
 @lru_cache(maxsize=1)
@@ -166,11 +214,8 @@ def _seed_words(base_seed: int, trials: int) -> np.ndarray:
 
     The entropy is the base seed's 32-bit words, shared by every trial and
     zero-padded to the pool size as numpy pads before a spawn key, then t.
+    ``trial_streams`` has checked both arguments.
     """
-    if base_seed < 0:
-        raise ValueError(f"base seed must be >= 0, got {base_seed}")
-    if not 1 <= trials <= 1 << 32:
-        raise ValueError(f"trials must be in [1, 2^32], got {trials}")
     base_seed = int(base_seed)
     n = max(_POOL, -(-base_seed.bit_length() // 32))
     words = np.frombuffer(base_seed.to_bytes(4 * n, "little"), "<u4")
@@ -185,6 +230,34 @@ def _philox_keys(words: np.ndarray) -> np.ndarray:
     seed below 2^32 is numpy's entropy [lo], which mixes like [lo, 0].
     """
     return _as_uint64(_generate_state([words[:, :1], words[:, 1:]], 4))
+
+
+def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``rng.integers(0, 2, size=n, dtype=np.uint8)``, drawn from raw words.
+
+    Same bits and same generator state afterwards; see the module docstring.
+    """
+    bitgen = rng.bit_generator
+    if n < _RAW_BITS_MIN or type(bitgen) not in raw_word_generators():
+        return rng.integers(0, 2, size=n, dtype=np.uint8)
+    halves = -(-n // 4)  # numpy spends one 32-bit draw on every 4 bits
+    state = bitgen.state
+    buffered = state["has_uint32"]
+    words = bitgen.random_raw((halves - buffered + 1) // 2)
+    drawn = words.astype("<u8", copy=False).view("<u4")
+    if buffered:
+        drawn = np.concatenate((np.array([state["uinteger"]], dtype="<u4"), drawn))
+    # random_raw leaves the buffer alone; set it as numpy's last 32-bit
+    # draw would: the last word's high half, still pending if unused.
+    state = bitgen.state
+    state["has_uint32"] = int(drawn.size > halves)
+    state["uinteger"] = int(drawn[-1])
+    bitgen.state = state
+    # Shifted in place: a second buffer per call cost ~117 minor page
+    # faults per archive-m4096 batch in a steady-state loop (0.06 without).
+    bits = drawn.view(np.uint8)
+    bits >>= 7
+    return bits[:n]
 
 
 # Switch point between the two Poisson sampling algorithms.

@@ -534,7 +534,7 @@ def test_transmit_poisson_missing_fraction():
     M = 100_000
     cw = CodewordSet(molecules=rng_for(21).integers(0, 2, size=(M, 2), dtype=np.uint8))
     params = _params(M, 0.0, SamplingSpec.poisson(1.0), 2)
-    out, sources, counts = transmit_traced(cw, params, rng_for(22))
+    out, sources, counts, _ = transmit_traced(cw, params, rng_for(22))
     missing = (counts == 0).mean()
     assert abs(missing - float(mpmath.e ** -1)) < 0.005
     assert out.N == counts.sum()
@@ -547,7 +547,7 @@ def test_transmit_multiset_conservation_noise_free():
             molecules=rng_for(23, seed).integers(0, 2, size=(64, 6), dtype=np.uint8)
         )
         params = _params(64, 0.0, SamplingSpec.poisson(1.5), 6)
-        out, sources, counts = transmit_traced(cw, params, rng_for(24, seed))
+        out, sources, counts, _ = transmit_traced(cw, params, rng_for(24, seed))
         key = lambda a: sorted(map(tuple, a))
         assert key(out.reads) == key(cw.molecules[np.repeat(np.arange(64), counts)])
 
@@ -568,7 +568,7 @@ def test_transmit_traced_pinned_digest():
     # JSONL digests only see flip counts, this sees where every flip lands.
     cw = CodewordSet(molecules=rng_for(27).integers(0, 2, size=(64, 24), dtype=np.uint8))
     params = _params(64, 0.05, SamplingSpec.poisson_pcr(12.0, 3.0), 24)
-    out, sources, counts = transmit_traced(cw, params, rng_for(28))
+    out, sources, counts, _ = transmit_traced(cw, params, rng_for(28))
     assert out.N == 637
     digest = hashlib.sha256()
     for part in (out.reads, sources.astype("<i8"), counts.astype("<i8")):
@@ -576,6 +576,20 @@ def test_transmit_traced_pinned_digest():
     assert digest.hexdigest() == (
         "7682e8a0e38628dd884679ee6c28dc521f29d4ba62621d6d814325f0fc652fca"
     )
+
+
+@pytest.mark.parametrize("p", [0.0, 0.01, 0.3])
+@pytest.mark.parametrize("q", [0.0, 1.0])  # q = 1 samples nothing: N = 0
+def test_transmit_traced_flip_count(p, q):
+    cw = CodewordSet(molecules=rng_for(29).integers(0, 2, size=(200, 16), dtype=np.uint8))
+    params = _params(200, p, SamplingSpec.bernoulli(q), 16)
+    out, sources, counts, flips = transmit_traced(cw, params, rng_for(30))
+    assert type(flips) is int
+    assert flips == np.count_nonzero(out.reads != cw.molecules.take(sources, axis=0))
+    assert out.N == (200 if q == 0.0 else 0)
+    assert (flips > 0) == (p > 0.0 and q == 0.0)
+    # The count costs no draw: the stream is transmit's.
+    assert np.array_equal(out.reads, transmit(cw, params, rng_for(30)).reads)
 
 
 def test_transmit_rejects_mismatched_codeword():

@@ -172,6 +172,46 @@ def test_sweep_csv_columns(capsys):
     assert first[0] == ""  # no lambda for Bernoulli sampling
 
 
+def test_sweep_failed_trials_exit_1(capsys):
+    # Every Poisson(1e19) trial raises OverflowError; the CSV is still written
+    # and the failure is named on stderr.
+    code, out, err = run_cli(capsys, "sweep", "--var", "lambda", "--grid", "1e19,1",
+                             "--codec", "m16-identity", "--beta", "2", "--trials", "2")
+    assert code == 1
+    assert out.splitlines()[1] == "1e+19,2,0,0,0.5,0.375,nan"
+    assert len(out.splitlines()) == 3
+    assert err.startswith("error: 2 of 2 trials failed at lambda=1e+19; first: "
+                          "trial 0: OverflowError: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("grid", ["0:inf:0.1", "-inf:1:0.1", "0:1:nan", "nan:1:1"])
+def test_non_finite_grid_exit_2(capsys, grid):
+    code, out, err = run_cli(capsys, "region", f"--p-grid={grid}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: grid start, stop and step must be finite, got {grid!r}\n"
+
+
+@pytest.mark.parametrize("grid", ["0:1:1e-12", "-1e308:1e308:1"])
+def test_oversized_grid_exit_2(capsys, grid):
+    # Built as a list, the first would hold 10^12 points; the check runs first.
+    code, out, err = run_cli(capsys, "region", f"--p-grid={grid}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: grid {grid!r} has more than 1000000 points\n"
+
+
+def test_grid_point_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 101)
+    assert len(cli._parse_grid("0:1:0.01")) == 101
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 100)
+    with pytest.raises(ValueError, match="more than 100 points"):
+        cli._parse_grid("0:1:0.01")
+    # A descending range is empty, even one whose span overflows.
+    assert cli._parse_grid("1e308:-1e308:1") == []
+
+
 # sha256 of the README sweep example's CSV at --seed 5 --trials 20.  Like
 # PRESET_DIGESTS it moves only when the random stream or the format changes.
 SWEEP_DIGEST = "0ca48db6f7192ccf5680c20e73fae00511f555367b9025f51cf53ae9fa7e5603"

@@ -386,7 +386,18 @@ def test_lambda_sweep_coverage_fractions():
     targets = [0.6321205588, 0.8646647168, 0.9502129316]
     assert np.allclose(fractions, targets, atol=1e-9)
     assert all(set(row) == {"lambda", "beta", "p", "q", "capacity",
-                            "achieved_rate", "success_rate"} for row in rows)
+                            "achieved_rate", "success_rate", "failed",
+                            "first_error"} for row in rows)
+    assert all(row["failed"] == 0 and row["first_error"] is None for row in rows)
+
+
+def test_sweep_rows_carry_failed_trials():
+    # Poisson(1e19) overflows int64 in PTRS, so every trial at that point raises.
+    rows = rate_vs_capacity_sweep("lambda", [1e19, 1.0], M16, trials=2,
+                                  base_seed=5, beta=2.0)
+    assert rows[0]["failed"] == 2 and math.isnan(rows[0]["success_rate"])
+    assert rows[0]["first_error"].startswith("trial 0: OverflowError")
+    assert rows[1]["failed"] == 0 and rows[1]["first_error"] is None
 
 
 def test_p_sweep_rate_stays_below_capacity():

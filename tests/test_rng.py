@@ -1,13 +1,18 @@
-"""Per-run seeding: the vectorised SeedSequence against numpy's own."""
+"""Per-run seeding against numpy's SeedSequence, and random_bits against
+``Generator.integers``."""
 
 import numpy as np
 import pytest
 
+from dnachannel import rng as rng_module
 from dnachannel.rng import (
+    _PER_TRIAL_MAX,
     _philox_keys,
     _seed_words,
     derive_seed,
     generator_from_seed,
+    random_bits,
+    raw_word_generators,
     trial_streams,
 )
 
@@ -79,3 +84,73 @@ def test_trial_streams_reuse_one_generator():
 def test_trial_streams_reject_bad_arguments(base, trials):
     with pytest.raises(ValueError):
         next(trial_streams(base, trials))
+
+
+@pytest.mark.parametrize("trials", [_PER_TRIAL_MAX - 1, _PER_TRIAL_MAX,
+                                    _PER_TRIAL_MAX + 1])
+@pytest.mark.parametrize("base", [0, 12345, 2**130 + 1])
+def test_trial_streams_either_side_of_per_trial_max(base, trials):
+    # The last two counts take different seeding paths; both must give
+    # derive_seed's seeds and SeedSequence's keys on the shared generator.
+    rngs = set()
+    for t, (seed, rng) in enumerate(trial_streams(base, trials)):
+        assert seed == derive_seed(base, t)
+        key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        assert rng.bit_generator.state["state"]["key"].tolist() == key.tolist()
+        assert plain(rng.bit_generator.state) == plain(
+            generator_from_seed(seed).bit_generator.state)
+        rng.random(3)  # leave the counter moved for the next reset
+        rngs.add(id(rng))
+    assert t == trials - 1 and len(rngs) == 1
+
+
+# ---------------------------------------------------------------------------
+# random_bits
+# ---------------------------------------------------------------------------
+
+BIT_GENERATORS = [*raw_word_generators(), np.random.MT19937]
+
+
+def pair(bitgen_type, buffered):
+    """Two generators in one state; ``buffered`` leaves a 32-bit half pending."""
+    a, b = (np.random.Generator(bitgen_type(2024)) for _ in range(2))
+    for g in (a, b):
+        g.integers(0, 2**32, size=buffered, dtype=np.uint32)
+    return a, b
+
+
+@pytest.mark.parametrize("raw_from", [1, rng_module._RAW_BITS_MIN])
+@pytest.mark.parametrize("buffered", [0, 1])
+@pytest.mark.parametrize("bitgen_type", BIT_GENERATORS)
+def test_random_bits_match_integers(monkeypatch, bitgen_type, buffered, raw_from):
+    # raw_from=1 sends every n >= 1 down the raw-word path.
+    monkeypatch.setattr(rng_module, "_RAW_BITS_MIN", raw_from)
+    for n in [*range(71), 43200]:
+        a, b = pair(bitgen_type, buffered)
+        if bitgen_type is not np.random.MT19937:
+            assert a.bit_generator.state["has_uint32"] == buffered
+        expected = a.integers(0, 2, size=n, dtype=np.uint8)
+        got = random_bits(b, n)
+        assert got.dtype == np.uint8 and got.shape == (n,)
+        assert got.tolist() == expected.tolist(), n
+        assert plain(b.bit_generator.state) == plain(a.bit_generator.state), n
+        # A pending high half (if any) is served first, then fresh words.
+        assert (b.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
+                == a.integers(0, 2**32, size=3, dtype=np.uint32).tolist())
+        assert b.random(2).tolist() == a.random(2).tolist()
+
+
+def test_random_bits_draw_raw_words_past_the_threshold():
+    # From _RAW_BITS_MIN bits on, a Philox generator is never asked for
+    # integers; below it, it is.
+    class NoIntegers:
+        bit_generator = np.random.Philox(7)
+
+        def integers(self, *args, **kwargs):
+            raise AssertionError("rng.integers called")
+
+    n = rng_module._RAW_BITS_MIN
+    expected = np.random.Generator(np.random.Philox(7)).integers(0, 2, n, np.uint8)
+    assert random_bits(NoIntegers(), n).tolist() == expected.tolist()
+    with pytest.raises(AssertionError):
+        random_bits(NoIntegers(), n - 1)
