@@ -41,33 +41,42 @@ class ConfigError(ValueError):
     """Inconsistent codec configuration."""
 
 
+def _word_bytes(width: int) -> int:
+    """Bytes of the narrowest word (1, 2, 4 or 8) that holds ``width`` bits."""
+    return 1 << max(0, (width - 1).bit_length() - 3)
+
+
 def int_to_bits(values: np.ndarray, width: int) -> np.ndarray:
     """Big-endian bits of integers along a new last axis, 0 <= width <= 63.
 
-    Each value is one big-endian 64-bit word; one flat ``np.unpackbits`` of
-    all words gives 64 bits per value.  The last ``width`` are copied out,
-    so the 64-column buffer is freed at once (a view would keep it alive).
+    Each value is one big-endian word of the narrowest size that holds the
+    width; one flat ``np.unpackbits`` of all words gives a word's bits per
+    value.  The last ``width`` are copied out, so the wider buffer is freed
+    at once (a view would keep it alive).
     """
     if not 0 <= width <= 63:
         raise ValueError(f"bit width must be in 0..63, got {width}")
     values = np.asarray(values)
-    bits = np.unpackbits(values.astype(">u8").reshape(-1).view(np.uint8))
-    return np.ascontiguousarray(bits.reshape(values.shape + (64,))[..., 64 - width:])
+    nb = _word_bytes(width)
+    bits = np.unpackbits(values.astype(f">u{nb}").reshape(-1).view(np.uint8))
+    return np.ascontiguousarray(bits.reshape(values.shape + (8 * nb,))[..., 8 * nb - width:])
 
 
 def bits_to_int(bits: np.ndarray) -> np.ndarray:
     """Inverse of :func:`int_to_bits`: the int64 value of each (..., width) row.
 
-    The rows are right-aligned in a zeroed (..., 64) buffer, whose one flat
-    ``np.packbits`` is read back as big-endian 64-bit words.
+    The rows are right-aligned in a zeroed buffer of the narrowest words
+    that hold them, whose one flat ``np.packbits`` is read back as
+    big-endian words.
     """
     bits = np.asarray(bits)
     *lead, width = bits.shape
     if width > 63:
         raise ValueError(f"bit width must be in 0..63, got {width}")
-    buf = np.zeros((*lead, 64), dtype=np.uint8)
-    buf[..., 64 - width:] = bits
-    return np.packbits(buf.reshape(-1)).view(">u8").astype(np.int64).reshape(lead)[()]
+    nb = _word_bytes(width)
+    buf = np.zeros((*lead, 8 * nb), dtype=np.uint8)
+    buf[..., 8 * nb - width:] = bits
+    return np.packbits(buf.reshape(-1)).view(f">u{nb}").astype(np.int64).reshape(lead)[()]
 
 
 # ---------------------------------------------------------------------------

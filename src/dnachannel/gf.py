@@ -17,20 +17,24 @@ prod_j (x_t - x_j) * sum_i a_i / (x_t - x_i) with a_i = value_i /
 prod_{j != i} (x_i - x_j), so its output is that of Lagrange interpolation
 bit for bit, also for inputs that are no codeword.  The logs of both
 products at every point are an XOR correlation of the base with the log
-table: two int64 Walsh-Hadamard transforms (WHT).  The sum is the
+table: two integer Walsh-Hadamard transforms (WHT), each a Kronecker product
+of +-1 Hadamard matrices of at most 64 points, one per axis of the points
+read as a 2- or 3-axis array.  They run as float64 matrix products on BLAS,
+exact because every partial sum is an integer below 2^48.  The sum is the
 derivative of the polynomial through a (zero off the base), which the
 additive FFT in the novel polynomial basis of Lin, Chung and Han (FOCS
-2014) gives at every point: an inverse FFT, a formal derivative and a
-forward FFT, each m layers of 2^(m-1) butterflies.  Encoding and an
-erasure decode cost O(m * 2^m * s) table lookups for s interleaved
-codewords, whatever k is.  Construction costs O(m * 2^m); a codec holds
-O(2^w + 2^m) table entries (log/exp tables, the log spectrum, the
-butterfly constants), and a call's work arrays O(2^m * s).
+2014) gives: an inverse FFT, a formal derivative and a forward FFT, each m
+layers of 2^(m-1) butterflies; the forward one only on the aligned block
+of 2^j points holding the targets, once m - j layers halve the polynomial
+to it.  Encoding and an erasure decode cost O(m * 2^m * s) table lookups
+for s interleaved codewords, whatever k is.  Construction costs O(m * 2^m);
+a codec holds O(2^w + 2^m * s) table and work-array entries.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import threading
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -44,47 +48,12 @@ _PRIMITIVE_POLY = {
 }
 
 
-def _log2_ceil(n: int) -> int:
-    return (n - 1).bit_length()
-
-
-def _wht(x: np.ndarray, row_bits: int) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform of the last axis, transposed.
-
-    The last axis (length 2^m) is read as a (2^row_bits, 2^(m - row_bits))
-    matrix, transformed along both of its axes and returned as the flattened
-    transpose, so ``_wht(_wht(x, r), m - r)`` is 2^m * x in natural order and
-    spectra stay in transposed order between the two.  Every butterfly acts
-    on whole matrix rows, which keeps numpy's inner loops contiguous.
-    Integer arrays wrap on overflow: results are exact modulo 2^(dtype bits).
-    """
-    shape, n = x.shape, x.shape[-1]
-    y = x.reshape(-1, 1 << row_bits, n >> row_bits).copy()
-    _butterflies(y)
-    y = np.ascontiguousarray(y.transpose(0, 2, 1))
-    _butterflies(y)
-    return y.reshape(shape)
-
-
-def _butterflies(x: np.ndarray) -> None:
-    """In place, the unnormalised WHT along axis 1 of a (batch, 2^r, c) array."""
-    batch, r, c = x.shape
-    h = 1
-    while 4 * h <= r:  # radix 4: H_4 on two index bits at once
-        y = x.reshape(batch, r // (4 * h), 4, h * c)
-        a, b, u, v = y[:, :, 0], y[:, :, 1], y[:, :, 2], y[:, :, 3]
-        s0, d0, s1, d1 = a + b, a - b, u + v, u - v
-        np.add(s0, s1, out=a)
-        np.add(d0, d1, out=b)
-        np.subtract(s0, s1, out=u)
-        np.subtract(d0, d1, out=v)
-        h *= 4
-    if 2 * h == r:
-        y = x.reshape(batch, 2, h * c)
-        a, b = y[:, 0], y[:, 1]
-        s0 = a + b
-        np.subtract(a, b, out=b)
-        a[...] = s0
+@lru_cache(maxsize=None)
+def _hadamard(bits: int) -> np.ndarray:
+    """The float64 Hadamard matrix of 2^bits points, entries (-1)^popcount(i & j)."""
+    h = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * bits, np.ones((1, 1)))
+    h.setflags(write=False)
+    return h
 
 
 def _novel_basis(field: "_Field", m: int) -> tuple[list, np.ndarray]:
@@ -150,7 +119,8 @@ class ReedSolomonErasure:
     """Systematic [n, k] Reed-Solomon code over GF(2^w), erasure decoding only.
 
     ``encode`` and ``decode_erasures`` take one codeword as a 1-D array, or
-    ``s`` interleaved codewords as the columns of a 2-D array.
+    ``s`` interleaved codewords as the columns of a 2-D array.  A codec
+    reuses its work arrays across calls, so calls on one instance take turns.
     """
 
     def __init__(self, n: int, k: int, w: int):
@@ -159,14 +129,18 @@ class ReedSolomonErasure:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
         if n > field.order:
             raise ValueError(f"n={n} exceeds 2^w={field.order} evaluation points")
-        self.n = n
-        self.k = k
-        self.field = field
+        self.n, self.k, self.field = n, k, field
         q = field.q
-        self._m = m = _log2_ceil(n)
-        self._fwd_bits = (m + 1) // 2  # _wht(., fwd_bits) then _wht(., m - fwd_bits)
-        # Spectrum of log(z), z < 2^m (log 0 = 0), for the log-sums.
-        self._log_hat = _wht(field.log[: 1 << m].copy(), self._fwd_bits)
+        self._m = m = (n - 1).bit_length()
+        # The WHT's axes: the fewest of at most 6 bits, as (pre, 2^bits, post).
+        axes = max(1, -(-m // 6))
+        bits = [m // axes + (i < m % axes) for i in range(axes)]
+        self._wht_axes = [(_hadamard(b), (1 << sum(bits[:i]), 1 << b, 1 << sum(bits[i + 1:])))
+                          for i, b in enumerate(bits)]
+        self._lock = threading.Lock()  # held while the work arrays are in use
+        self._fft_work = np.empty((2, 1 << m, 0), dtype=np.int64)  # resized per s
+        self._wht_work = np.array([field.log[: 1 << m]] * 2, dtype=float)
+        self._log_hat = self._wht().copy()  # spectrum of log z, z < 2^m (log 0 = 0)
         # c * x is _expz[_logz[x] + log c] for logs in [0, q).  A zero factor
         # (x = 0, or the skew of a layer's block 0) has log 2q, which lands
         # in the zeros after the two periods of exp.
@@ -179,76 +153,101 @@ class ReedSolomonErasure:
         # Parity t is the polynomial through data points 0..k-1 evaluated at
         # point k+t; the log-sums of that base are kept (k == n means no parity).
         if n > k:
-            self._data_logs = self._log_sums(np.arange(k, dtype=np.int64))
+            self._data_logs = self._log_sums(np.arange(k))
+
+    def _wht(self) -> np.ndarray:
+        """The unnormalised WHT of work row 0 into a work row, one product per axis."""
+        x, y = self._wht_work
+        for h, (pre, d, post) in self._wht_axes:
+            if post == 1:
+                np.matmul(x.reshape(pre, d), h, out=y.reshape(pre, d))
+            else:
+                np.matmul(h, x.reshape(pre, d, post), out=y.reshape(pre, d, post))
+            x, y = y, x
+        return x
 
     def _log_sums(self, base: np.ndarray) -> np.ndarray:
         """sum_{j in base} log(x ^ x_j) mod q for every point x < 2^m.
 
         That is log prod_{j in base, j != i} (x_i - x_j) at x = x_i in base
-        (log 0 = 0 drops j = i) and log prod_{j in base} (x - x_j) elsewhere,
-        an XOR correlation of the indicator of base with the log table: two
-        int64 WHTs.  The exact sum times 2^m is below 2^48, so wrap-around in
-        the intermediate sums cannot change it.
+        (log 0 = 0 drops j = i) and log prod_{j in base} (x - x_j) elsewhere:
+        2^m times it is the WHT of the product of the WHTs of the indicator
+        of base and of the log table.  Any partial sum BLAS forms, in any
+        order, is a signed sum of distinct integer inputs of one WHT, so at
+        most their l1 norm: |base| <= 2^m, 2^m (q - 1) for the logs, and for
+        the product of spectra sqrt(2^m |base|) * 2^m (q - 1) <= 2^(2m) (q -
+        1) (Cauchy-Schwarz, Parseval), below 2^48 at m = w = 16: exact in float64.
         """
-        m = self._m
-        ind = np.zeros(1 << m, dtype=np.int64)
-        ind[base] = 1
-        spec = _wht(ind, self._fwd_bits) * self._log_hat
-        return (_wht(spec, m - self._fwd_bits) >> m) % self.field.q
+        self._wht_work[0] = 0
+        self._wht_work[0, base] = 1  # the indicator of base
+        np.multiply(self._wht(), self._log_hat, out=self._wht_work[0])
+        sums = self._wht().astype(np.int64)
+        return np.remainder(np.right_shift(sums, self._m, out=sums), self.field.q, out=sums)
 
     def _evaluate(self, base: np.ndarray, sums: np.ndarray, values: np.ndarray,
                   targets: np.ndarray) -> np.ndarray:
-        """(len(targets), s) values at ``targets`` (none in ``base``) of the
-        polynomials through ``base`` with columns of ``values`` (k, s);
-        ``sums`` from :meth:`_log_sums`.
+        """(len(targets), s) values at the sorted ``targets`` (none in
+        ``base``) of the polynomials through ``base`` with columns of
+        ``values`` (k, s); ``sums`` from :meth:`_log_sums`.
 
-        Lagrange gives P(x_t) = prod_j (x_t - x_j) * C(x_t) with C(x) =
-        sum_i a_i / (x - x_i) and a_i = value_i / prod_{j != i} (x_i - x_j).
-        Put a on all points 0..2^m - 1 (zero off base) and let A be the
-        polynomial of degree < 2^m through it: A = (W / W') sum_i a_i / (x -
-        x_i), with W the vanishing polynomial of the points and W' its
-        constant derivative, so A'(x_t) = C(x_t) at every point off base.
-        A is the inverse FFT of a, and A' at every point the forward FFT of
-        its formal derivative.  X_j' = sum_{bits i of j} c_i X_{j - 2^i} for
-        the basis X_j = prod_{bits i of j} What_i; scaled by sigma_j, the
-        coefficients of the derivative are plain XORs of coefficients.
+        Lagrange gives P(x_t) = prod_j (x_t - x_j) * C(x_t), C(x) = sum_i a_i
+        / (x - x_i).  Put a on all points 0..2^m - 1 (zero off base); the
+        polynomial A of degree < 2^m through it is (W / W') * C, W vanishing
+        on the points and W' its constant derivative, so A'(x_t) = C(x_t)
+        off base.  A is the inverse FFT of a, A' the forward FFT of its formal
+        derivative.  X_j' = sum_{bits i of j} c_i X_{j - 2^i} for the basis
+        X_j = prod_{bits i of j} What_i; scaled by sigma_j, the coefficients
+        of the derivative are plain XORs of coefficients.
+
+        The targets lie in the aligned block of 2^j points from t0: layer i >= j
+        keeps only the half holding t0, f0 + (What_i(b) + bit i of t0) * f1.
         """
-        q, s = self.field.q, values.shape[1]
-        a = np.zeros((1 << self._m, s), dtype=np.int64)
+        q, s, m = self.field.q, values.shape[1], self._m
+        if self._fft_work.shape[2] != s:
+            self._fft_work = np.empty((2, 1 << m, s), dtype=np.int64)
+        a, deriv = self._fft_work
+        a.fill(0)
         a[base] = self._scale(values, (-sums[base] % q)[:, None])
-        coef = self._scale(self._ifft(a), self._sigma)
-        deriv = np.zeros_like(coef)
-        for i in range(self._m):
+        coef = self._scale(self._ifft(a, deriv), self._sigma, out=a)
+        deriv.fill(0)
+        for i in range(m):
             deriv.reshape(-1, 2, s << i)[:, 0] ^= coef.reshape(-1, 2, s << i)[:, 1]
-        c = self._fft(self._scale(deriv, self._unsigma))
-        return self._scale(c[targets], sums[targets][:, None])
+        f = self._scale(deriv, self._unsigma, out=deriv)
+        j = (int(targets[0]) ^ int(targets[-1])).bit_length()
+        t0 = int(targets[0]) >> j << j
+        for i in reversed(range(j, m)):
+            c = int(self._expz[self._skews[i][t0 >> (i + 1), 0]]) ^ (t0 >> i & 1)
+            f, hi = f[: len(f) // 2], f[len(f) // 2 :]
+            f ^= self._scale(hi, self._logz[c])
+        c = self._fft(f, coef[: len(f)], t0)
+        return self._scale(c[targets - t0], sums[targets][:, None])
 
-    def _scale(self, x: np.ndarray, log_c) -> np.ndarray:
-        """c * x elementwise, c given by its log (broadcast)."""
-        return self._expz[self._logz[x] + log_c]
+    def _scale(self, x: np.ndarray, log_c, out: np.ndarray | None = None) -> np.ndarray:
+        """c * x elementwise, c by its log (broadcast); ``out`` may be ``x``."""
+        return self._expz.take(self._logz[x] + log_c, out=out, mode="clip")  # no copy of out
 
-    def _fft(self, x: np.ndarray) -> np.ndarray:
-        """Values at every point of the polynomial whose novel-basis
-        coefficients are the rows of ``x`` (overwritten), row t for point t.
+    def _fft(self, x: np.ndarray, y: np.ndarray, t0: int) -> np.ndarray:
+        """Values at the points t0 + 0..2^j - 1 (t0 a multiple of 2^j) of the
+        polynomial whose novel-basis coefficients are the 2^j rows of ``x``,
+        row t for point t0 + t; ``x`` and ``y`` are overwritten.
 
-        Layer i = m-1, .., 0 splits each block of 2^(i+1) points b +
-        span(1, .., 2^i), b its first point, into halves on which What_i is
-        What_i(b) and What_i(b) + 1, so f0 + What_i * f1 becomes f0 +
-        What_i(b) * f1 on the lower half and that plus f1 on the upper.
-        Rows are kept with bit i of the index on top, so a layer reads two
-        contiguous halves; it writes its output pairs interleaved, which
-        moves bit i to the bottom.  Within a half the block number then runs
-        fastest, and after m layers the rows are back in natural order.
+        Layer i = j-1, .., 0 splits each block b + span(1, .., 2^i) (b its
+        first point) into halves where What_i is What_i(b) and What_i(b) + 1,
+        so f0 + What_i * f1 is f0 + What_i(b) * f1 below and that plus f1
+        above.  Rows keep bit i of the index on top, so a layer reads two
+        contiguous halves; writing output pairs interleaved moves bit i to
+        the bottom, the block number then runs fastest within a half, and
+        after j layers the rows are in natural order.
         """
-        m, h, s = self._m, len(x) // 2, x.shape[1]
-        expz, logz, skews = self._expz, self._logz, self._skews
-        y = np.empty_like(x)
-        for i in reversed(range(m)):
+        h, s = len(x) // 2, x.shape[1]
+        j, expz, logz, skews = h.bit_length(), self._expz, self._logz, self._skews
+        for i in reversed(range(j)):
             lo, hi = x[:h], x[h:]
             pair = y.reshape(h, 2, s)
             out_lo, out_hi = pair[:, 0], pair[:, 1]
-            if i < m - 1:  # the single block of layer m - 1 has skew 0
-                prod = expz[logz[hi].reshape(1 << i, -1, s) + skews[i]]
+            if t0 or i < j - 1:  # the single block of layer j - 1 from 0 has skew 0
+                skew = skews[i][t0 >> (i + 1):(t0 + 2 * h) >> (i + 1)]
+                prod = expz[logz[hi].reshape(1 << i, -1, s) + skew]
                 np.bitwise_xor(lo, prod.reshape(h, s), out=out_lo)
             else:
                 out_lo[...] = lo
@@ -256,11 +255,10 @@ class ReedSolomonErasure:
             x, y = y, x
         return x
 
-    def _ifft(self, x: np.ndarray) -> np.ndarray:
-        """The inverse of :meth:`_fft`, also overwriting ``x``."""
+    def _ifft(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The inverse of :meth:`_fft` at t0 = 0."""
         m, h, s = self._m, len(x) // 2, x.shape[1]
         expz, logz, skews = self._expz, self._logz, self._skews
-        y = np.empty_like(x)
         for i in range(m):
             pair = x.reshape(h, 2, s)
             lo, hi = pair[:, 0], pair[:, 1]
@@ -279,21 +277,21 @@ class ReedSolomonErasure:
         data = np.asarray(data, dtype=np.int64)
         if data.ndim not in (1, 2) or data.shape[0] != self.k:
             raise ValueError(f"expected {self.k} data symbols, got shape {data.shape}")
-        if (data < 0).any() or (data >= self.field.order).any():
+        if (data >> self.field.w).any():  # a negative symbol shifts to -1
             raise ValueError("data symbols out of field range")
         if self.n == self.k:
             return data.copy()
-        cols = data.reshape(self.k, -1)
-        points = np.arange(self.n, dtype=np.int64)
-        parity = self._evaluate(points[: self.k], self._data_logs, cols, points[self.k :])
+        k, cols = self.k, data.reshape(self.k, -1)
+        with self._lock:
+            parity = self._evaluate(np.arange(k), self._data_logs, cols, np.arange(k, self.n))
         return np.concatenate([cols, parity]).reshape((self.n,) + data.shape[1:])
 
     def decode_erasures(self, symbols: np.ndarray, erased: np.ndarray) -> np.ndarray:
         """Recover the k data symbols (or a (k, s) block) from n symbols.
 
         ``symbols`` values at erased positions are ignored; one flag per row
-        applies to every column.  Raises :class:`TooManyErasures` when more
-        than n - k positions are erased.
+        applies to every column.  Raises :class:`TooManyErasures` past n - k
+        erasures, and ValueError for a symbol it reads out of the field.
         """
         symbols = np.asarray(symbols, dtype=np.int64)
         erased = np.asarray(erased, dtype=bool)
@@ -301,15 +299,16 @@ class ReedSolomonErasure:
             raise ValueError(f"expected {self.n} symbols and erasure flags")
         n_erased = int(erased.sum())
         if n_erased > self.n - self.k:
-            raise TooManyErasures(
-                f"{n_erased} erasures exceed redundancy n-k={self.n - self.k}"
-            )
+            raise TooManyErasures(f"{n_erased} erasures exceed redundancy n-k={self.n - self.k}")
+        avail = np.flatnonzero(~erased)[: self.k]  # holds every kept data row
+        known = symbols.reshape(self.n, -1)[avail]
+        if (known >> self.field.w).any():
+            raise ValueError("symbols out of field range")
         data = symbols[: self.k].copy()
         missing = np.flatnonzero(erased[: self.k])
         if missing.size == 0:
             return data
-        avail = np.flatnonzero(~erased)[: self.k]
-        cols = symbols.reshape(self.n, -1)
-        recovered = self._evaluate(avail, self._log_sums(avail), cols[avail], missing)
+        with self._lock:
+            recovered = self._evaluate(avail, self._log_sums(avail), known, missing)
         data[missing] = recovered.reshape((missing.size,) + symbols.shape[1:])
         return data

@@ -69,7 +69,7 @@ def _reference_bits_to_int(bits):
     return bits @ weights
 
 
-@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 12, 16, 20, 33, 63])
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 12, 15, 16, 17, 20, 31, 32, 33, 63])
 @pytest.mark.parametrize("shape", [(37,), (5, 7), (2, 3, 4)])
 def test_bit_helpers_match_int64_reference(width, shape):
     rng = np.random.default_rng([width, *shape])

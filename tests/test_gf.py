@@ -2,6 +2,8 @@
 
 import hashlib
 import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -112,6 +114,56 @@ def test_rs_parameter_validation():
         rs.encode(np.array([0, 1, 2, 99]))  # out of field
 
 
+def test_rs_decode_rejects_symbols_out_of_field():
+    rs = ReedSolomonErasure(16, 12, 4)
+    cw = rs.encode(np.arange(12))
+    erased = np.zeros(16, dtype=bool)
+    erased[0] = True
+    for bad in (-3, 16):
+        noisy = cw.copy()
+        noisy[5] = bad  # a kept data row the decode reads
+        with pytest.raises(ValueError, match="out of field range"):
+            rs.decode_erasures(noisy, erased)
+        with pytest.raises(ValueError, match="out of field range"):
+            rs.decode_erasures(noisy, np.zeros(16, dtype=bool))  # nothing to recover
+    # Erased rows are ignored, and so is a parity row past the first k kept.
+    noisy = cw.copy()
+    noisy[[0, 15]] = [-3, 99]
+    assert (rs.decode_erasures(noisy, erased) == np.arange(12)).all()
+
+
+def test_rs_shared_instance_across_threads():
+    """Calls on one codec from several threads take turns on its work arrays."""
+    rs = ReedSolomonErasure(256, 200, 8)
+    rng = np.random.default_rng(11)
+    jobs = []
+    for _ in range(8):
+        data = rng.integers(0, 256, size=(200, 2))
+        erased = np.zeros(256, dtype=bool)
+        erased[rng.choice(256, size=56, replace=False)] = True
+        jobs.append((data, erased, rs.encode(data)))
+    errors = []
+
+    def work(data, erased, cw):
+        for _ in range(20):
+            if not (np.array_equal(rs.encode(data), cw)
+                    and np.array_equal(rs.decode_erasures(cw, erased), data)):
+                errors.append("mismatch")
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=job) for job in jobs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
 # sha256 of the little-endian int64 codeword for data drawn from
 # default_rng([n, k, w]), pinned from the k x k matrix implementation.
 PINNED_CODEWORDS = {
@@ -198,6 +250,76 @@ def inv(f, a):
     if (a == 0).any():
         raise ZeroDivisionError("inverse of 0 in GF(2^w)")
     return f.exp[(f.q - f.log[a]) % f.q]
+
+
+def _wht(x, row_bits):
+    """Unnormalised int64 Walsh-Hadamard transform of the last axis, transposed.
+
+    The last axis (length 2^m) is read as a (2^row_bits, 2^(m - row_bits))
+    matrix, transformed along both of its axes and returned as the flattened
+    transpose, so ``_wht(_wht(x, r), m - r)`` is 2^m * x in natural order and
+    spectra stay in transposed order between the two.  Integer arrays wrap
+    on overflow: results are exact modulo 2^64.
+    """
+    shape, n = x.shape, x.shape[-1]
+    y = x.reshape(-1, 1 << row_bits, n >> row_bits).copy()
+    _butterflies(y)
+    y = np.ascontiguousarray(y.transpose(0, 2, 1))
+    _butterflies(y)
+    return y.reshape(shape)
+
+
+def _butterflies(x):
+    """In place, the unnormalised WHT along axis 1 of a (batch, 2^r, c) array."""
+    batch, r, c = x.shape
+    h = 1
+    while 4 * h <= r:  # radix 4: H_4 on two index bits at once
+        y = x.reshape(batch, r // (4 * h), 4, h * c)
+        a, b, u, v = y[:, :, 0], y[:, :, 1], y[:, :, 2], y[:, :, 3]
+        s0, d0, s1, d1 = a + b, a - b, u + v, u - v
+        np.add(s0, s1, out=a)
+        np.add(d0, d1, out=b)
+        np.subtract(s0, s1, out=u)
+        np.subtract(d0, d1, out=v)
+        h *= 4
+    if 2 * h == r:
+        y = x.reshape(batch, 2, h * c)
+        a, b = y[:, 0], y[:, 1]
+        s0 = a + b
+        np.subtract(a, b, out=b)
+        a[...] = s0
+
+
+def _reference_log_sums(w, m, base):
+    """sum_{j in base} log(x ^ x_j) mod q for x < 2^m, by two int64 WHTs."""
+    f = GF2w(w)
+    ind = np.zeros(1 << m, dtype=np.int64)
+    ind[base] = 1
+    r = (m + 1) // 2
+    spec = _wht(ind, r) * _wht(f.log[: 1 << m].copy(), r)
+    return (_wht(spec, m - r) >> m) % f.q
+
+
+def test_reference_log_sums_is_the_direct_sum():
+    f, m = GF2w(5), 4
+    base = np.array([0, 3, 4, 9, 15])
+    want = [f.log[x ^ base].sum() % f.q for x in range(1 << m)]
+    assert _reference_log_sums(5, m, base).tolist() == want
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_log_sums_match_int64_reference(m):
+    """The float64 BLAS WHTs, at the widest field, on four kinds of base."""
+    n, w = 1 << m, 16
+    k = max(1, n * 7 // 8)
+    rs = ReedSolomonErasure(n, k, w)
+    rng = np.random.default_rng(m)
+    bases = [np.array([rng.integers(n)]), np.arange(k), np.arange(n),
+             np.sort(rng.choice(n, size=max(1, round(0.95 * n)), replace=False))]
+    for base in bases:
+        got = rs._log_sums(base)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _reference_log_sums(w, m, base))
 
 
 def _lagrange(w, base, values, targets):
