@@ -21,7 +21,9 @@ in C order, and flips the bit when the word is below the integer threshold
 ``ceil(p * 2^53) << 11`` (every bit when p = 1).  For the bit generators
 whose ``random()`` double is ``(word >> 11) * 2^-53`` (Philox, PCG64,
 PCG64DXSM, SFC64) this is exactly ``rng.random(shape) < p``; any other bit
-generator (MT19937) draws ``rng.random(shape) < p`` itself.
+generator (MT19937) draws ``rng.random(shape) < p`` itself.  The words are
+drawn ``NOISE_CHUNK`` at a time, so beyond its output the noise needs memory
+for one chunk, whatever the number of reads.
 """
 
 from __future__ import annotations
@@ -48,6 +50,15 @@ __all__ = [
 
 # Finite pmf tables must cover all but this much tail mass.
 PMF_TOLERANCE = 1e-12
+
+# apply_noise draws this many 64-bit words at a time (1 MiB).  On a 2-vCPU
+# Xeon (numpy 2.4), 2^13..2^17 words time alike per call: 30-55 ms on
+# 131 000 reads x 48 bits, against 63-74 ms drawing every word at once.  In
+# a deep-pcr-m256 trial (~245 000 bits) 2^13..2^16 cost 150-220 minor page
+# faults per trial and ~10 % of its speed: glibc sizes its heap trimming
+# from the largest block freed, and the trial's other read-sized arrays
+# then outgrow it.  2^17 keeps that trial fault-free at 1 MB less peak RSS.
+NOISE_CHUNK = 1 << 17
 
 
 class SamplingSpec:
@@ -294,25 +305,27 @@ def apply_noise(reads: np.ndarray, p: float, rng: np.random.Generator) -> np.nda
     """Flip each bit independently with probability p (BSC)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    reads = np.asarray(reads, dtype=np.uint8)
-    if p == 0.0 or reads.size == 0:
-        return reads.copy()
+    out = np.array(reads, dtype=np.uint8, order="C")  # flipped in place
+    if p == 0.0:
+        return out
     bitgen = rng.bit_generator
-    if type(bitgen) in raw_word_generators():
-        flips = _raw_flips(bitgen, reads.shape, p)
-    else:
-        flips = rng.random(reads.shape) < p
-    return reads ^ flips.view(np.uint8)
-
-
-def _raw_flips(bitgen, shape: tuple, p: float) -> np.ndarray:
-    """``random(shape) < p`` for a bit generator whose random() is
-    (word >> 11) * 2^-53, decided on the raw words: u < p exactly when
-    word < ceil(p * 2^53) << 11, p * 2^53 being exact in a double."""
-    words = bitgen.random_raw(math.prod(shape)).reshape(shape)
-    if p == 1.0:  # the threshold 2^64 overflows uint64; every u < 1 flips
-        return np.ones(shape, dtype=bool)
-    return words < np.uint64(math.ceil(p * 2.0**53) << 11)
+    raw = type(bitgen) in raw_word_generators()
+    # For raw words u < p exactly when word < ceil(p * 2^53) << 11, p * 2^53
+    # being exact in a double; at p = 1 that threshold overflows uint64.
+    threshold = np.uint64(math.ceil(p * 2.0**53) << 11) if p < 1.0 else None
+    bits = out.reshape(-1)
+    mask = np.ones(min(bits.size, NOISE_CHUNK), dtype=bool)
+    for start in range(0, bits.size, NOISE_CHUNK):
+        chunk = bits[start:start + NOISE_CHUNK]
+        flips = mask[:chunk.size]
+        if not raw:
+            np.less(rng.random(chunk.size), p, out=flips)
+        elif threshold is None:  # every u < 1 flips: the mask stays all ones
+            bitgen.random_raw(chunk.size, output=False)
+        else:
+            np.less(bitgen.random_raw(chunk.size), threshold, out=flips)
+        chunk ^= flips.view(np.uint8)
+    return out
 
 
 def shuffle_reads(reads: np.ndarray, rng: np.random.Generator) -> np.ndarray:

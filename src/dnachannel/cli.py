@@ -88,7 +88,7 @@ def _parse_matrix(text: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _sim_presets(seed: int, trials: int | None) -> dict[str, ExperimentSpec]:
-    t = lambda default: trials or default
+    t = lambda default: default if trials is None else trials
     return {
         "q0-poisson1": ExperimentSpec.estimate_q0(
             ChannelParams(M=100_000, beta=2.0, p=0.0,
@@ -120,7 +120,7 @@ def _codec_presets() -> dict[str, CodecConfig]:
 
 
 def _rt_presets(seed: int, trials: int | None) -> dict[str, ExperimentSpec]:
-    t = lambda default: trials or default
+    t = lambda default: default if trials is None else trials
     codecs = _codec_presets()
     return {
         "m16-clean": ExperimentSpec.decode_success(

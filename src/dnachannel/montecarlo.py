@@ -223,9 +223,10 @@ class BoundCheck(ExperimentSpec):
             raise ValueError(f"delta must be finite, got {self.delta}")
 
     def trial(self, rng) -> tuple[dict, float]:
-        reads = apply_noise(
-            np.zeros((self.reads_per_trial, self.read_len), dtype=np.uint8), self.p, rng
-        )
+        # apply_noise copies its input, so a zero-stride view of one zero
+        # stands in for the all-zero reads without a read-sized array.
+        zeros = np.broadcast_to(np.uint8(0), (self.reads_per_trial, self.read_len))
+        reads = apply_noise(zeros, self.p, rng)
         flips = reads.sum(axis=1)
         tail = float((flips >= self.delta * self.read_len).mean())
         fields = {"N": self.reads_per_trial, "flip_rate": float(reads.mean())}

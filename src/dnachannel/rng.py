@@ -11,14 +11,15 @@ shared Philox generator to each trial's key, so the stream is bit for bit
 that of ``generator_from_seed(derive_seed(base, t))``.  A run of at most
 ``_PER_TRIAL_MAX`` trials asks numpy's SeedSequence for each trial's seed
 and key, exactly as those two functions do.  A longer run seeds its trials
-together: ``_generate_state`` transcribes numpy's SeedSequence
-(``mix_entropy`` and ``generate_state``) onto a (rows, 4) uint32 pool, one
-seed per row, and ``trial_streams`` calls it twice: for every trial's seed,
-with the base seed's words shared by every row and the trial index as a
-column, and for every seed's Philox key, with the seed's two words as
-columns.  That pass costs about as much for one trial as for a few dozen,
-numpy's per-call overhead being most of it, so the two paths cross at about
-six trials (timings at ``_PER_TRIAL_MAX``).
+together, ``_SEED_BLOCK`` trials at a time: ``_generate_state`` transcribes
+numpy's SeedSequence (``mix_entropy`` and ``generate_state``) onto a
+(rows, 4) uint32 pool, one seed per row, and ``trial_streams`` calls it
+twice per block: for every trial's seed, with the base seed's words shared
+by every row and the trial index as a column, and for every seed's Philox
+key, with the seed's two words as columns.  That pass costs about as much
+for one trial as for a few dozen, numpy's per-call overhead being most of
+it, so the two paths cross at about six trials (timings at
+``_PER_TRIAL_MAX``).
 
 Stream contract of ``random_bits(rng, n)``: it returns exactly
 ``rng.integers(0, 2, size=n, dtype=np.uint8)`` and leaves the generator in
@@ -60,6 +61,13 @@ __all__ = ["derive_seed", "substream", "trial_streams", "random_bits",
 # for 1/4/5/6/7/8 trials.  Six trials is a tie.
 _PER_TRIAL_MAX = 5
 
+# Longer runs are seeded this many trials at a time, so seeding memory stays
+# bounded however many trials a run has (up to 2^32).  Seeding 10^6 trials at
+# once took 0.36 s and +122 MB peak RSS before the first trial (host above);
+# a block takes ~1 ms and +0.1 MB, at the same cost per trial, and holds a
+# whole 2000-trial batch.
+_SEED_BLOCK = 1 << 12
+
 # random_bits draws raw words from this many bits on; below it the three
 # state accesses cost more than numpy's per-byte draws (they break even
 # near 1700 bits on the host above).
@@ -95,22 +103,28 @@ def trial_streams(base_seed: int, trials: int):
         raise ValueError(f"base seed must be >= 0, got {base_seed}")
     if not 1 <= trials <= 1 << 32:
         raise ValueError(f"trials must be in [1, 2^32], got {trials}")
-    if trials <= _PER_TRIAL_MAX:
-        seeds = [derive_seed(base_seed, t) for t in range(trials)]
-        keys = [np.random.SeedSequence(s).generate_state(2, np.uint64) for s in seeds]
-    else:
-        words = _seed_words(base_seed, trials)
-        seeds = _as_uint64(words)[:, 0].tolist()
-        keys = _philox_keys(words)
     bitgen = np.random.Philox(_any_seed())
     rng = np.random.Generator(bitgen)
     inner = {"counter": (0, 0, 0, 0)}
     state = {"bit_generator": "Philox", "state": inner, "buffer": (0, 0, 0, 0),
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for seed, key in zip(seeds, keys):
-        inner["key"] = key
-        bitgen.state = state
-        yield seed, rng
+    for seeds, keys in _seed_blocks(base_seed, trials):
+        for seed, key in zip(seeds, keys):
+            inner["key"] = key
+            bitgen.state = state
+            yield seed, rng
+
+
+def _seed_blocks(base_seed: int, trials: int):
+    """Yield ``(seeds, keys)`` for consecutive blocks of a run's trials."""
+    if trials <= _PER_TRIAL_MAX:
+        seeds = [derive_seed(base_seed, t) for t in range(trials)]
+        yield seeds, [np.random.SeedSequence(s).generate_state(2, np.uint64)
+                      for s in seeds]
+        return
+    for start in range(0, trials, _SEED_BLOCK):
+        words = _seed_words(base_seed, start, min(start + _SEED_BLOCK, trials))
+        yield _as_uint64(words)[:, 0].tolist(), _philox_keys(words)
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx), vectorised over
@@ -209,17 +223,18 @@ def _as_uint64(words: np.ndarray) -> np.ndarray:
     return words.astype("<u4", copy=False).view("<u8")
 
 
-def _seed_words(base_seed: int, trials: int) -> np.ndarray:
-    """(trials, 2) uint32 words of derive_seed(base_seed, t), low word first.
+def _seed_words(base_seed: int, start: int, stop: int) -> np.ndarray:
+    """(stop - start, 2) uint32 words of derive_seed(base_seed, t) for t in
+    start..stop-1, low word first.
 
     The entropy is the base seed's 32-bit words, shared by every trial and
     zero-padded to the pool size as numpy pads before a spawn key, then t.
-    ``trial_streams`` has checked both arguments.
+    ``trial_streams`` has checked the base seed and 0 <= start < stop <= 2^32.
     """
     base_seed = int(base_seed)
     n = max(_POOL, -(-base_seed.bit_length() // 32))
     words = np.frombuffer(base_seed.to_bytes(4 * n, "little"), "<u4")
-    t = np.arange(trials, dtype=np.uint32)[:, None]
+    t = np.arange(start, stop, dtype=np.uint32)[:, None]
     return _generate_state([*words.astype(np.uint32).reshape(n, 1, 1), t], 2)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from functools import partial
 
 import mpmath
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from dnachannel import channel
 from dnachannel.channel import (
     ChannelOutput,
     ChannelParams,
@@ -441,17 +443,22 @@ NOISE_BIT_GENERATORS = [np.random.Philox, np.random.PCG64, np.random.SFC64,
 @pytest.mark.parametrize("p", [2**-53, 5e-324, 1e-300, 0.01, 0.25, 0.5 - 2**-54,
                                1 - 2**-53, 1.0])
 @pytest.mark.parametrize("bitgen", NOISE_BIT_GENERATORS, ids=lambda b: b.__name__)
-def test_noise_matches_uniform_reference(bitgen, p):
+def test_noise_matches_uniform_reference(monkeypatch, bitgen, p):
     # An odd word count and one word drawn first, so Philox's four-word
-    # buffer is part-used on both sides of the call.
-    reads = rng_for(12, 1).integers(0, 2, size=(301, 37), dtype=np.uint8)
-    rng, ref = np.random.Generator(bitgen(5)), np.random.Generator(bitgen(5))
-    assert rng.random() == ref.random()
-    got = apply_noise(reads, p, rng)
-    assert got.dtype == np.uint8
-    assert np.array_equal(got, reads ^ (ref.random(reads.shape) < p))
-    # the generator is left where the reference leaves it
-    assert np.array_equal(rng.random(5), ref.random(5))
+    # buffer is part-used on both sides of the call.  301 x 37 reads fit one
+    # default chunk, and span 11 chunks of 1000 words plus a partial one;
+    # 40 x 50 reads are exactly two such chunks.
+    for chunk, shape in [(channel.NOISE_CHUNK, (301, 37)), (1000, (301, 37)),
+                         (1000, (40, 50))]:
+        monkeypatch.setattr(channel, "NOISE_CHUNK", chunk)
+        reads = rng_for(12, 1).integers(0, 2, size=shape, dtype=np.uint8)
+        rng, ref = np.random.Generator(bitgen(5)), np.random.Generator(bitgen(5))
+        assert rng.random() == ref.random()
+        got = apply_noise(reads, p, rng)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, reads ^ (ref.random(reads.shape) < p))
+        # the generator is left where the reference leaves it
+        assert np.array_equal(rng.random(5), ref.random(5))
 
 
 @pytest.mark.parametrize("bitgen", NOISE_BIT_GENERATORS, ids=lambda b: b.__name__)
@@ -467,10 +474,34 @@ def test_noise_threshold_is_exact_at_drawn_uniforms(bitgen):
 
 
 def test_noise_leaves_input_unchanged():
-    reads = rng_for(12, 2).integers(0, 2, size=(20, 16), dtype=np.uint8)
-    before = reads.copy()
-    out = apply_noise(reads, 0.5, rng_for(12, 3))
-    assert np.array_equal(reads, before) and out is not reads
+    # A plain array, a read-only one, a non-contiguous view of a wider array
+    # and a zero-stride broadcast (as BoundCheck passes); the flips land on
+    # each input's bits in C order.
+    bits = rng_for(12, 2).integers(0, 2, size=(20, 32), dtype=np.uint8)
+    for reads in (bits[:, :16].copy(), ChannelOutput(reads=bits[:, :16]).reads,
+                  bits[:, ::2], np.broadcast_to(np.uint8(1), (20, 16))):
+        before = bits.copy()
+        out = apply_noise(reads, 0.5, rng_for(12, 3))
+        assert np.array_equal(bits, before) and out is not reads
+        assert out.flags.c_contiguous and out.flags.writeable
+        assert np.array_equal(out, reads ^ (rng_for(12, 3).random(reads.shape) < 0.5))
+
+
+@pytest.mark.parametrize("p", [0.01, 1.0])
+@pytest.mark.parametrize("bitgen", [np.random.Philox, np.random.MT19937],
+                         ids=lambda b: b.__name__)
+def test_noise_memory_is_output_plus_one_chunk(bitgen, p):
+    # Drawing every word at once held 8 bytes per bit plus a bool mask.
+    reads = np.zeros((100_000, 64), dtype=np.uint8)
+    rng = np.random.Generator(bitgen(7))
+    tracemalloc.start()
+    try:
+        apply_noise(reads, p, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One chunk: its 8-byte words or doubles and its bool mask.
+    assert peak <= reads.nbytes + 9 * channel.NOISE_CHUNK + (64 << 10)
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,17 @@ def test_negative_seed_exit_2(capsys):
     assert err == "error: base_seed must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize("command,preset", [("simulate", "q0-bern03"),
+                                            ("roundtrip", "m16-clean")])
+def test_bad_trials_exit_2(capsys, command, preset, trials):
+    # 0 is a count, not "use the preset's default".
+    code, out, err = run_cli(capsys, command, "--preset", preset, "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: trials must be in [1, 2^32], got {trials}\n"
+
+
 def test_sweep_negative_seed_exit_2(capsys):
     code, out, err = run_cli(capsys, "sweep", "--var", "q", "--grid", "0,0.1",
                              "--codec", "m16-identity", "--beta", "2",

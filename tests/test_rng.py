@@ -1,6 +1,8 @@
 """Per-run seeding against numpy's SeedSequence, and random_bits against
 ``Generator.integers``."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ def plain(state):
 @pytest.mark.parametrize("trials", [1, 300])
 @pytest.mark.parametrize("base", BASE_SEEDS)
 def test_seed_words_match_derive_seed(base, trials):
-    words = _seed_words(base, trials)
+    words = _seed_words(base, 0, trials)
     assert words.shape == (trials, 2) and words.dtype == np.uint32
     seeds = [lo | hi << 32 for lo, hi in words.tolist()]
     assert seeds == [derive_seed(base, t) for t in range(trials)]
@@ -39,7 +41,7 @@ def test_seed_words_match_derive_seed(base, trials):
 @pytest.mark.parametrize("trials", [1, 300])
 @pytest.mark.parametrize("base", BASE_SEEDS)
 def test_philox_keys_match_seed_sequence(base, trials):
-    words = _seed_words(base, trials)
+    words = _seed_words(base, 0, trials)
     keys = _philox_keys(words)
     expected = [np.random.SeedSequence(lo | hi << 32).generate_state(2, np.uint64)
                 for lo, hi in words.tolist()]
@@ -102,6 +104,30 @@ def test_trial_streams_either_side_of_per_trial_max(base, trials):
         rng.random(3)  # leave the counter moved for the next reset
         rngs.add(id(rng))
     assert t == trials - 1 and len(rngs) == 1
+
+
+def test_trial_streams_across_seed_blocks(monkeypatch):
+    # 30 trials in blocks of 7: four full blocks and a partial one.
+    def seeds_and_draws():
+        return [(seed, rng.random(3).tolist()) for seed, rng in trial_streams(9, 30)]
+
+    whole = seeds_and_draws()
+    monkeypatch.setattr(rng_module, "_SEED_BLOCK", 7)
+    assert seeds_and_draws() == whole
+    for t in (0, 6, 7, 13, 14, 27, 28, 29):
+        seed = derive_seed(9, t)
+        assert whole[t] == (seed, generator_from_seed(seed).random(3).tolist())
+
+
+def test_trial_streams_first_yield_memory_is_bounded():
+    # Seeding all 10^5 trials up front held ~12 MB before the first trial.
+    tracemalloc.start()
+    try:
+        next(trial_streams(7, 100_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Steady-state minor page faults per benchmark batch, in two loops.
+"""Steady-state minor page faults per benchmark batch, in two loops, and
+each loop's peak memory.
 
 Run from anywhere, ``W`` a workload name from ``benchmark/workloads.py``:
 
@@ -10,7 +11,10 @@ more.  Loop B counts it over ``worker.timed_batches`` for --seconds after
 one warm-up trial, as one benchmark process does.  Each loop runs in its own
 fresh interpreter with the benchmark's child environment (one BLAS thread,
 ``PYTHONHASHSEED=0``), because fault counts depend on the exact order of
-allocations in the process.  ``benchmark/`` is imported, never changed.
+allocations in the process.  Next to each count it prints that process's
+peak resident set (``ru_maxrss``, in MB as ``benchmark/worker.py`` reports
+``peak_rss_mb``), so a memory change can be checked in both loops.
+``benchmark/`` is imported, never changed.
 """
 
 from __future__ import annotations
@@ -55,7 +59,9 @@ def run_loop(args) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         wl = workloads.build(args.workload, os.path.join(tmp, "out.jsonl"))
         loop = loop_a if args.loop == "A" else loop_b
-        print(f"{loop(wl, workloads, args):.4f}")
+        faults = loop(wl, workloads, args)
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"{faults:.4f} minor faults per batch, peak RSS {peak_mb:.2f} MB")
 
 
 def main() -> int:
@@ -83,7 +89,7 @@ def main() -> int:
         if out.returncode != 0:
             sys.stderr.write(out.stderr)
             return out.returncode
-        print(f"{args.workload} loop {loop}: {out.stdout.strip()} minor faults per batch")
+        print(f"{args.workload} loop {loop}: {out.stdout.strip()}")
     return 0
 
 
