@@ -17,11 +17,12 @@ noise, then one shuffle permutation), so identical inputs and seed give
 bit-identical outputs.
 
 Noise stream contract: :func:`apply_noise` consumes one 64-bit word per bit,
-in C order, and flips the bit when the word is below the integer threshold
-``ceil(p * 2^53) << 11`` (every bit when p = 1).  For the bit generators
-whose ``random()`` double is ``(word >> 11) * 2^-53`` (Philox, PCG64,
-PCG64DXSM, SFC64) this is exactly ``rng.random(shape) < p``; any other bit
-generator (MT19937) draws ``rng.random(shape) < p`` itself.  The words are
+in C order, and flips the bit when the word is at most the integer limit
+``(ceil(p * 2^53) << 11) - 1`` (2^64 - 1, every word, when p = 1).  For the
+bit generators whose ``random()`` double is ``(word >> 11) * 2^-53``
+(Philox, PCG64, PCG64DXSM, SFC64: ``raw_word_generators()``) this is
+exactly ``rng.random(shape) < p``; any other bit generator (MT19937) draws
+``rng.random(shape) < p`` itself.  The words are
 drawn ``NOISE_CHUNK`` at a time, so beyond its output the noise needs memory
 for one chunk, whatever the number of reads.
 """
@@ -30,10 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .rng import poisson_counts, poisson_each, raw_word_generators
+from .rng import poisson_counts, poisson_each
 
 __all__ = [
     "SamplingSpec", "Bernoulli", "Poisson", "PoissonPCR", "CustomPMF",
@@ -59,6 +61,18 @@ PMF_TOLERANCE = 1e-12
 # from the largest block freed, and the trial's other read-sized arrays
 # then outgrow it.  2^17 keeps that trial fault-free at 1 MB less peak RSS.
 NOISE_CHUNK = 1 << 17
+
+
+@lru_cache(maxsize=1)
+def raw_word_generators() -> tuple[type, ...]:
+    """64-bit bit generators whose random() double is (word >> 11) * 2^-53,
+    so :func:`apply_noise` compares their raw words; MT19937's is not.
+
+    Built on first use, so importing this package leaves numpy.random
+    unimported (about 6 MB resident with numpy 2.4) until a stream is drawn.
+    """
+    return (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM,
+            np.random.SFC64)
 
 
 class SamplingSpec:
@@ -311,19 +325,17 @@ def apply_noise(reads: np.ndarray, p: float, rng: np.random.Generator) -> np.nda
     bitgen = rng.bit_generator
     raw = type(bitgen) in raw_word_generators()
     # For raw words u < p exactly when word < ceil(p * 2^53) << 11, p * 2^53
-    # being exact in a double; at p = 1 that threshold overflows uint64.
-    threshold = np.uint64(math.ceil(p * 2.0**53) << 11) if p < 1.0 else None
+    # being exact in a double; the inclusive limit fits uint64 at p = 1 too.
+    limit = np.uint64((math.ceil(p * 2.0**53) << 11) - 1)
     bits = out.reshape(-1)
-    mask = np.ones(min(bits.size, NOISE_CHUNK), dtype=bool)
+    mask = np.empty(min(bits.size, NOISE_CHUNK), dtype=bool)
     for start in range(0, bits.size, NOISE_CHUNK):
         chunk = bits[start:start + NOISE_CHUNK]
         flips = mask[:chunk.size]
-        if not raw:
-            np.less(rng.random(chunk.size), p, out=flips)
-        elif threshold is None:  # every u < 1 flips: the mask stays all ones
-            bitgen.random_raw(chunk.size, output=False)
+        if raw:
+            np.less_equal(bitgen.random_raw(chunk.size), limit, out=flips)
         else:
-            np.less(bitgen.random_raw(chunk.size), threshold, out=flips)
+            np.less(rng.random(chunk.size), p, out=flips)
         chunk ^= flips.view(np.uint8)
     return out
 
@@ -360,7 +372,10 @@ def transmit_traced(
     sources = np.repeat(np.arange(params.M), counts)
     expanded = codeword.molecules.take(sources, axis=0)
     noisy = apply_noise(expanded, params.p, rng)
-    flips = int(np.count_nonzero(noisy != expanded)) if params.p else 0
+    # XORed in place and dropped, so at most two read-sized arrays are live.
+    flips = (int(np.count_nonzero(np.bitwise_xor(noisy, expanded, out=expanded)))
+             if params.p else 0)
+    del expanded
     perm = rng.permutation(noisy.shape[0])
     out = ChannelOutput(reads=noisy.take(perm, axis=0))
     return out, sources.take(perm), counts, flips

@@ -283,12 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded=True):
+    def precision(p):
         p.add_argument("--precision", type=int, default=6,
                        help="significant digits for printed numbers (default 6)")
-        if seeded:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                           help=f"base seed (default {DEFAULT_SEED}, printed)")
+
+    def seeded(p):
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help=f"base seed (default {DEFAULT_SEED}, printed)")
 
     pc = sub.add_parser("capacity", help="evaluate a capacity formula")
     pc.add_argument("--model", choices=["noise-free", "noisy", "sdmc"], required=True)
@@ -300,13 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--alpha", type=float, help="mean amplification factor")
     pc.add_argument("--matrix", help="DMC matrix: bsc:<p> or file:<path>")
     pc.add_argument("--format", choices=["text", "json"], default="text")
-    common(pc, seeded=False)
+    precision(pc)
     pc.set_defaults(func=_cmd_capacity)
 
     pr = sub.add_parser("region", help="proven-region boundary as CSV (p, beta_min)")
     pr.add_argument("--p-grid", required=True, help="grid start:stop:step or a,b,c")
     pr.add_argument("--out", help="output CSV path (default stdout)")
-    common(pr, seeded=False)
     pr.set_defaults(func=_cmd_region)
 
     pt = sub.add_parser("tradeoff", help="storage/recovery tradeoff points")
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--cost-ratio", type=float,
                     help="synthesis/sequencing cost ratio; prints optimal lambda")
     pt.add_argument("--out", help="output CSV path (default stdout)")
-    common(pt, seeded=False)
+    precision(pt)
     pt.set_defaults(func=_cmd_tradeoff)
 
     def experiment_parser(name, help_text, names, presets):
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="JSONL output path (default stdout)")
         p.add_argument("--strict", action="store_true",
                        help="exit 1 if the verdict is FAIL or a trial failed")
-        common(p)
+        seeded(p)
         p.set_defaults(func=lambda a, pp: _cmd_experiment(a, pp, presets))
         return p
 
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fixed Poisson depth (var == p)")
     ps.add_argument("--trials", type=int, default=200)
     ps.add_argument("--out", help="output CSV path (default stdout)")
-    common(ps)
+    seeded(ps)
     ps.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -112,13 +112,14 @@ class InnerCodeSpec:
 
 @dataclass(frozen=True)
 class IdentityCode(InnerCodeSpec):
-    """Rate 1, no protection."""
+    """Rate 1, no protection: encode and decode return their input array
+    itself, not a copy."""
 
     def info_bits(self, L: int) -> int:
         return L
 
     def encode(self, bits: np.ndarray, L: int) -> np.ndarray:
-        return bits.copy()
+        return bits
 
     decode = encode
 

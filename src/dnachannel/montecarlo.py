@@ -47,7 +47,7 @@ from .codec import (
     short_molecule_decode,
     short_molecule_encode,
 )
-from .rng import derive_seed, generator_from_seed, random_bits, trial_streams
+from .rng import derive_seed, generator_from_seed, trial_streams
 
 __all__ = [
     "ShortMoleculeConfig",
@@ -170,7 +170,7 @@ class DecodeSuccess(ExperimentSpec):
     def trial(self, rng) -> tuple[dict, float]:
         ch = self.channel
         if isinstance(self.codec, ShortMoleculeConfig):
-            bits = random_bits(rng, 1 << (self.codec.L - 1))
+            bits = rng.integers(0, 2, size=1 << (self.codec.L - 1), dtype=np.uint8)
             cw = short_molecule_encode(bits, self.codec.M, self.codec.L)
             out, _, counts, flips = transmit_traced(cw, ch, rng)
             recovered = short_molecule_decode(out, self.codec.L)

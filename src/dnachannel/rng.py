@@ -21,16 +21,9 @@ for one trial as for a few dozen, numpy's per-call overhead being most of
 it, so the two paths cross at about six trials (timings at
 ``_PER_TRIAL_MAX``).
 
-Stream contract of ``random_bits(rng, n)``: it returns exactly
-``rng.integers(0, 2, size=n, dtype=np.uint8)`` and leaves the generator in
-the same state.  numpy draws those bits one byte at a time from 32-bit
-draws, low byte first, and maps a byte to its top bit; a 64-bit generator's
-32-bit draws are the halves of one word, low half first, the high half
-kept in the ``has_uint32``/``uinteger`` buffer.  So for the generators in
-``raw_word_generators()`` the bits are the top bits of the bytes of
-ceil(n/4) halves: a buffered half first, then raw words, and an unused high
-half of the last word left buffered.  Any other generator (MT19937), and
-any n too small for the state round trip to pay, calls ``rng.integers``.
+``random_bits(rng, n)`` is ``rng.integers(0, 2, size=n, dtype=np.uint8)``:
+numpy spends one 32-bit draw on every 4 of those bits, low byte first, and
+keeps each byte's top bit, as ceil(n/4) full-range uint32 draws would.
 
 Stream contract of the Poisson samplers.  ``poisson_counts(rng, lam, size)``
 uses one uniform per variate for lam <= 10 (inversion) and a pair (u, v)
@@ -53,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = ["derive_seed", "substream", "trial_streams", "random_bits",
-           "poisson_counts", "poisson_each", "raw_word_generators"]
+           "poisson_counts", "poisson_each"]
 
 # Runs of at most this many trials are seeded one trial at a time.  A whole
 # trial_streams run, timeit on a 2-vCPU Xeon (Python 3.11, numpy 2.4), per
@@ -67,11 +60,6 @@ _PER_TRIAL_MAX = 5
 # a block takes ~1 ms and +0.1 MB, at the same cost per trial, and holds a
 # whole 2000-trial batch.
 _SEED_BLOCK = 1 << 12
-
-# random_bits draws raw words from this many bits on; below it the three
-# state accesses cost more than numpy's per-byte draws (they break even
-# near 1700 bits on the host above).
-_RAW_BITS_MIN = 2048
 
 
 def derive_seed(base_seed: int, *path: int) -> int:
@@ -140,20 +128,6 @@ _POOL = 4
 # turn (calls 4+3s..6+3s).  Entry [s, s] is a placeholder call.
 _CROSS_CALLS = np.array([[_POOL + 3 * s + d - (d >= s) for d in range(_POOL)]
                          for s in range(_POOL)])
-
-
-@lru_cache(maxsize=1)
-def raw_word_generators() -> tuple[type, ...]:
-    """64-bit bit generators whose random() double is (word >> 11) * 2^-53
-    and whose 32-bit draws are the halves of one word, low half first, the
-    high half buffered.  ``channel.apply_noise`` and :func:`random_bits`
-    draw raw words for these; MT19937 is neither.
-
-    Built on first use, so importing this package leaves numpy.random
-    unimported (about 6 MB resident with numpy 2.4) until a stream is drawn.
-    """
-    return (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM,
-            np.random.SFC64)
 
 
 @lru_cache(maxsize=1)
@@ -248,29 +222,12 @@ def _philox_keys(words: np.ndarray) -> np.ndarray:
 
 
 def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``rng.integers(0, 2, size=n, dtype=np.uint8)``, drawn from raw words.
-
-    Same bits and same generator state afterwards; see the module docstring.
-    """
-    bitgen = rng.bit_generator
-    if n < _RAW_BITS_MIN or type(bitgen) not in raw_word_generators():
-        return rng.integers(0, 2, size=n, dtype=np.uint8)
-    halves = -(-n // 4)  # numpy spends one 32-bit draw on every 4 bits
-    state = bitgen.state
-    buffered = state["has_uint32"]
-    words = bitgen.random_raw((halves - buffered + 1) // 2)
-    drawn = words.astype("<u8", copy=False).view("<u4")
-    if buffered:
-        drawn = np.concatenate((np.array([state["uinteger"]], dtype="<u4"), drawn))
-    # random_raw leaves the buffer alone; set it as numpy's last 32-bit
-    # draw would: the last word's high half, still pending if unused.
-    state = bitgen.state
-    state["has_uint32"] = int(drawn.size > halves)
-    state["uinteger"] = int(drawn[-1])
-    bitgen.state = state
+    """``rng.integers(0, 2, size=n, dtype=np.uint8)``, leaving the generator
+    in the same state (see the module docstring)."""
+    words = rng.integers(0, 1 << 32, size=-(-n // 4), dtype=np.uint32)
     # Shifted in place: a second buffer per call cost ~117 minor page
     # faults per archive-m4096 batch in a steady-state loop (0.06 without).
-    bits = drawn.view(np.uint8)
+    bits = words.astype("<u4", copy=False).view(np.uint8)
     bits >>= 7
     return bits[:n]
 

@@ -439,7 +439,7 @@ NOISE_BIT_GENERATORS = [np.random.Philox, np.random.PCG64, np.random.SFC64,
 
 
 # The smallest positive double, tiny p, p * 2^53 integral (0.25), the doubles
-# just below 1/2 and 1, and p = 1, whose integer threshold overflows uint64.
+# just below 1/2 and 1, and p = 1, whose inclusive limit is 2^64 - 1.
 @pytest.mark.parametrize("p", [2**-53, 5e-324, 1e-300, 0.01, 0.25, 0.5 - 2**-54,
                                1 - 2**-53, 1.0])
 @pytest.mark.parametrize("bitgen", NOISE_BIT_GENERATORS, ids=lambda b: b.__name__)
@@ -607,6 +607,24 @@ def test_transmit_traced_pinned_digest():
     assert digest.hexdigest() == (
         "7682e8a0e38628dd884679ee6c28dc521f29d4ba62621d6d814325f0fc652fca"
     )
+
+
+def test_transmit_traced_memory_is_two_read_arrays():
+    # Reads far larger than one noise chunk.  Holding the gathered copy, the
+    # noisy reads and the shuffled reads at once took three read-sized arrays.
+    M, L = 200_000, 48
+    cw = CodewordSet(molecules=np.zeros((M, L), dtype=np.uint8))
+    params = _params(M, 0.01, SamplingSpec.bernoulli(0.0), L)
+    rng = rng_for(31)
+    tracemalloc.start()
+    try:
+        transmit_traced(cw, params, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Two uint8 read arrays, three int64 per-read index arrays (sources,
+    # the permutation, the permuted sources) and one noise chunk.
+    assert peak <= 2 * M * L + 3 * 8 * M + 9 * channel.NOISE_CHUNK + (1 << 20)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.01, 0.3])

@@ -8,6 +8,7 @@ from typing import ClassVar
 
 import pytest
 
+from dnachannel import capacity as cap
 from dnachannel import cli
 from dnachannel.montecarlo import ExperimentSpec
 from dnachannel.channel import ChannelParams, SamplingSpec
@@ -95,6 +96,20 @@ def test_capacity_precision_flag(capsys):
     assert "value=0.505696447" in out
 
 
+def test_capacity_noise_free_bernoulli_q(capsys):
+    code, out, _ = run_cli(capsys, "capacity", "--model", "noise-free",
+                           "--q", "0.2", "--beta", "5")
+    assert code == 0
+    assert f"value={cap.noise_free_capacity(0.2, 5.0).value:.6g}" in out
+    assert "valid=true" in out
+
+
+def test_precision_only_where_numbers_print(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--preset", "q0-bern03", "--precision", "3"])
+    assert exc.value.code == 2
+
+
 def test_capacity_missing_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["capacity", "--model", "noisy", "--beta", "5"])
@@ -154,6 +169,15 @@ def test_tradeoff_cost_ratio(capsys):
     assert "lambda_opt=9.21136" in out
 
 
+def test_tradeoff_cost_ratio_with_beta(capsys):
+    code, out, _ = run_cli(capsys, "tradeoff", "--cost-ratio", "10000", "--beta", "5")
+    assert code == 0
+    lam = cap.optimal_lambda(10000.0)
+    pt = cap.tradeoff_point(lam, 5.0)
+    assert out.split() == [f"lambda_opt={lam:.6g}", f"rs_max={pt.rs_max:.6g}",
+                           f"rr_max={pt.rr_max:.6g}"]
+
+
 def test_tradeoff_requires_some_mode(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["tradeoff", "--beta", "5"])
@@ -170,6 +194,26 @@ def test_sweep_csv_columns(capsys):
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == ""  # no lambda for Bernoulli sampling
+
+
+@pytest.mark.parametrize("fixed, spec", [
+    (["--lambda", "2"], SamplingSpec.poisson(2.0)),
+    (["--q", "0.2"], SamplingSpec.bernoulli(0.2)),
+])
+def test_sweep_p_with_fixed_sampling(capsys, fixed, spec):
+    code, out, _ = run_cli(capsys, "sweep", "--var", "p", "--grid", "0,0.01",
+                           "--codec", "m16-identity", "--beta", "2",
+                           "--trials", "5", *fixed)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    q0 = spec.q0()
+    assert [r[2] for r in rows] == ["0", "0.01"]
+    assert all(float(r[3]) == pytest.approx(q0, rel=1e-9) for r in rows)
+    assert float(rows[0][4]) == pytest.approx(cap.noise_free_capacity(q0, 2.0).value,
+                                              rel=1e-9)
+    assert float(rows[1][4]) == pytest.approx(cap.noisy_capacity(q0, 0.01, 2.0).value,
+                                              rel=1e-9)
+    assert rows[0][0] == ("2" if "--lambda" in fixed else "")
 
 
 def test_sweep_failed_trials_exit_1(capsys):

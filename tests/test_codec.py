@@ -130,6 +130,15 @@ def test_identity_inner_roundtrip():
     assert (inner_decode(inner_encode(word, spec, 8), spec, 8) == word).all()
 
 
+def test_identity_inner_returns_its_input():
+    # No copy: encode_message's info and decode_output's reads are passed
+    # through as they are.
+    spec = InnerCodeSpec.identity()
+    block = substream(40).integers(0, 2, size=(5, 8), dtype=np.uint8)
+    for out in (inner_encode(block, spec, 8), inner_decode(block, spec, 8)):
+        assert np.array_equal(out, block) and np.shares_memory(out, block)
+
+
 def test_repetition_encode_pattern():
     spec = InnerCodeSpec.repetition(3)
     assert "".join(map(str, inner_encode(bits("1010"), spec, 12))) == "111000111000"

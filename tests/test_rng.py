@@ -14,7 +14,6 @@ from dnachannel.rng import (
     derive_seed,
     generator_from_seed,
     random_bits,
-    raw_word_generators,
     trial_streams,
 )
 
@@ -134,7 +133,10 @@ def test_trial_streams_first_yield_memory_is_bounded():
 # random_bits
 # ---------------------------------------------------------------------------
 
-BIT_GENERATORS = [*raw_word_generators(), np.random.MT19937]
+# Every numpy bit generator: four 64-bit ones, which buffer the high half
+# of a word for the next 32-bit draw, and MT19937, whose draws are 32-bit.
+BIT_GENERATORS = [np.random.Philox, np.random.PCG64, np.random.PCG64DXSM,
+                  np.random.SFC64, np.random.MT19937]
 
 
 def pair(bitgen_type, buffered):
@@ -145,13 +147,13 @@ def pair(bitgen_type, buffered):
     return a, b
 
 
-@pytest.mark.parametrize("raw_from", [1, rng_module._RAW_BITS_MIN])
+# Windows of 71 sizes starting at first - 1: every size up to 70, and the
+# sizes around 2048 bits; each window adds archive-m4096's 43200 and 43201.
+@pytest.mark.parametrize("first", [1, 2048])
 @pytest.mark.parametrize("buffered", [0, 1])
 @pytest.mark.parametrize("bitgen_type", BIT_GENERATORS)
-def test_random_bits_match_integers(monkeypatch, bitgen_type, buffered, raw_from):
-    # raw_from=1 sends every n >= 1 down the raw-word path.
-    monkeypatch.setattr(rng_module, "_RAW_BITS_MIN", raw_from)
-    for n in [*range(71), 43200]:
+def test_random_bits_match_integers(bitgen_type, buffered, first):
+    for n in [*range(first - 1, first + 70), 43200, 43201]:
         a, b = pair(bitgen_type, buffered)
         if bitgen_type is not np.random.MT19937:
             assert a.bit_generator.state["has_uint32"] == buffered
@@ -164,19 +166,3 @@ def test_random_bits_match_integers(monkeypatch, bitgen_type, buffered, raw_from
         assert (b.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
                 == a.integers(0, 2**32, size=3, dtype=np.uint32).tolist())
         assert b.random(2).tolist() == a.random(2).tolist()
-
-
-def test_random_bits_draw_raw_words_past_the_threshold():
-    # From _RAW_BITS_MIN bits on, a Philox generator is never asked for
-    # integers; below it, it is.
-    class NoIntegers:
-        bit_generator = np.random.Philox(7)
-
-        def integers(self, *args, **kwargs):
-            raise AssertionError("rng.integers called")
-
-    n = rng_module._RAW_BITS_MIN
-    expected = np.random.Generator(np.random.Philox(7)).integers(0, 2, n, np.uint8)
-    assert random_bits(NoIntegers(), n).tolist() == expected.tolist()
-    with pytest.raises(AssertionError):
-        random_bits(NoIntegers(), n - 1)
