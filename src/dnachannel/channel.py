@@ -14,7 +14,9 @@ counts.
 Every operation is pure given an explicit ``numpy.random.Generator``; the
 stream consumption order inside :func:`transmit` is fixed (counts, then
 noise, then one shuffle permutation), so identical inputs and seed give
-bit-identical outputs.
+bit-identical outputs.  :func:`transmit_draws` makes the same draws in the
+same order without building the reads, for callers that apply them to
+many codewords at once.
 
 Noise stream contract: :func:`apply_noise` consumes one 64-bit word per bit,
 in C order, and flips the bit when the word is at most the integer limit
@@ -48,6 +50,7 @@ __all__ = [
     "shuffle_reads",
     "transmit",
     "transmit_traced",
+    "transmit_draws",
 ]
 
 # Finite pmf tables must cover all but this much tail mass.
@@ -269,11 +272,16 @@ class CodewordSet:
     molecules: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.molecules, dtype=np.uint8)
+        arr = np.asarray(self.molecules)
         if arr.ndim != 2:
             raise ValueError("molecules must be a 2-D (M, L) bit array")
-        if not (arr <= 1).all():  # uint8 already, so only 0 and 1 pass
+        if arr.dtype.kind not in "biu":
+            raise ValueError(f"molecules must be a bool or integer array, got {arr.dtype}")
+        # Checked before the cast to uint8, which would wrap 256 to 0.
+        bits = arr <= 1 if arr.dtype == np.uint8 else (arr == 0) | (arr == 1)
+        if not bits.all():
             raise ValueError("molecules must contain only 0/1")
+        arr = np.ascontiguousarray(arr, dtype=np.uint8)
         object.__setattr__(self, "molecules", arr)
         arr.setflags(write=False)
 
@@ -293,9 +301,16 @@ class ChannelOutput:
     reads: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.reads, dtype=np.uint8)
+        arr = np.asarray(self.reads)
         if arr.ndim != 2:
             raise ValueError("reads must be a 2-D (N, L) bit array")
+        if arr.dtype != np.uint8:
+            with np.errstate(invalid="ignore"):  # NaN or out of range: caught below
+                cast = arr.astype(np.uint8)
+            if not (cast == arr).all():
+                raise ValueError(f"reads of dtype {arr.dtype} do not fit uint8 unchanged")
+            arr = cast
+        arr = np.ascontiguousarray(arr)
         object.__setattr__(self, "reads", arr)
         arr.setflags(write=False)
 
@@ -379,3 +394,24 @@ def transmit_traced(
     perm = rng.permutation(noisy.shape[0])
     out = ChannelOutput(reads=noisy.take(perm, axis=0))
     return out, sources.take(perm), counts, flips
+
+
+def transmit_draws(
+    params: ChannelParams, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The draws :func:`transmit` makes, in its order, without the reads.
+
+    Returns (counts, flips, perm): the per-molecule sample counts, the
+    (N, L) uint8 flip pattern of the reads in source order (None when
+    p = 0), and the shuffle permutation of the N reads.  The output of
+    :func:`transmit` is ``(molecules.repeat(counts, axis=0) ^ flips)[perm]``.
+    """
+    counts = sample_counts(params.sampling, params.M, rng)
+    n = int(counts.sum())
+    flips = None
+    if params.p:
+        # apply_noise copies its input, so a zero-stride view of one zero
+        # is the all-zero input it flips.
+        zeros = np.broadcast_to(np.uint8(0), (n, params.L))
+        flips = apply_noise(zeros, params.p, rng)
+    return counts, flips, rng.permutation(n)

@@ -33,6 +33,7 @@ __all__ = [
     "inner_encode", "inner_decode", "outer_encode", "outer_decode",
     "encode_message", "decode_output", "achieved_rate", "random_message",
     "short_molecule_encode", "short_molecule_decode",
+    "short_molecule_values", "short_molecule_vote",
     "dump_reads", "parse_reads", "write_reads_file", "read_reads_file",
 ]
 
@@ -407,21 +408,23 @@ def short_molecule_encode(bits: np.ndarray, M: int, L: int) -> CodewordSet:
         raise ConfigError(f"need exactly 2^(L-1)={K} bits, got {bits.shape}")
     if M < K:
         raise ConfigError(f"need M >= 2^(L-1)={K}, got M={M}")
-    order, layout = _short_layout(M, L)
-    molecules = layout.copy()
-    molecules[:, -1] = bits[order]
-    return CodewordSet(molecules=molecules)
+    return CodewordSet(molecules=int_to_bits(short_molecule_values(bits, M, L), L))
+
+
+def short_molecule_values(bits: np.ndarray, M: int, L: int) -> np.ndarray:
+    """The M molecules of :func:`short_molecule_encode` as int64 values
+    ``segment << 1 | data bit``, for (..., 2^(L-1)) bits: shape (..., M)."""
+    segments = _short_segments(M, L)
+    return (segments << 1) | np.take(bits, segments, axis=-1)
 
 
 @lru_cache(maxsize=16)
-def _short_layout(M: int, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Segment of each molecule, and the molecules with a zero data bit."""
+def _short_segments(M: int, L: int) -> np.ndarray:
+    """Segment of each molecule: 0..K-1 round-robin, truncated to M."""
     K = 1 << (L - 1)
-    order = np.tile(np.arange(K), math.ceil(M / K))[:M]
-    layout = int_to_bits(order << 1, L)  # index bits, then a zero data bit
-    order.setflags(write=False)
-    layout.setflags(write=False)
-    return order, layout
+    segments = np.tile(np.arange(K), math.ceil(M / K))[:M]
+    segments.setflags(write=False)
+    return segments
 
 
 def short_molecule_decode(out: ChannelOutput, L: int) -> np.ndarray:
@@ -430,13 +433,25 @@ def short_molecule_decode(out: ChannelOutput, L: int) -> np.ndarray:
     Returns an int8 array of length 2^(L-1): 0/1 where recovered, -1 for
     segments never observed.
     """
-    K = 1 << (L - 1)
-    if out.N == 0:
-        return np.full(K, -1, dtype=np.int8)
-    if out.L != L:
+    if out.N and out.L != L:
         raise ConfigError(f"reads have length {out.L}, expected {L}")
-    # Reads per (segment, data bit): a whole read is segment * 2 + bit.
-    zeros, ones = np.bincount(bits_to_int(out.reads), minlength=2 * K).reshape(K, 2).T
+    return short_molecule_vote(bits_to_int(out.reads), L)[0]
+
+
+def short_molecule_vote(values: np.ndarray, L: int, owner: np.ndarray | None = None,
+                        outputs: int = 1) -> np.ndarray:
+    """Majority-vote the data bit of every segment of several outputs at once.
+
+    ``values`` holds reads as integers ``segment << 1 | data bit`` and
+    ``owner`` the output (0..outputs-1) each belongs to; None means all
+    belong to one.  Returns (outputs, 2^(L-1)) int8: 0/1 where recovered,
+    -1 for segments an output never observed; a tie votes 0.
+    """
+    K = 1 << (L - 1)
+    keys = values if owner is None else owner * (2 * K) + values
+    # Reads per (output, segment, data bit): one bincount over all outputs.
+    tally = np.bincount(keys, minlength=outputs * 2 * K).reshape(outputs, K, 2)
+    zeros, ones = tally[..., 0], tally[..., 1]
     return np.where(zeros + ones > 0, (ones > zeros).view(np.int8), np.int8(-1))
 
 

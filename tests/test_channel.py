@@ -22,6 +22,7 @@ from dnachannel.channel import (
     sample_counts,
     shuffle_reads,
     transmit,
+    transmit_draws,
     transmit_traced,
 )
 from dnachannel.rng import (
@@ -609,6 +610,27 @@ def test_transmit_traced_pinned_digest():
     )
 
 
+@pytest.mark.parametrize("p,spec", [
+    (0.0, SamplingSpec.poisson(1.5)),
+    (0.05, SamplingSpec.poisson_pcr(12.0, 3.0)),
+    (0.05, SamplingSpec.bernoulli(1.0)),  # no reads
+])
+def test_transmit_draws_rebuild_transmit(p, spec):
+    # Same draws in the same order: the reads follow from them, and the
+    # generator ends where transmit leaves it.
+    cw = CodewordSet(molecules=rng_for(27).integers(0, 2, size=(64, 24), dtype=np.uint8))
+    params = _params(64, p, spec, 24)
+    rng_a, rng_b = rng_for(28), rng_for(28)
+    out = transmit(cw, params, rng_a)
+    counts, flips, perm = transmit_draws(params, rng_b)
+    reads = cw.molecules.repeat(counts, axis=0)
+    assert (flips is None) == (p == 0)
+    if flips is not None:
+        reads ^= flips
+    assert np.array_equal(out.reads, reads[perm])
+    assert np.array_equal(rng_a.bit_generator.random_raw(4), rng_b.bit_generator.random_raw(4))
+
+
 def test_transmit_traced_memory_is_two_read_arrays():
     # Reads far larger than one noise chunk.  Holding the gathered copy, the
     # noisy reads and the shuffled reads at once took three read-sized arrays.
@@ -678,6 +700,42 @@ def test_channel_params_rejects_non_finite_or_non_positive_beta(beta, L):
 def test_codeword_set_rejects_non_bits():
     with pytest.raises(ValueError):
         CodewordSet(molecules=np.full((2, 4), 3, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("molecules,error", [
+    (np.array([[256, 1]]), "only 0/1"),  # the uint8 cast would wrap it to 0
+    (np.array([[-1, 1]]), "only 0/1"),
+    (np.array([[0.7, 1.2]]), "bool or integer"),  # the cast would truncate to 0, 1
+    (np.array([[0.0, 1.0]]), "bool or integer"),
+])
+def test_codeword_set_checks_before_the_cast(molecules, error):
+    with pytest.raises(ValueError, match=error):
+        CodewordSet(molecules=molecules)
+
+
+@pytest.mark.parametrize("molecules", [
+    np.array([[0, 1], [1, 0]]), np.array([[False, True], [True, False]]),
+])
+def test_codeword_set_takes_integer_or_bool_bits(molecules):
+    cw = CodewordSet(molecules=molecules)
+    assert cw.molecules.dtype == np.uint8
+    assert np.array_equal(cw.molecules, molecules)
+
+
+@pytest.mark.parametrize("reads", [
+    np.array([[2, 300]]), np.array([[-1, 0]]), np.array([[0.7, 1.0]]),
+    np.array([[np.nan, 1.0]]),
+])
+def test_channel_output_rejects_reads_the_cast_would_change(reads):
+    # [[2, 300]] used to be stored as [[2, 44]].
+    with pytest.raises(ValueError, match="do not fit uint8 unchanged"):
+        ChannelOutput(reads=reads)
+
+
+def test_channel_output_casts_reads_that_fit():
+    out = ChannelOutput(reads=np.array([[2, 44], [0, 1]]))
+    assert out.reads.dtype == np.uint8 and out.reads.tolist() == [[2, 44], [0, 1]]
+    assert ChannelOutput(reads=np.array([[1.0, 0.0]])).reads.tolist() == [[1, 0]]
 
 
 def test_channel_output_counts_rows():

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -10,10 +11,19 @@ import mpmath
 import numpy as np
 import pytest
 
+from dnachannel import channel, cli, montecarlo
 from dnachannel.capacity import chernoff_read_error_bound, coupon_tail_bound
-from dnachannel.channel import ChannelParams, SamplingSpec
-from dnachannel.codec import CodecConfig, ConfigError, InnerCodeSpec
+from dnachannel.channel import ChannelParams, SamplingSpec, transmit_traced
+from dnachannel.codec import (
+    CodecConfig,
+    ConfigError,
+    InnerCodeSpec,
+    short_molecule_decode,
+    short_molecule_encode,
+)
 from dnachannel.montecarlo import (
+    BLOCK_READS,
+    DecodeSuccess,
     ExperimentSpec,
     ShortMoleculeConfig,
     Summary,
@@ -87,6 +97,113 @@ def test_short_molecule_experiment_runs():
     result = run(spec)
     assert result.summary.verdict == "PASS"
     assert result.records[0].collisions is None  # not applicable to this scheme
+
+
+@dataclass(frozen=True, kw_only=True)
+class ShortReference(DecodeSuccess):
+    """The short-molecule scheme trial by trial: encode, transmit, decode."""
+
+    reads = ExperimentSpec.reads
+    settle = ExperimentSpec.settle
+
+    def trial(self, rng):
+        M, L = self.codec.M, self.codec.L
+        bits = rng.integers(0, 2, size=1 << (L - 1), dtype=np.uint8)
+        cw = short_molecule_encode(bits, M, L)
+        out, _, counts, flips = transmit_traced(cw, self.channel, rng)
+        recovered = short_molecule_decode(out, L)
+        success = np.array_equal(recovered, bits)
+        fields = {
+            "N": out.N,
+            "distinct_seen": int(np.count_nonzero(counts)),
+            "decode_success": success,
+            "erasures": int(np.count_nonzero(recovered < 0)),
+            "collisions": None,
+            "flip_rate": flips / out.reads.size if out.N > 0 else None,
+        }
+        return fields, float(success)
+
+
+def short_spec(M, L, sampling, p, trials, base_seed, cls=DecodeSuccess):
+    ch = ChannelParams(M=M, beta=L / math.log2(M), p=p, sampling=sampling, L=L)
+    return cls(channel=ch, codec=ShortMoleculeConfig(M=M, L=L), trials=trials,
+               base_seed=base_seed, min_rate=0.5)
+
+
+def run_text(spec):
+    result = run(spec)
+    return records_to_jsonl(result.records) + json.dumps(result.summary.to_json())
+
+
+@pytest.mark.parametrize("M,L,sampling,p,trials,check", [
+    (2, 1, SamplingSpec.poisson(2.0), 0.0, 40, None),
+    (3, 1, SamplingSpec.custom([0.2, 0.3, 0.5]), 0.05, 40, None),
+    (16, 5, SamplingSpec.bernoulli(1.0), 0.05, 9, "no reads"),
+    (40, 5, SamplingSpec.poisson_pcr(40, 2), 0.05, 12, "crosses a block edge"),
+    (64, 6, SamplingSpec.custom([0.1, 0.6, 0.3]), 0.0, 70, "crosses a block edge"),
+    (64, 4, SamplingSpec.poisson(1.0), 0.05, 150, "crosses a block edge"),
+    (128, 4, SamplingSpec.poisson_pcr(40, 2), 0.0, 6, "a trial above the budget"),
+])
+def test_short_blocks_match_the_single_trial_reference(M, L, sampling, p, trials, check):
+    block = run_text(short_spec(M, L, sampling, p, trials, 115))
+    assert block == run_text(short_spec(M, L, sampling, p, trials, 115, ShortReference))
+    N = [json.loads(line)["N"] for line in block.splitlines()[:-1]]
+    if check == "no reads":
+        assert set(N) == {0}
+    elif check == "crosses a block edge":
+        assert max(N) < BLOCK_READS < sum(N)
+    elif check == "a trial above the budget":
+        assert max(N) > BLOCK_READS
+
+
+def test_short_blocks_fail_every_trial_that_overflows():
+    result = run(short_spec(64, 4, SamplingSpec.poisson(1e19), 0.0, 3, 116))
+    assert result.failed == 3
+    assert result.first_error.startswith("trial 0: OverflowError")
+    assert all(r.N is None for r in result.records)
+
+
+def test_short_blocks_fail_only_the_trial_whose_draws_raise(monkeypatch):
+    spec = short_spec(64, 4, SamplingSpec.poisson(1.0), 0.0, 150, 117)
+    reference = run(spec).records
+    calls = itertools.count()
+    sample_counts = channel.sample_counts
+
+    def raise_on_trial_70(*args):
+        if next(calls) == 70:  # inside the second block
+            raise RuntimeError("no counts")
+        return sample_counts(*args)
+
+    monkeypatch.setattr(channel, "sample_counts", raise_on_trial_70)
+    result = run(spec)
+    assert (result.failed, result.first_error) == (1, "trial 70: RuntimeError: no counts")
+    assert result.summary.trials == 149
+    assert result.records[70].to_json() == {**dict.fromkeys(reference[70].to_json()),
+                                            "trial": 70, "seed": reference[70].seed}
+    assert ([r.to_json() for r in result.records[:70] + result.records[71:]]
+            == [r.to_json() for r in reference[:70] + reference[71:]])
+
+
+def test_short_block_pass_failure_fails_its_trials(monkeypatch):
+    def broken_vote(*args):
+        raise MemoryError("vote")
+
+    monkeypatch.setattr(montecarlo, "short_molecule_vote", broken_vote)
+    result = run(short_spec(64, 4, SamplingSpec.poisson(1.0), 0.0, 3, 118))
+    assert (result.failed, result.first_error) == (3, "trial 0: MemoryError: vote")
+
+
+def test_short_preset_run_memory():
+    spec = cli._rt_presets(119, 2000)["short-l4-m64"]
+    run(cli._rt_presets(120, 100)["short-l4-m64"])  # fill the codec's caches
+    tracemalloc.start()
+    try:
+        run(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2000 records take ~0.58 MiB; one block of BLOCK_READS reads the rest.
+    assert peak <= 1 << 20
 
 
 def test_coupon_tail_far_below_bound():
