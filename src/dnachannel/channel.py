@@ -14,9 +14,9 @@ counts.
 Every operation is pure given an explicit ``numpy.random.Generator``; the
 stream consumption order inside :func:`transmit` is fixed (counts, then
 noise, then one shuffle permutation), so identical inputs and seed give
-bit-identical outputs.  :func:`transmit_draws` makes the same draws in the
-same order without building the reads, for callers that apply them to
-many codewords at once.
+bit-identical outputs.  :func:`transmit_draws` makes the first two of those
+draws, the counts and the noise, without building the reads, for callers
+that apply them to many codewords at once and do not need the read order.
 
 Noise stream contract: :func:`apply_noise` consumes one 64-bit word per bit,
 in C order, and flips the bit when the word is at most the integer limit
@@ -205,6 +205,9 @@ class CustomPMF(SamplingSpec):
             raise ValueError("pmf entries must be probabilities")
         if abs(arr.sum() - 1.0) > PMF_TOLERANCE:
             raise ValueError(f"pmf must sum to 1 within {PMF_TOLERANCE}, got {arr.sum()!r}")
+        # sample()'s table, read-only: the same doubles as np.cumsum(pmf).
+        object.__setattr__(self, "_cdf", np.cumsum(arr))
+        self._cdf.setflags(write=False)
 
     def q0(self) -> float:
         return float(self.pmf[0])
@@ -213,10 +216,10 @@ class CustomPMF(SamplingSpec):
         return float(sum(i * p for i, p in enumerate(self.pmf)))
 
     def sample(self, M: int, rng: np.random.Generator) -> np.ndarray:
-        counts = np.searchsorted(np.cumsum(self.pmf), rng.random(M), side="right")
         # Residual mass above the table (only possible within PMF_TOLERANCE
-        # roundoff) falls into the last bin.
-        return np.minimum(counts, len(self.pmf) - 1).astype(np.int64)
+        # roundoff) falls into the last bin, found by searching all but it.
+        u = rng.random(M)
+        return self._cdf[:-1].searchsorted(u, side="right").astype(np.int64, copy=False)
 
 
 def q0_of(spec: SamplingSpec) -> float:
@@ -375,43 +378,38 @@ def transmit_traced(
     """Like :func:`transmit`, but also return (source_index, counts, flips).
 
     ``source_index[i]`` is the molecule each output read was sampled from,
-    and ``flips`` is the number of bits the noise flipped over all reads (0
-    without a comparison pass when p = 0).  Debug side-channel for test
-    harnesses only; decoders must not see it.
+    and ``flips`` is the number of bits the noise flipped over all reads.
+    Debug side-channel for test harnesses only; decoders must not see it.
     """
     if codeword.M != params.M:
         raise ValueError(f"codeword has {codeword.M} molecules, params say {params.M}")
     if codeword.L != params.L:
         raise ValueError(f"codeword length {codeword.L} != params L={params.L}")
-    counts = sample_counts(params.sampling, params.M, rng)
+    counts, pattern = transmit_draws(params, rng)
     sources = np.repeat(np.arange(params.M), counts)
-    expanded = codeword.molecules.take(sources, axis=0)
-    noisy = apply_noise(expanded, params.p, rng)
-    # XORed in place and dropped, so at most two read-sized arrays are live.
-    flips = (int(np.count_nonzero(np.bitwise_xor(noisy, expanded, out=expanded)))
-             if params.p else 0)
-    del expanded
-    perm = rng.permutation(noisy.shape[0])
-    out = ChannelOutput(reads=noisy.take(perm, axis=0))
-    return out, sources.take(perm), counts, flips
+    reads = codeword.molecules.take(sources, axis=0)
+    flips = 0
+    if pattern is not None:
+        reads ^= pattern
+        flips = int(np.count_nonzero(pattern))
+    # Dropped before the shuffle, so at most two read-sized arrays are live.
+    del pattern
+    perm = rng.permutation(reads.shape[0])
+    return ChannelOutput(reads=reads.take(perm, axis=0)), sources.take(perm), counts, flips
 
 
 def transmit_draws(
     params: ChannelParams, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """The draws :func:`transmit` makes, in its order, without the reads.
-
-    Returns (counts, flips, perm): the per-molecule sample counts, the
-    (N, L) uint8 flip pattern of the reads in source order (None when
-    p = 0), and the shuffle permutation of the N reads.  The output of
-    :func:`transmit` is ``(molecules.repeat(counts, axis=0) ^ flips)[perm]``.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(counts, flips): the counts and noise :func:`transmit` draws, in its
+    order, as the per-molecule counts and the (N, L) uint8 flip pattern of
+    the reads in source order (None when p = 0).  :func:`transmit` returns
+    ``molecules.repeat(counts, axis=0) ^ flips`` shuffled by its next draw.
     """
     counts = sample_counts(params.sampling, params.M, rng)
-    n = int(counts.sum())
-    flips = None
-    if params.p:
-        # apply_noise copies its input, so a zero-stride view of one zero
-        # is the all-zero input it flips.
-        zeros = np.broadcast_to(np.uint8(0), (n, params.L))
-        flips = apply_noise(zeros, params.p, rng)
-    return counts, flips, rng.permutation(n)
+    if not params.p:
+        return counts, None
+    # apply_noise copies its input, so a zero-stride view of one zero is the
+    # all-zero input it flips.
+    zeros = np.broadcast_to(np.uint8(0), (int(counts.sum()), params.L))
+    return counts, apply_noise(zeros, params.p, rng)

@@ -15,11 +15,11 @@ single JSON object, and parameter sweeps to CSV.
 
 A trial makes every use of its stream in ``trial(rng)``; ``run`` hands the
 results to ``settle`` a block at a time.  Most kinds finish a trial inside
-``trial`` and settle each block of one as it stands.  The short-molecule
-scheme's trial only draws its bits and its channel draws
-(``channel.transmit_draws``); a block closes once its trials hold
-``BLOCK_READS`` reads, and then one pass encodes, transmits, shuffles and
-majority-votes every trial of the block as integer reads.
+``trial`` and settle each block of one as it stands.  A short-molecule
+trial only draws its data bits and the channel's counts and noise
+(``channel.transmit_draws``); once a block holds ``BLOCK_READS`` reads, one
+pass encodes, transmits and majority-votes its trials as integer reads.
+The vote ignores read order, so no trial draws the channel's shuffle.
 
 Verdicts are one-sided where the target is an analytic bound (empirical
 values may sit far below a loose bound; only exceeding it by more than
@@ -63,7 +63,7 @@ from .codec import (
 # span tracer (benchmark/tracing.py) still finds them; run() does not call
 # them.
 from .codec import short_molecule_decode, short_molecule_encode  # noqa: F401
-from .rng import derive_seed, generator_from_seed, trial_streams
+from .rng import derive_seed, generator_from_seed, trial_streams, word_bits
 
 __all__ = [
     "ShortMoleculeConfig",
@@ -87,10 +87,10 @@ __all__ = [
 
 # run() settles trials in blocks of up to this many reads; a trial holding
 # more is settled alone.  A 2000-trial short-l4-m64 run (~64 reads a trial)
-# on a 2-vCPU Xeon (Python 3.11, numpy 2.4) peaks at 0.65 / 0.84 / 1.60 MiB
+# on a 2-vCPU Xeon (Python 3.11, numpy 2.4) peaks at 0.62 / 0.77 / 1.33 MiB
 # under tracemalloc with blocks of 2^10 / 2^12 / 2^14 reads, against 0.58
 # MiB trial by trial; its speed is the same within noise over that range.
-# The block pass costs ~4.4 us a trial at 2^12 reads (64 trials).
+# The block pass costs ~2.7 us a trial at 2^12 reads (64 trials).
 BLOCK_READS = 1 << 12
 
 @dataclass(frozen=True)
@@ -192,10 +192,9 @@ class EstimateQ0(ExperimentSpec):
 class _ShortDraws(NamedTuple):
     """One short-molecule trial's draws, in stream order."""
 
-    bits: np.ndarray  # the 2^(L-1) data bits
+    words: np.ndarray  # raw words holding the 2^(L-1) data bits (rng.word_bits)
     counts: np.ndarray  # reads of each molecule
     flips: np.ndarray | None  # (N, L) flip pattern in source order; None at p = 0
-    perm: np.ndarray  # shuffle of the N reads
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -218,9 +217,12 @@ class DecodeSuccess(ExperimentSpec):
                               f"channel M={ch.M}, L={ch.L}")
 
     def trial(self, rng):
+        """One trial.  ``rng`` is always a Philox generator that ``trial_streams``
+        has just reset, so short-molecule bits can be raw words (rng's bit
+        contract): no later draw reads a 32-bit half ``integers`` leaves pending."""
         if isinstance(self.codec, ShortMoleculeConfig):
-            bits = rng.integers(0, 2, size=1 << (self.codec.L - 1), dtype=np.uint8)
-            return _ShortDraws(bits, *transmit_draws(self.channel, rng))
+            words = rng.bit_generator.random_raw(-(-(1 << (self.codec.L - 1)) // 8))
+            return _ShortDraws(words, *transmit_draws(self.channel, rng))
         msg = random_message(self.codec, rng)
         cw = encode_message(msg, self.codec)
         out, _, counts, flips = transmit_traced(cw, self.channel, rng)
@@ -241,14 +243,14 @@ class DecodeSuccess(ExperimentSpec):
 
     def reads(self, result) -> int:
         if isinstance(self.codec, ShortMoleculeConfig):
-            return result.perm.size
+            return int(result.counts.sum())
         return super().reads(result)
 
     def settle(self, block: list) -> list[tuple[dict, float]]:
         if not isinstance(self.codec, ShortMoleculeConfig):
             return block
         L = self.codec.L
-        bits = np.stack([d.bits for d in block])
+        bits = word_bits(np.stack([d.words for d in block]), 1 << (L - 1))
         counts = np.stack([d.counts for d in block])
         n = counts.sum(axis=1)
         owner = np.repeat(np.arange(len(block)), n)
@@ -261,9 +263,6 @@ class DecodeSuccess(ExperimentSpec):
             reads ^= bits_to_int(pattern)
             flips = np.bincount(owner, weights=pattern.sum(axis=1),
                                 minlength=len(block)).astype(np.int64).tolist()
-        # Each trial's shuffle, offset to where its reads start.
-        start = np.repeat(np.cumsum(n) - n, n)
-        reads = reads.take(np.concatenate([d.perm for d in block]) + start)
         recovered = short_molecule_vote(reads, L, owner, len(block))
         success = (recovered == bits).all(axis=1).tolist()
         erasures = np.count_nonzero(recovered < 0, axis=1).tolist()

@@ -21,9 +21,18 @@ for one trial as for a few dozen, numpy's per-call overhead being most of
 it, so the two paths cross at about six trials (timings at
 ``_PER_TRIAL_MAX``).
 
-``random_bits(rng, n)`` is ``rng.integers(0, 2, size=n, dtype=np.uint8)``:
-numpy spends one 32-bit draw on every 4 of those bits, low byte first, and
-keeps each byte's top bit, as ceil(n/4) full-range uint32 draws would.
+Bit contract.  ``rng.integers(0, 2, size=n, dtype=np.uint8)`` spends one
+32-bit draw on every 4 bits, low byte first, and keeps each byte's top bit;
+``word_bits`` is that decode, over the little-endian bytes of any unsigned
+random words.  ``random_bits(rng, n)`` feeds it ceil(n/4) full-range uint32
+draws, which give those bits on every bit generator.  A 64-bit generator
+serves its 32-bit draws as the low, then the high half of each word, so
+from a state with no 32-bit half pending the bytes of
+``bit_generator.random_raw(ceil(n/8))`` hold the same bits.  The two leave
+different states when ceil(n/4) is odd: numpy keeps the unused high half
+pending, the raw draw drops it.  Only a 32-bit draw (``integers`` over a
+range below 2^32, ``permutation``) would read that half; doubles and raw
+words never do.
 
 Stream contract of the Poisson samplers.  ``poisson_counts(rng, lam, size)``
 uses one uniform per variate for lam <= 10 (inversion) and a pair (u, v)
@@ -46,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = ["derive_seed", "substream", "trial_streams", "random_bits",
-           "poisson_counts", "poisson_each"]
+           "word_bits", "poisson_counts", "poisson_each"]
 
 # Runs of at most this many trials are seeded one trial at a time.  A whole
 # trial_streams run, timeit on a 2-vCPU Xeon (Python 3.11, numpy 2.4), per
@@ -224,12 +233,19 @@ def _philox_keys(words: np.ndarray) -> np.ndarray:
 def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
     """``rng.integers(0, 2, size=n, dtype=np.uint8)``, leaving the generator
     in the same state (see the module docstring)."""
-    words = rng.integers(0, 1 << 32, size=-(-n // 4), dtype=np.uint32)
+    return word_bits(rng.integers(0, 1 << 32, size=-(-n // 4), dtype=np.uint32), n)
+
+
+def word_bits(words: np.ndarray, n: int) -> np.ndarray:
+    """The first n bits along the last axis of random unsigned words: the top
+    bit of each little-endian byte, as uint8 (the module docstring's bit
+    contract).  May overwrite ``words``; returns a view.
+    """
     # Shifted in place: a second buffer per call cost ~117 minor page
     # faults per archive-m4096 batch in a steady-state loop (0.06 without).
-    bits = words.astype("<u4", copy=False).view(np.uint8)
+    bits = words.astype(words.dtype.newbyteorder("<"), copy=False).view(np.uint8)
     bits >>= 7
-    return bits[:n]
+    return bits[..., :n]
 
 
 # Switch point between the two Poisson sampling algorithms.
@@ -272,9 +288,9 @@ def _inversion_cdf(lam: float) -> np.ndarray:
 
 def _invert(lam: float, u: np.ndarray) -> np.ndarray:
     """First k with u <= cdf_k, capped at k_max: inversion by sequential search."""
-    cdf = _inversion_cdf(lam)
-    k = np.searchsorted(cdf, u)
-    return np.minimum(k, cdf.size - 1).astype(np.int64, copy=False)
+    # Searching cdf_0..cdf_{kmax-1} returns k_max for any u above them, as
+    # the cap would.
+    return _inversion_cdf(lam)[:-1].searchsorted(u).astype(np.int64, copy=False)
 
 
 def _inversion_each(u: np.ndarray, lam: np.ndarray) -> np.ndarray:

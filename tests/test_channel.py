@@ -26,6 +26,8 @@ from dnachannel.channel import (
     transmit_traced,
 )
 from dnachannel.rng import (
+    _invert,
+    _inversion_cdf,
     _ptrs_budget,
     derive_seed,
     poisson_counts,
@@ -139,6 +141,22 @@ def test_poisson_inversion_distribution_chi_square():
     mask = expect > 5
     chi2 = ((obs[mask] - expect[mask]) ** 2 / expect[mask]).sum()
     assert stats.chi2.sf(chi2, mask.sum() - 1) > 1e-4
+
+
+def edge_uniforms(cdf):
+    """Every cdf entry, its two neighbours, and the largest uniform 1 - 2^-53."""
+    return np.concatenate([cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf),
+                           [1.0 - 2.0**-53]])
+
+
+@pytest.mark.parametrize("lam", [1e-300, 0.5, 1.0, 10.0])
+def test_invert_matches_the_capped_search_at_the_table_edges(lam):
+    cdf = _inversion_cdf(lam)
+    u = edge_uniforms(cdf)
+    assert u.max() > cdf[-1]  # some u reaches the cap
+    got = _invert(lam, u)
+    assert got.dtype == np.int64
+    assert got.tolist() == np.minimum(np.searchsorted(cdf, u), cdf.size - 1).tolist()
 
 
 def test_poisson_rejection_distribution_chi_square():
@@ -390,6 +408,27 @@ def test_poisson_counts_past_int64_raises():
     assert (np.abs(big - 9e18) < 1e11).all()
 
 
+# [0.1] * 10 sums below 1, so some uniforms lie above the last entry.
+@pytest.mark.parametrize("pmf", [[1.0], [0.2, 0.5, 0.3], [0.1] * 10])
+def test_custom_pmf_table_is_cumsum_and_read_only(pmf):
+    spec = SamplingSpec.custom(pmf)
+    assert spec._cdf.tobytes() == np.cumsum(pmf).tobytes()
+    with pytest.raises(ValueError):
+        spec._cdf[0] = 0.5
+    assert spec == SamplingSpec.custom(pmf) and hash(spec) == hash(SamplingSpec.custom(pmf))
+    # sample() against the search it replaced, capped at the last bin.
+    u = edge_uniforms(spec._cdf)
+
+    class Uniforms:
+        def random(self, size):
+            assert size == u.size
+            return u
+
+    expected = np.minimum(np.searchsorted(np.cumsum(pmf), u, side="right"), len(pmf) - 1)
+    got = sample_counts(spec, u.size, Uniforms())
+    assert got.dtype == np.int64 and got.tolist() == expected.tolist()
+
+
 def test_custom_pmf_empirical_frequencies():
     spec = SamplingSpec.custom([0.2, 0.5, 0.3])
     counts = sample_counts(spec, 100_000, rng_for(6))
@@ -616,13 +655,14 @@ def test_transmit_traced_pinned_digest():
     (0.05, SamplingSpec.bernoulli(1.0)),  # no reads
 ])
 def test_transmit_draws_rebuild_transmit(p, spec):
-    # Same draws in the same order: the reads follow from them, and the
-    # generator ends where transmit leaves it.
+    # Same draws in the same order: the reads follow from them and the
+    # shuffle transmit draws next; the generator ends where transmit leaves it.
     cw = CodewordSet(molecules=rng_for(27).integers(0, 2, size=(64, 24), dtype=np.uint8))
     params = _params(64, p, spec, 24)
     rng_a, rng_b = rng_for(28), rng_for(28)
     out = transmit(cw, params, rng_a)
-    counts, flips, perm = transmit_draws(params, rng_b)
+    counts, flips = transmit_draws(params, rng_b)
+    perm = rng_b.permutation(int(counts.sum()))
     reads = cw.molecules.repeat(counts, axis=0)
     assert (flips is None) == (p == 0)
     if flips is not None:

@@ -143,6 +143,10 @@ def run_text(spec):
     (64, 6, SamplingSpec.custom([0.1, 0.6, 0.3]), 0.0, 70, "crosses a block edge"),
     (64, 4, SamplingSpec.poisson(1.0), 0.05, 150, "crosses a block edge"),
     (128, 4, SamplingSpec.poisson_pcr(40, 2), 0.0, 6, "a trial above the budget"),
+    # K = 2 and 4 data bits: numpy's integers would leave a 32-bit half pending.
+    (2, 2, SamplingSpec.poisson(1.5), 0.05, 40, None),
+    (6, 3, SamplingSpec.custom([0.1, 0.2, 0.3, 0.4]), 0.05, 40, None),
+    (100, 7, SamplingSpec.poisson(2.0), 0.0, 30, None),
 ])
 def test_short_blocks_match_the_single_trial_reference(M, L, sampling, p, trials, check):
     block = run_text(short_spec(M, L, sampling, p, trials, 115))

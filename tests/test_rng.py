@@ -15,6 +15,7 @@ from dnachannel.rng import (
     generator_from_seed,
     random_bits,
     trial_streams,
+    word_bits,
 )
 
 # 2^130 + 1 has five 32-bit words, one more than the SeedSequence pool.
@@ -166,3 +167,19 @@ def test_random_bits_match_integers(bitgen_type, buffered, first):
         assert (b.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
                 == a.integers(0, 2**32, size=3, dtype=np.uint32).tolist())
         assert b.random(2).tolist() == a.random(2).tolist()
+
+
+# Fresh Philox states, as trial_streams leaves them, one per row of the words
+# the short-molecule block pass stacks.  For K = 1, 2 and 4 integers takes one
+# 32-bit draw and leaves the word's other half pending; doubles never read it.
+@pytest.mark.parametrize("K", [1, 2, 4, 8, 64])
+def test_word_bits_of_raw_words_match_integers(K):
+    seeds = [2024, 7, 99]
+    ref = [np.random.Generator(np.random.Philox(s)) for s in seeds]
+    raw = [np.random.Generator(np.random.Philox(s)) for s in seeds]
+    expected = [g.integers(0, 2, size=K, dtype=np.uint8).tolist() for g in ref]
+    got = word_bits(np.stack([g.bit_generator.random_raw(-(-K // 8)) for g in raw]), K)
+    assert got.dtype == np.uint8 and got.tolist() == expected
+    for a, b in zip(ref, raw):
+        assert a.bit_generator.state["has_uint32"] == (K <= 4)
+        assert b.random(5).tolist() == a.random(5).tolist()
