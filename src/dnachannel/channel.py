@@ -8,8 +8,8 @@ all ordering information.
 
 The sampling distribution is a :class:`SamplingSpec` subclass --
 :class:`Bernoulli`, :class:`Poisson`, :class:`PoissonPCR` or
-:class:`CustomPMF` -- that holds only its own parameters and draws its own
-counts.
+:class:`CustomPMF` -- that holds its own parameters and draws its own
+counts; Poisson up to lambda = 10 and CustomPMF keep a read-only table.
 
 Every operation is pure given an explicit ``numpy.random.Generator``; the
 stream consumption order inside :func:`transmit` is fixed (counts, then
@@ -22,22 +22,21 @@ Noise stream contract: :func:`apply_noise` consumes one 64-bit word per bit,
 in C order, and flips the bit when the word is at most the integer limit
 ``(ceil(p * 2^53) << 11) - 1`` (2^64 - 1, every word, when p = 1).  For the
 bit generators whose ``random()`` double is ``(word >> 11) * 2^-53``
-(Philox, PCG64, PCG64DXSM, SFC64: ``raw_word_generators()``) this is
-exactly ``rng.random(shape) < p``; any other bit generator (MT19937) draws
-``rng.random(shape) < p`` itself.  The words are
-drawn ``NOISE_CHUNK`` at a time, so beyond its output the noise needs memory
-for one chunk, whatever the number of reads.
+(Philox, PCG64, PCG64DXSM, SFC64) this is exactly ``rng.random(shape) < p``;
+any other bit generator (MT19937) draws ``rng.random(shape) < p`` itself.
+The words are drawn ``NOISE_CHUNK`` at a time, so beyond its output the
+noise needs memory for one chunk, whatever the number of reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
-from .rng import poisson_counts, poisson_each
+from .rng import _PTRS_THRESHOLD, _inversion_cdf, poisson_counts, poisson_each
 
 __all__ = [
     "SamplingSpec", "Bernoulli", "Poisson", "PoissonPCR", "CustomPMF",
@@ -66,18 +65,6 @@ PMF_TOLERANCE = 1e-12
 NOISE_CHUNK = 1 << 17
 
 
-@lru_cache(maxsize=1)
-def raw_word_generators() -> tuple[type, ...]:
-    """64-bit bit generators whose random() double is (word >> 11) * 2^-53,
-    so :func:`apply_noise` compares their raw words; MT19937's is not.
-
-    Built on first use, so importing this package leaves numpy.random
-    unimported (about 6 MB resident with numpy 2.4) until a stream is drawn.
-    """
-    return (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM,
-            np.random.SFC64)
-
-
 class SamplingSpec:
     """How often each stored molecule is sampled (the distribution Q): one frozen
     subclass per distribution, built by the classmethods below, implements
@@ -86,6 +73,11 @@ class SamplingSpec:
     def __init__(self, *args, **kwargs):
         raise ValueError("SamplingSpec is abstract; build one with SamplingSpec.bernoulli, "
                          ".poisson, .poisson_pcr, .custom or .custom_truncated")
+
+    def __reduce__(self):
+        # Unpickling re-runs the constructor, so a sampler table comes back
+        # rebuilt and read-only, not as a writable copy.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @classmethod
     def bernoulli(cls, q: float) -> "SamplingSpec":
@@ -150,6 +142,12 @@ class Poisson(SamplingSpec):
         if not 0.0 < self.lam < math.inf:  # False for NaN too
             raise ValueError(f"poisson lambda must be finite and > 0, got {self.lam}")
 
+    @cached_property
+    def _cdf(self) -> np.ndarray | None:
+        # sample()'s table, the read-only one poisson_counts inverts over up to
+        # lam = 10 (None above: PTRS); built on first use, as the CLI builds all presets.
+        return _inversion_cdf(float(self.lam))[:-1] if self.lam <= _PTRS_THRESHOLD else None
+
     def q0(self) -> float:
         return math.exp(-self.lam)
 
@@ -157,7 +155,9 @@ class Poisson(SamplingSpec):
         return float(self.lam)
 
     def sample(self, M: int, rng: np.random.Generator) -> np.ndarray:
-        return poisson_counts(rng, self.lam, M)
+        if self._cdf is None:
+            return poisson_counts(rng, self.lam, M)
+        return self._cdf.searchsorted(rng.random(M)).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -225,11 +225,6 @@ class CustomPMF(SamplingSpec):
 def q0_of(spec: SamplingSpec) -> float:
     """Exact probability that one molecule is sampled zero times."""
     return spec.q0()
-
-
-def mean_coverage(spec: SamplingSpec) -> float:
-    """Expected number of reads per stored molecule, E[N_i]."""
-    return spec.mean_coverage()
 
 
 @dataclass(frozen=True)
@@ -341,7 +336,10 @@ def apply_noise(reads: np.ndarray, p: float, rng: np.random.Generator) -> np.nda
     if p == 0.0:
         return out
     bitgen = rng.bit_generator
-    raw = type(bitgen) in raw_word_generators()
+    # The generators whose random() double is (word >> 11) * 2^-53, named at
+    # call time: importing the package leaves numpy.random unimported.
+    raw = type(bitgen) in (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM,
+                           np.random.SFC64)
     # For raw words u < p exactly when word < ceil(p * 2^53) << 11, p * 2^53
     # being exact in a double; the inclusive limit fits uint64 at p = 1 too.
     limit = np.uint64((math.ceil(p * 2.0**53) << 11) - 1)

@@ -114,9 +114,11 @@ class ExperimentSpec:
     parameters, a ``metric`` name and a ``trial(rng)`` that makes every use
     of the trial's stream.  ``run`` gathers the trials' results in blocks
     of up to ``BLOCK_READS`` reads (``reads(result)`` a trial), and
-    ``settle(block)`` turns a block into each trial's ``(fields, metric)``.
-    By default a trial returns its ``(fields, metric)`` itself and fills a
-    block alone.
+    ``settle(block)`` turns a block into each trial's ``(row, metric)``: the
+    row is the record's fields after ``trial`` and ``seed``, in
+    ``TrialRecord`` order, and a shorter row leaves the rest None.  By
+    default a trial returns its ``(row, metric)`` itself and fills a block
+    alone.
     Verdict fields are optional; when set, the summary carries a PASS/FAIL:
     ``expected``/``tolerance`` check |mean - expected| <= tolerance,
     ``bound`` checks mean <= bound + 3*stderr (one-sided), and
@@ -150,8 +152,8 @@ class ExperimentSpec:
         """Reads a trial's result holds toward its block."""
         return BLOCK_READS
 
-    def settle(self, block: list) -> list[tuple[dict, float]]:
-        """Every trial's ``(fields, metric)`` from the block's trial results."""
+    def settle(self, block: list) -> list[tuple[tuple, float]]:
+        """Every trial's ``(row, metric)`` from the block's trial results."""
         return block
 
     @classmethod
@@ -181,12 +183,12 @@ class EstimateQ0(ExperimentSpec):
     metric: ClassVar[str] = "miss_fraction"
     channel: ChannelParams
 
-    def trial(self, rng) -> tuple[dict, float]:
+    def trial(self, rng) -> tuple[tuple, float]:
         ch = self.channel
         counts = sample_counts(ch.sampling, ch.M, rng)
         distinct = int(np.count_nonzero(counts))
         miss = 1.0 - distinct / ch.M
-        return {"N": int(counts.sum()), "distinct_seen": distinct}, miss
+        return (int(counts.sum()), distinct), miss
 
 
 class _ShortDraws(NamedTuple):
@@ -229,34 +231,30 @@ class DecodeSuccess(ExperimentSpec):
         report = decode_output(out, self.codec)
         # The decoder's own verdict (erasures within the outer budget); a
         # rare wrong message behind a reported success is a separate,
-        # measured phenomenon (see measure_undetected_swaps).
-        fields = {
-            "N": out.N,
-            "distinct_seen": int(np.count_nonzero(counts)),
-            "decode_success": report.ok,
-            "erasures": report.erasures,
-            "collisions": report.collisions,
-            # An exact count and one rounded division: the same double as .mean().
-            "flip_rate": flips / out.reads.size if out.N > 0 else None,
-        }
-        return fields, float(report.ok)
+        # measured phenomenon (see measure_undetected_swaps).  The flip rate
+        # is an exact count and one rounded division: the same double as .mean().
+        row = (out.N, int(np.count_nonzero(counts)), report.ok, report.erasures,
+               report.collisions, flips / out.reads.size if out.N > 0 else None)
+        return row, float(report.ok)
 
     def reads(self, result) -> int:
         if isinstance(self.codec, ShortMoleculeConfig):
-            return int(result.counts.sum())
+            return sum(result.counts.tolist())  # faster than int(counts.sum())
         return super().reads(result)
 
-    def settle(self, block: list) -> list[tuple[dict, float]]:
+    def settle(self, block: list) -> list[tuple[tuple, float]]:
         if not isinstance(self.codec, ShortMoleculeConfig):
             return block
         L = self.codec.L
-        bits = word_bits(np.stack([d.words for d in block]), 1 << (L - 1))
-        counts = np.stack([d.counts for d in block])
+        # np.array stacks as np.stack does, in a third of the time.
+        bits = word_bits(np.array([d.words for d in block]), 1 << (L - 1))
+        counts = np.array([d.counts for d in block])
         n = counts.sum(axis=1)
         owner = np.repeat(np.arange(len(block)), n)
         # Every trial's reads in source order, as integers segment << 1 | bit.
         reads = np.repeat(short_molecule_values(bits, self.codec.M, L).reshape(-1),
                           counts.reshape(-1))
+        n = n.tolist()
         flips = [0] * len(block)
         if self.channel.p:
             pattern = np.concatenate([d.flips for d in block])
@@ -267,19 +265,10 @@ class DecodeSuccess(ExperimentSpec):
         success = (recovered == bits).all(axis=1).tolist()
         erasures = np.count_nonzero(recovered < 0, axis=1).tolist()
         distinct = np.count_nonzero(counts, axis=1).tolist()
-        outcomes = []
-        for i, N in enumerate(n.tolist()):
-            fields = {
-                "N": N,
-                "distinct_seen": distinct[i],
-                "decode_success": success[i],
-                "erasures": erasures[i],
-                "collisions": None,
-                # An exact count and one rounded division, as in trial().
-                "flip_rate": flips[i] / (N * L) if N > 0 else None,
-            }
-            outcomes.append((fields, float(success[i])))
-        return outcomes
+        # An exact count and one rounded division, as in trial().
+        flip_rate = [f / (N * L) if N > 0 else None for f, N in zip(flips, n)]
+        rows = zip(n, distinct, success, erasures, itertools.repeat(None), flip_rate)
+        return list(zip(rows, map(float, success)))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -303,15 +292,14 @@ class BoundCheck(ExperimentSpec):
         if not math.isfinite(self.delta):
             raise ValueError(f"delta must be finite, got {self.delta}")
 
-    def trial(self, rng) -> tuple[dict, float]:
+    def trial(self, rng) -> tuple[tuple, float]:
         # apply_noise copies its input, so a zero-stride view of one zero
         # stands in for the all-zero reads without a read-sized array.
         zeros = np.broadcast_to(np.uint8(0), (self.reads_per_trial, self.read_len))
         reads = apply_noise(zeros, self.p, rng)
         flips = reads.sum(axis=1)
         tail = float((flips >= self.delta * self.read_len).mean())
-        fields = {"N": self.reads_per_trial, "flip_rate": float(reads.mean())}
-        return fields, tail
+        return (self.reads_per_trial, None, None, None, None, float(reads.mean())), tail
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -332,19 +320,17 @@ class CouponTail(ExperimentSpec):
         if not math.isfinite(self.delta):
             raise ValueError(f"delta must be finite, got {self.delta}")
 
-    def trial(self, rng) -> tuple[dict, float]:
+    def trial(self, rng) -> tuple[tuple, float]:
         M, lam = self.M, self.lam
         n_draws = round(lam * M)
         draws = rng.integers(0, M, size=n_draws)
         distinct = int(np.unique(draws).size)
         threshold = (1.0 - math.exp(-lam) + self.delta) * M
-        fields = {"N": n_draws, "distinct_seen": distinct}
-        return fields, float(distinct >= threshold)
+        return (n_draws, distinct), float(distinct >= threshold)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One trial's outcome; fields unavailable to an experiment kind are None."""
+class TrialRecord(NamedTuple):
+    """One trial's outcome (immutable); fields unavailable to its kind are None."""
 
     trial: int
     seed: int
@@ -356,16 +342,7 @@ class TrialRecord:
     flip_rate: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "trial": self.trial,
-            "seed": self.seed,
-            "N": self.N,
-            "distinct_seen": self.distinct_seen,
-            "decode_success": self.decode_success,
-            "erasures": self.erasures,
-            "collisions": self.collisions,
-            "flip_rate": self.flip_rate,
-        }
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -425,23 +402,31 @@ def run(spec: ExperimentSpec, workers: int | None = None) -> RunResult:
     """
     records, metrics = [], []
     failed, first_error = 0, None
-    for t, seed, outcome in _settled(spec):
-        if isinstance(outcome, Exception):
-            # A failed trial yields an empty record, never aborts the batch.
-            failed += 1
-            first_error = first_error or f"trial {t}: {type(outcome).__name__}: {outcome}"
-            fields, metric = {}, math.nan
-        else:
-            fields, metric = outcome
-        records.append(TrialRecord(trial=t, seed=seed, **fields))
-        metrics.append(metric)
+    for block in _blocks(spec):
+        done = [r for _, _, r in block if not isinstance(r, Exception)]
+        try:
+            settled = iter(spec.settle(done) if done else [])
+        except Exception as e:
+            # An exception in the block pass fails all its trials.
+            settled = itertools.repeat(e)
+        for t, seed, result in block:
+            outcome = result if isinstance(result, Exception) else next(settled)
+            if isinstance(outcome, Exception):
+                # A failed trial yields an empty record, never aborts the batch.
+                failed += 1
+                first_error = first_error or f"trial {t}: {type(outcome).__name__}: {outcome}"
+                row, metric = (), math.nan
+            else:
+                row, metric = outcome
+            records.append(TrialRecord(t, seed, *row))
+            metrics.append(metric)
     summary = _summarize(spec, np.array(metrics, dtype=float))
     return RunResult(records, summary, failed, first_error)
 
 
-def _settled(spec: ExperimentSpec):
-    """Yield ``(t, seed, (fields, metric) or the exception it raised)`` per
-    trial, in order, settling the trials a block at a time.
+def _blocks(spec: ExperimentSpec):
+    """Yield the trials in order, a block at a time, as lists of
+    ``(t, seed, result or the exception it raised)``.
 
     A block closes once it holds ``BLOCK_READS`` reads; a trial that would
     take it past that starts the next block.
@@ -455,25 +440,14 @@ def _settled(spec: ExperimentSpec):
         except Exception as e:
             result, n = e, 0
         if held + n > BLOCK_READS:
-            yield from _settle(spec, block)
+            yield block
             block, held = [], 0
         block.append((t, seed, result))
         held += n
         if held >= BLOCK_READS:
-            yield from _settle(spec, block)
+            yield block
             block, held = [], 0
-    yield from _settle(spec, block)
-
-
-def _settle(spec: ExperimentSpec, block: list):
-    """Settle one block; an exception in the block pass fails all its trials."""
-    done = [r for _, _, r in block if not isinstance(r, Exception)]
-    try:
-        outcomes = iter(spec.settle(done) if done else [])
-    except Exception as e:
-        outcomes = itertools.repeat(e)
-    for t, seed, result in block:
-        yield t, seed, result if isinstance(result, Exception) else next(outcomes)
+    yield block
 
 
 def _summarize(spec: ExperimentSpec, metrics: np.ndarray) -> Summary:
@@ -625,9 +599,25 @@ def region_sweep(p_values) -> list[dict]:
 # Persistence
 # ---------------------------------------------------------------------------
 
+# A record of exactly None, bool, int and finite float values is written as
+# their reprs with None, True and False spelt the JSON way: json.dumps's
+# bytes.  Only a non-finite float's repr holds "inf" or "nan"; no key does.
+_JSON_LINE = "{" + ", ".join(f'"{k}": %r' for k in TrialRecord._fields) + "}\n"
+_JSON_TYPES = {type(None), bool, int, float}
+
+
 def records_to_jsonl(records) -> str:
-    """One TrialRecord per line, keys in the documented order."""
-    return "".join(json.dumps(r.to_json()) + "\n" for r in records)
+    """One TrialRecord per line, keys in the documented order: byte for byte
+    ``json.dumps(r.to_json()) + "\\n"`` for each record."""
+    return "".join(map(_json_line, records))
+
+
+def _json_line(r: TrialRecord) -> str:
+    if {*map(type, r)} <= _JSON_TYPES:
+        line = _JSON_LINE % r
+        if "inf" not in line and "nan" not in line:
+            return line.replace("None", "null").replace("True", "true").replace("False", "false")
+    return json.dumps(r.to_json()) + "\n"
 
 
 def write_csv(path, rows: list[dict], columns: list[str]) -> None:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import pickle
 import tracemalloc
 from functools import partial
 
@@ -17,7 +18,6 @@ from dnachannel.channel import (
     CodewordSet,
     SamplingSpec,
     apply_noise,
-    mean_coverage,
     q0_of,
     sample_counts,
     shuffle_reads,
@@ -408,6 +408,50 @@ def test_poisson_counts_past_int64_raises():
     assert (np.abs(big - 9e18) < 1e11).all()
 
 
+@pytest.mark.parametrize("lam", [1e-300, 0.5, 1.0, 10.0, 10.5, 30.0])
+def test_poisson_table_is_the_inversion_poisson_counts_runs(lam):
+    spec = SamplingSpec.poisson(lam)
+    if lam > 10:
+        assert spec._cdf is None  # PTRS
+    else:
+        assert spec._cdf.tobytes() == _inversion_cdf(lam)[:-1].tobytes()
+        with pytest.raises(ValueError):
+            spec._cdf[0] = 0.5
+        u = edge_uniforms(_inversion_cdf(lam))
+
+        class Uniforms:
+            def random(self, size):
+                return u
+
+        got = sample_counts(spec, u.size, Uniforms())
+        assert got.dtype == np.int64 and got.tolist() == _invert(lam, u).tolist()
+    a, b = rng_for(12), rng_for(12)
+    assert sample_counts(spec, 500, a).tolist() == poisson_counts(b, lam, 500).tolist()
+    assert a.random(3).tolist() == b.random(3).tolist()  # same stream position
+
+
+@pytest.mark.parametrize("spec", [
+    SamplingSpec.bernoulli(0.3),
+    SamplingSpec.poisson(1.0),
+    SamplingSpec.poisson(30.0),
+    SamplingSpec.poisson_pcr(4.0, 2.0),
+    SamplingSpec.custom([0.2, 0.5, 0.3]),
+    SamplingSpec.custom_truncated(0.5 ** k for k in range(1, 200)),
+], ids=["bernoulli", "poisson", "poisson-ptrs", "poisson-pcr", "custom", "custom-truncated"])
+def test_sampling_spec_survives_pickle(spec):
+    table = getattr(spec, "_cdf", None)  # built before the pickle, if lazily
+    back = pickle.loads(pickle.dumps(spec))
+    assert type(back) is type(spec) and back == spec and hash(back) == hash(spec)
+    assert getattr(back, "truncated", None) == getattr(spec, "truncated", None)
+    if table is not None:
+        # Rebuilt by the constructor, not restored as a writable copy.
+        assert back._cdf.tobytes() == table.tobytes()
+        with pytest.raises(ValueError):
+            back._cdf[0] = 0.5
+    assert sample_counts(back, 300, rng_for(13)).tolist() == \
+        sample_counts(spec, 300, rng_for(13)).tolist()
+
+
 # [0.1] * 10 sums below 1, so some uniforms lie above the last entry.
 @pytest.mark.parametrize("pmf", [[1.0], [0.2, 0.5, 0.3], [0.1] * 10])
 def test_custom_pmf_table_is_cumsum_and_read_only(pmf):
@@ -434,7 +478,7 @@ def test_custom_pmf_empirical_frequencies():
     counts = sample_counts(spec, 100_000, rng_for(6))
     freq = np.bincount(counts, minlength=3) / counts.size
     assert np.abs(freq - [0.2, 0.5, 0.3]).max() < 0.006
-    assert mean_coverage(spec) == pytest.approx(1.1)
+    assert spec.mean_coverage() == pytest.approx(1.1)
 
 
 def test_empirical_q0_hoeffding_scale():

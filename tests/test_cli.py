@@ -385,7 +385,7 @@ class OddTrialsRaise(ExperimentSpec):
         t = next(self.calls)
         if t % 2:
             raise ZeroDivisionError(f"odd trial {t}")
-        return {"decode_success": True}, 1.0
+        return (None, None, True), 1.0
 
 
 def test_failed_trials_reported_and_strict_exits_1(capsys, monkeypatch, tmp_path):

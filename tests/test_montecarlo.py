@@ -10,6 +10,7 @@ from typing import ClassVar
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dnachannel import channel, cli, montecarlo
 from dnachannel.capacity import chernoff_read_error_bound, coupon_tail_bound
@@ -27,6 +28,7 @@ from dnachannel.montecarlo import (
     ExperimentSpec,
     ShortMoleculeConfig,
     Summary,
+    TrialRecord,
     measure_undetected_swaps,
     rate_vs_capacity_sweep,
     records_to_jsonl,
@@ -36,6 +38,7 @@ from dnachannel.montecarlo import (
     verify_chernoff,
     write_csv,
 )
+from dnachannel.rng import derive_seed
 
 M16 = CodecConfig(M=16, L=8, inner=InnerCodeSpec.identity(), outer_k=12)
 M16_REP3 = CodecConfig(M=16, L=24, inner=InnerCodeSpec.repetition(3), outer_k=12)
@@ -113,15 +116,10 @@ class ShortReference(DecodeSuccess):
         out, _, counts, flips = transmit_traced(cw, self.channel, rng)
         recovered = short_molecule_decode(out, L)
         success = np.array_equal(recovered, bits)
-        fields = {
-            "N": out.N,
-            "distinct_seen": int(np.count_nonzero(counts)),
-            "decode_success": success,
-            "erasures": int(np.count_nonzero(recovered < 0)),
-            "collisions": None,
-            "flip_rate": flips / out.reads.size if out.N > 0 else None,
-        }
-        return fields, float(success)
+        row = (out.N, int(np.count_nonzero(counts)), success,
+               int(np.count_nonzero(recovered < 0)), None,
+               flips / out.reads.size if out.N > 0 else None)
+        return row, float(success)
 
 
 def short_spec(M, L, sampling, p, trials, base_seed, cls=DecodeSuccess):
@@ -263,7 +261,7 @@ class OddTrialsRaise(ExperimentSpec):
         t = next(self.calls)
         if t % 2:
             raise ZeroDivisionError(f"odd trial {t}")
-        return {"N": t}, 1.0
+        return (t,), 1.0
 
 
 def test_failed_trials_counted_with_first_error():
@@ -296,6 +294,21 @@ def test_record_json_key_order():
         "trial", "seed", "N", "distinct_seen", "decode_success",
         "erasures", "collisions", "flip_rate",
     ]
+
+
+def test_record_is_immutable():
+    record = run(ExperimentSpec.estimate_q0(bern_channel(16, 8, 0.5), trials=1,
+                                            base_seed=109)).records[0]
+    with pytest.raises(AttributeError):
+        record.N = 0
+    with pytest.raises(AttributeError):
+        record.flip_rate = 0.5
+
+
+def test_failed_trial_record_carries_only_trial_and_seed():
+    record = run(OddTrialsRaise(trials=3, base_seed=108)).records[1]
+    assert record.to_json() == {**dict.fromkeys(TrialRecord._fields),
+                                "trial": 1, "seed": derive_seed(108, 1)}
 
 
 @pytest.mark.parametrize("trials,base_seed", [(0, 1), (2**32 + 1, 1), (1, -1)])
@@ -572,6 +585,34 @@ def test_jsonl_round_trips_through_json(tmp_path):
     parsed = [json.loads(line) for line in lines]
     assert [p["trial"] for p in parsed] == [0, 1, 2]
     assert all(p["decode_success"] is None for p in parsed)
+
+
+# Every kind of value a record may hold, and some it should not: numpy
+# scalars (json.dumps rejects np.int64 and takes np.float64) and strings.
+_RECORD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-2**80, max_value=2**80),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, math.nan, math.inf, -math.inf]),
+    st.sampled_from([np.int64(3), np.float64(0.5), np.bool_(True)]),
+    st.text(max_size=8),
+    st.sampled_from(["None", "True", "inf", "nan"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.builds(TrialRecord, *[_RECORD_VALUES] * len(TrialRecord._fields)),
+                max_size=6))
+def test_jsonl_is_json_dumps_of_each_record(records):
+    try:
+        expected = "".join(json.dumps(r.to_json()) + "\n" for r in records)
+    except (TypeError, ValueError) as e:
+        with pytest.raises(type(e)):
+            records_to_jsonl(records)
+    else:
+        assert records_to_jsonl(records) == expected
 
 
 def test_write_csv_formats_cells(tmp_path):
