@@ -262,8 +262,8 @@ def hoeffding_seen_fraction_bound(M: int, delta: float) -> float:
     """Hoeffding bound exp(-2 M delta^2) on the seen fraction exceeding its mean."""
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    if delta < 0.0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    if not 0.0 <= delta < math.inf:  # False for NaN too
+        raise ValueError(f"delta must be in [0, inf), got {delta}")
     return math.exp(-2.0 * M * delta * delta)
 
 
@@ -277,8 +277,8 @@ def coupon_tail_bound(M: int, lam: float, delta: float) -> float:
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
+    if not 0.0 < lam < math.inf:  # False for NaN too
+        raise ValueError(f"lambda must be in (0, inf), got {lam}")
     e_neg = math.exp(-lam)
     if not 0.0 < delta <= e_neg / 2.0:
         raise ValueError(f"delta must be in (0, e^-lambda / 2], got {delta}")
@@ -310,10 +310,10 @@ def tradeoff_point(lam: float, beta: float) -> TradeoffPoint:
     rs_max = (1 - e^-lam)(1 - 1/beta) and rr_max = rs_max / lam, so the
     identity rs_max = lam * rr_max holds to within 1 ulp by construction.
     """
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
-    if beta <= 1.0:
-        raise ValueError(f"beta must be > 1, got {beta}")
+    if not 0.0 < lam < math.inf:  # False for NaN too
+        raise ValueError(f"lambda must be in (0, inf), got {lam}")
+    if not 1.0 < beta < math.inf:
+        raise ValueError(f"beta must be in (1, inf), got {beta}")
     rs = (1.0 - math.exp(-lam)) * (1.0 - 1.0 / beta)
     return TradeoffPoint(lam=lam, rs_max=rs, rr_max=rs / lam)
 
@@ -326,8 +326,8 @@ def optimal_lambda(cost_ratio_q: float) -> float:
     point limit when roundoff in e^lam dominates).
     """
     q = float(cost_ratio_q)
-    if q <= 0.0:
-        raise ValueError(f"cost ratio must be > 0, got {q}")
+    if not 0.0 < q < math.inf:  # False for NaN too
+        raise ValueError(f"cost ratio must be in (0, inf), got {q}")
     lam = math.log(q + 2.0)
     for _ in range(200):
         f = math.exp(lam) - lam - 1.0 - q
@@ -354,6 +354,6 @@ def scheme_rate(q: float, r_inner: float, beta: float) -> float:
         raise ValueError(f"q must be in [0, 1], got {q}")
     if not 0.0 < r_inner <= 1.0:
         raise ValueError(f"r_inner must be in (0, 1], got {r_inner}")
-    if beta <= 1.0:
-        raise ValueError(f"beta must be > 1, got {beta}")
+    if not 1.0 < beta < math.inf:  # False for NaN too
+        raise ValueError(f"beta must be in (1, inf), got {beta}")
     return max(0.0, (1.0 - q) * (r_inner - 1.0 / beta))

@@ -181,15 +181,11 @@ class PoissonPCR(SamplingSpec):
 
     def sample(self, M: int, rng: np.random.Generator) -> np.ndarray:
         copies = poisson_counts(rng, self.alpha, M)
-        counts = np.zeros(M, dtype=np.int64)
-        live = copies > 0
-        if live.any():
-            # N_i | A_i=a ~ Poisson(a * lam / alpha); one conditional draw
-            # per molecule with surviving copies, in index order, consuming
-            # the stream as one poisson_counts(rng, m, 1) call per molecule
-            # would (the per-element contract in rng's module docstring).
-            counts[live] = poisson_each(rng, copies[live] * (self.lam / self.alpha))
-        return counts
+        # N_i | A_i=a ~ Poisson(a * lam / alpha): one conditional draw per
+        # molecule in index order, consuming the stream as one
+        # poisson_counts(rng, m, 1) call per molecule would (the per-element
+        # contract in rng's module docstring); no copies, no draw.
+        return poisson_each(rng, copies * (self.lam / self.alpha))
 
 
 @dataclass(frozen=True)

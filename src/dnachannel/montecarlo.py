@@ -411,6 +411,9 @@ def run(spec: ExperimentSpec, workers: int | None = None) -> RunResult:
             settled = itertools.repeat(e)
         for t, seed, result in block:
             outcome = result if isinstance(result, Exception) else next(settled)
+            if not isinstance(outcome, Exception) and not isinstance(outcome[0], tuple):
+                # A dict row would unpack its keys into the record's fields.
+                outcome = TypeError(f"row must be a tuple, got {type(outcome[0]).__name__}")
             if isinstance(outcome, Exception):
                 # A failed trial yields an empty record, never aborts the batch.
                 failed += 1

@@ -41,8 +41,11 @@ entry >= u over a cached table of cdf_0..cdf_kmax, capped at k_max; the
 table holds the doubles sequential search would sum, so the lookup returns
 what that search would.  ``poisson_each(rng, means)`` returns exactly
 ``[poisson_counts(rng, m, 1)[0] for m in means]``, element by element in
-index order, and leaves the generator in the same state: it draws one block
-of uniforms, walks it with the same arithmetic, then rewinds the generator
+index order, and leaves the generator in the same state.  It draws one block
+of uniforms and walks the means over it in one in-order pass: a zero mean
+takes nothing, a mean up to 10 one uniform looked up in the same table, a
+larger mean PTRS's pairs with the same arithmetic.  The block is topped up
+whenever the walk would run past its end.  Then the generator is rewound
 and re-draws exactly the number of uniforms the walk consumed.  Both rely
 on ``rng.random(n)`` giving the same doubles as n calls of ``rng.random(1)``.
 """
@@ -50,6 +53,7 @@ on ``rng.random(n)`` giving the same doubles as n calls of ``rng.random(1)``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -293,18 +297,6 @@ def _invert(lam: float, u: np.ndarray) -> np.ndarray:
     return _inversion_cdf(lam)[:-1].searchsorted(u).astype(np.int64, copy=False)
 
 
-def _inversion_each(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """:func:`_invert` with one mean per uniform, one lookup per distinct mean."""
-    k = np.empty(u.size, dtype=np.int64)
-    if u.size:
-        order = np.argsort(lam)
-        sorted_lam = lam[order]
-        cuts = np.flatnonzero(sorted_lam[1:] != sorted_lam[:-1]) + 1
-        for group in np.split(order, cuts):
-            k[group] = _invert(float(lam[group[0]]), u[group])
-    return k
-
-
 def _ptrs_constants(lam: float) -> tuple[float, float, float, float, float]:
     # Hormann (1993), algorithm PTRS; valid for lam >= 10.
     b = 0.931 + 2.53 * math.sqrt(lam)
@@ -356,66 +348,37 @@ def poisson_each(rng: np.random.Generator, means) -> np.ndarray:
     Values and the generator's state afterwards are exactly those of
     ``[poisson_counts(rng, m, 1)[0] for m in means]`` (see the module
     docstring), at the cost of one block draw instead of one call per mean.
+    Every floating-point operation matches :func:`_invert` or
+    :func:`_poisson_ptrs` on a size-1 draw.
     """
     means = np.asarray(means, dtype=np.float64)
     if means.ndim != 1:
         raise ValueError(f"means must be 1-D, got shape {means.shape}")
     if not (np.isfinite(means) & (means >= 0.0)).all():
         raise ValueError("means must be finite and >= 0")
-    out = np.zeros(means.size, dtype=np.int64)
-    inv = (means > 0.0) & (means <= _PTRS_THRESHOLD)
-    ptrs = np.flatnonzero(means > _PTRS_THRESHOLD)
-    # Uniforms consumed by each element: none for a zero mean, one per
-    # inversion, two per PTRS attempt (filled in by the walk).
-    used = inv.astype(np.int64)
+    live = means > 0.0  # a zero mean draws nothing
+    lams = means[live].tolist()
+    n_ptrs = int(np.count_nonzero(means > _PTRS_THRESHOLD))
     state = rng.bit_generator.state
-    block = rng.random(int(used.sum()) + _ptrs_budget(ptrs.size))
-    inv_before = (np.cumsum(used) - used)[ptrs].tolist()
-    out[ptrs], used[ptrs], block = _walk_ptrs(
-        rng, block, means[ptrs].tolist(), inv_before
-    )
-    start = np.cumsum(used) - used
-    total = int(used.sum())
-    if block.size < total:
-        block = np.concatenate((block, rng.random(total - block.size)))
-    out[inv] = _inversion_each(block[start[inv]], means[inv])
-    # Rewind, then consume exactly what per-element calls would have.
-    rng.bit_generator.state = state
-    rng.random(total)
-    return out
-
-
-def _ptrs_budget(n: int) -> int:
-    # PTRS takes ~1.2-1.35 attempts per variate for lam > 10; budget 1.5.
-    return 3 * n + 4
-
-
-def _walk_ptrs(rng, block, lams, inv_before):
-    """Scalar PTRS over the uniform block, mean by mean.
-
-    ``inv_before[j]`` counts the inversion uniforms that precede mean j in
-    the stream.  Returns each mean's variate, the uniforms it consumed, and
-    the block, topped up when rejections exhausted it.  Every floating-point
-    operation matches :func:`_poisson_ptrs` on a size-1 draw.
-    """
-    uni = block.tolist()
+    # One uniform per inversion mean and a budget for the PTRS means.
+    uni = rng.random(len(lams) - n_ptrs + _ptrs_budget(n_ptrs)).tolist()
     log = np.log  # the ufunc _poisson_ptrs uses; math.log may differ in an ulp
-    consts: dict[float, tuple] = {}
-    ks, taken = [], []
-    ptrs_used = 0
-    for j, (lam, before) in enumerate(zip(lams, inv_before)):
-        c = consts.get(lam)
+    tables: dict[float, object] = {}
+    ks = []
+    pos = 0
+    for j, lam in enumerate(lams):
+        c = tables.get(lam)
         if c is None:
-            c = consts[lam] = _ptrs_constants(lam)
-        a, b, inv_alpha, v_r, log_lam = c
-        first = pos = before + ptrs_used
-        while True:
-            if pos + 2 > len(uni):
-                # pos may already lie past the block's end: inversion
-                # uniforms before mean j skip over rejections that ran long.
-                more = rng.random(pos + 2 - len(uni) + _ptrs_budget(len(lams) - j))
-                block = np.concatenate((block, more))
-                uni.extend(more.tolist())
+            c = tables[lam] = (_inversion_cdf(lam)[:-1].tolist()
+                               if lam <= _PTRS_THRESHOLD else _ptrs_constants(lam))
+        while True:  # one pass per inversion, one per PTRS attempt
+            if pos + 2 > len(uni):  # room for a PTRS attempt; rejections can run long
+                uni += rng.random(pos + 2 - len(uni) + _ptrs_budget(len(lams) - j)).tolist()
+            if lam <= _PTRS_THRESHOLD:
+                k = bisect_left(c, uni[pos])  # as _invert's searchsorted
+                pos += 1
+                break
+            a, b, inv_alpha, v_r, log_lam = c
             u = uni[pos] - 0.5
             v = uni[pos + 1]
             pos += 2
@@ -432,6 +395,14 @@ def _walk_ptrs(rng, block, lams, inv_before):
                 if lhs <= -lam + k * log_lam - math.lgamma(k + 1.0):
                     break
         ks.append(k)
-        taken.append(pos - first)
-        ptrs_used += pos - first
-    return ks, taken, block
+    # Rewind, then consume exactly what per-element calls would have.
+    rng.bit_generator.state = state
+    rng.random(pos)
+    out = np.zeros(means.size, dtype=np.int64)
+    out[live] = ks
+    return out
+
+
+def _ptrs_budget(n: int) -> int:
+    # PTRS takes ~1.2-1.35 attempts per variate for lam > 10; budget 1.5.
+    return 3 * n + 4

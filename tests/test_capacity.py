@@ -194,6 +194,27 @@ def test_capacity_functions_reject_bad_beta(name, beta):
         BETA_CHECKED[name](beta)
 
 
+# The bad value goes to the named parameter; every other argument is valid.
+NON_FINITE_CHECKED = {
+    "tradeoff_point/lambda": (lambda x: cap.tradeoff_point(x, 5.0), "lambda"),
+    "tradeoff_point/beta": (lambda x: cap.tradeoff_point(1.0, x), "beta"),
+    "optimal_lambda": (cap.optimal_lambda, "cost ratio"),
+    "hoeffding_seen_fraction_bound": (
+        lambda x: cap.hoeffding_seen_fraction_bound(100, x), "delta"),
+    "coupon_tail_bound": (lambda x: cap.coupon_tail_bound(1000, x, 0.1), "lambda"),
+    "scheme_rate": (lambda x: cap.scheme_rate(0.05, 0.9, x), "beta"),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CHECKED))
+def test_capacity_functions_reject_non_finite_inputs(name, x):
+    # NaN used to print rs_max=nan, lambda_opt=nan or a 0.0 scheme rate.
+    call, param = NON_FINITE_CHECKED[name]
+    with pytest.raises(ValueError, match=rf"^{param} must be in [(\[]"):
+        call(x)
+
+
 def test_degradation_ordering_noise_free_dominates():
     rng = np.random.default_rng(8)
     for _ in range(500):

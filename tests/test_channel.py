@@ -9,6 +9,7 @@ from functools import partial
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from dnachannel import channel
@@ -252,11 +253,12 @@ def test_poisson_each_mean_at_threshold_uses_inversion():
 
 def test_poisson_each_tops_up_after_long_rejection_run():
     # Seed 1446 makes PTRS at mean 10.5 reject six times before accepting:
-    # 14 uniforms, more than the first block holds for one PTRS mean.
+    # 14 uniforms, more than the whole first block for these means holds
+    # (one per inversion mean plus the budget of two PTRS means).
     make = partial(np.random.default_rng, 1446)
     used = uniforms_consumed(make, lambda r: poisson_counts(r, 10.5, 1))
-    assert used == 14 and used > _ptrs_budget(1)
     means = [10.5, 3.0, 0.0, 7.0, 10.0, 25.0]
+    assert used == 14 and used > 3 + _ptrs_budget(2)
     rng, ref = make(), make()
     expected = [poisson_counts(ref, m, 1)[0] for m in means]
     assert poisson_each(rng, means).tolist() == expected
@@ -265,15 +267,15 @@ def test_poisson_each_tops_up_after_long_rejection_run():
 
 def test_poisson_each_tops_up_past_the_block_end():
     # Seed 14839 makes the first two PTRS draws at mean 10.5 take 20
-    # uniforms.  The 20 inversion uniforms after them then put the third
-    # PTRS mean's first uniform past the end of the first block plus one
-    # budget-sized top-up.
+    # uniforms.  The 20 inversion means after them read uniforms 20..39,
+    # so the first block of 20 + budget(3) runs out among them: the walk
+    # tops up just before an inversion mean, the third PTRS mean then
+    # reading uniforms 40 and 41 from the top-up.
     make = partial(np.random.default_rng, 14839)
     two = lambda r: [poisson_counts(r, 10.5, 1) for _ in range(2)]
     assert uniforms_consumed(make, two) == 20
     means = [10.5, 10.5] + [1.0] * 20 + [10.5]
-    # third mean reads uniforms 40 and 41; first block 20 + budget(3)
-    assert 40 + 2 > 20 + _ptrs_budget(3) + _ptrs_budget(1)
+    assert 20 < 20 + _ptrs_budget(3) < 40
     rng, ref = make(), make()
     expected = [poisson_counts(ref, m, 1)[0] for m in means]
     assert poisson_each(rng, means).tolist() == expected
@@ -329,11 +331,12 @@ class ScriptedUniforms:
         self.state = 0
         self.bit_generator = self
 
-    def random(self, size):
-        out = self.u[self.state:self.state + size]
-        assert out.size == size
-        self.state += size
-        return out
+    def random(self, size=None):
+        n = 1 if size is None else size
+        out = self.u[self.state:self.state + n]
+        assert out.size == n
+        self.state += n
+        return float(out[0]) if size is None else out
 
 
 INVERSION_MEANS = [1e-300, 0.3, 1.0, 5.0, 9.999, 10.0]
@@ -365,6 +368,42 @@ def test_poisson_each_matches_lockstep_reference(gen):
         rng, ref = GENERATORS[gen](seed), GENERATORS[gen](seed)
         assert poisson_each(rng, means).tolist() == reference_each(ref, means)
         assert rng.random() == ref.random()
+
+
+# Both sides of the inversion/PTRS threshold and its edges, from a zero
+# mean to a tiny one to 10^6.
+EACH_MEANS = st.one_of(
+    st.sampled_from([0.0, 1e-300, 10.0, math.nextafter(10.0, math.inf)]),
+    st.floats(0.0, 10.0, exclude_min=True),
+    st.floats(10.0, 1e6, exclude_min=True),
+)
+# Uniforms near the ends of [0, 1) make PTRS reject again and again.  (An
+# exact 0.0 would make the array path divide by zero.)
+EDGE_UNIFORMS = st.one_of(
+    st.sampled_from([2.0**-53, 0.5, 1.0 - 2.0**-53]),
+    st.floats(2.0**-53, 1.0, exclude_max=True),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(means=st.lists(EACH_MEANS, max_size=80), head=st.lists(EDGE_UNIFORMS, max_size=100),
+       seed=st.integers(0, 2**32 - 1))
+# Top-ups in a long rejection run and just before an inversion mean.
+@example(means=[10.5, 3.0, 0.0, 7.0, 10.0, 25.0], head=[], seed=1446)
+@example(means=[10.5, 10.5] + [1.0] * 20 + [10.5], head=[], seed=14839)
+def test_poisson_each_equals_per_element_calls(means, head, seed):
+    # With a head, the stream starts with it and runs the block into
+    # top-ups; without one it is a real generator's.
+    def make():
+        if not head:
+            return np.random.default_rng(seed)
+        tail = np.random.default_rng(seed).random(4096)
+        return ScriptedUniforms(np.concatenate([head, tail]))
+
+    rng, ref = make(), make()
+    expected = [poisson_counts(ref, m, 1)[0] for m in means]
+    assert poisson_each(rng, means).tolist() == expected
+    assert rng.random() == ref.random()
 
 
 def sequential_cdf(lam):

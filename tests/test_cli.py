@@ -178,6 +178,19 @@ def test_tradeoff_cost_ratio_with_beta(capsys):
                            f"rr_max={pt.rr_max:.6g}"]
 
 
+@pytest.mark.parametrize("argv,param", [
+    (["--beta", "5", "--lambda", "nan"], "lambda"),
+    (["--cost-ratio", "inf"], "cost ratio"),
+    (["--beta", "nan", "--lambda", "1"], "beta"),
+    (["--beta", "5", "--lambda-grid", "1,nan"], "lambda"),
+])
+def test_tradeoff_rejects_non_finite_values(capsys, argv, param):
+    # Each used to print or write nan and exit 0.
+    code, out, err = run_cli(capsys, "tradeoff", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {param} must be in ") and err.count("\n") == 1
+
+
 def test_tradeoff_requires_some_mode(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["tradeoff", "--beta", "5"])

@@ -276,6 +276,30 @@ def test_failed_trials_counted_with_first_error():
     assert (clean.failed, clean.first_error) == (0, None)
 
 
+@dataclass(frozen=True, kw_only=True)
+class DictRows(ExperimentSpec):
+    """Rows in the old dict form, from ``trial`` or from ``settle``."""
+
+    metric: ClassVar[str] = "success_rate"
+    in_settle: bool = False
+
+    def trial(self, rng):
+        return ((1,) if self.in_settle else {"N": 1}), 1.0
+
+    def settle(self, block):
+        return [({"N": 1}, m) for _, m in block] if self.in_settle else block
+
+
+@pytest.mark.parametrize("in_settle", [False, True])
+def test_dict_rows_fail_their_trials(in_settle):
+    # Unpacked into a record, a dict row wrote its keys as field values.
+    result = run(DictRows(trials=3, base_seed=108, in_settle=in_settle))
+    assert (result.failed, result.first_error) == (
+        3, "trial 0: TypeError: row must be a tuple, got dict")
+    # Every record is a failed trial's: its trial and seed, nothing else.
+    assert all(set(r[2:]) == {None} for r in result.records)
+
+
 def test_all_failed_summary_is_strict_json():
     spec = FailingTrials(trials=3, base_seed=108, min_rate=0.5)
     out = run(spec).summary.to_json()
