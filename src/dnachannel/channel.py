@@ -17,6 +17,9 @@ noise, then one shuffle permutation), so identical inputs and seed give
 bit-identical outputs.  :func:`transmit_draws` makes the first two of those
 draws, the counts and the noise, without building the reads, for callers
 that apply them to many codewords at once and do not need the read order.
+:func:`transmit_unshuffled` makes the same two draws and builds the reads,
+in source order, for a caller with one codeword whose decoder ignores the
+order.
 
 Noise stream contract: :func:`apply_noise` consumes one 64-bit word per bit,
 in C order, and flips the bit when the word is at most the integer limit
@@ -49,6 +52,7 @@ __all__ = [
     "shuffle_reads",
     "transmit",
     "transmit_traced",
+    "transmit_unshuffled",
     "transmit_draws",
 ]
 
@@ -375,21 +379,31 @@ def transmit_traced(
     and ``flips`` is the number of bits the noise flipped over all reads.
     Debug side-channel for test harnesses only; decoders must not see it.
     """
+    out, counts, flips = transmit_unshuffled(codeword, params, rng)
+    perm = rng.permutation(out.N)
+    sources = np.repeat(np.arange(params.M), counts).take(perm)
+    return ChannelOutput(reads=out.reads.take(perm, axis=0)), sources, counts, flips
+
+
+def transmit_unshuffled(
+    codeword: CodewordSet, params: ChannelParams, rng: np.random.Generator
+) -> tuple[ChannelOutput, np.ndarray, int]:
+    """(output, counts, flips) of :func:`transmit_traced` without its last
+    draw, the shuffle: the output holds the reads in source order, all
+    copies of molecule 0 first, then those of molecule 1, and so on.
+    """
     if codeword.M != params.M:
         raise ValueError(f"codeword has {codeword.M} molecules, params say {params.M}")
     if codeword.L != params.L:
         raise ValueError(f"codeword length {codeword.L} != params L={params.L}")
     counts, pattern = transmit_draws(params, rng)
-    sources = np.repeat(np.arange(params.M), counts)
-    reads = codeword.molecules.take(sources, axis=0)
+    # Not molecules.repeat: numpy 2.4 copies a read-only array before repeating it.
+    reads = codeword.molecules.take(np.repeat(np.arange(params.M), counts), axis=0)
     flips = 0
     if pattern is not None:
         reads ^= pattern
         flips = int(np.count_nonzero(pattern))
-    # Dropped before the shuffle, so at most two read-sized arrays are live.
-    del pattern
-    perm = rng.permutation(reads.shape[0])
-    return ChannelOutput(reads=reads.take(perm, axis=0)), sources.take(perm), counts, flips
+    return ChannelOutput(reads=reads), counts, flips
 
 
 def transmit_draws(

@@ -145,13 +145,14 @@ class RepetitionCode(InnerCodeSpec):
 
     def decode(self, reads: np.ndarray, L: int) -> np.ndarray:
         r = self.r
-        groups = reads.reshape(reads.shape[0], self.info_bits(L), r)
-        # Count the ones among the r copies in the narrowest dtype that
-        # holds r, one strided slice at a time; majority means > r // 2.
-        ones = groups[:, :, 0].astype(np.min_scalar_type(r))
+        # Row i of one transposed copy holds copy i of every info bit, so
+        # the ones among the r copies add up row by row, contiguously, in
+        # the narrowest dtype that holds r; majority means > r // 2.
+        copies = reads.reshape(-1, r).T.copy()
+        ones = copies[0].astype(np.min_scalar_type(r))
         for i in range(1, r):
-            ones += groups[:, :, i]
-        return (ones > r // 2).astype(np.uint8)
+            ones += copies[i]
+        return (ones > r // 2).view(np.uint8).reshape(reads.shape[0], self.info_bits(L))
 
 
 @dataclass(frozen=True)
@@ -362,10 +363,12 @@ def decode_output(out: ChannelOutput, cfg: CodecConfig) -> DecodeReport:
     index = bits_to_int(info[:, : cfg.index_bits])
     in_range = index < cfg.M
     undetected_risk = not in_range.all()
-    index = index[in_range]
-    # Each kept read's payload bits as one void item (compress returns a
-    # C-ordered copy), so a whole row compares at once.
-    payload = info[:, cfg.index_bits:].compress(in_range, axis=0)
+    payload = info[:, cfg.index_bits:]
+    if undetected_risk:  # never when M = 2^index_bits
+        index = index[in_range]
+        payload = payload.compress(in_range, axis=0)
+    # Each kept read's payload bits as one void item (a row's bits are
+    # contiguous), so a whole row compares at once.
     payload = payload.view(f"V{cfg.payload_bits}").reshape(-1)
     # Identical duplicates merge; an index read with a payload other than
     # its representative's (any one read of that index) has conflicting

@@ -82,6 +82,34 @@ def _novel_basis(field: "_Field", m: int) -> tuple[list, np.ndarray]:
     return skews, sigma
 
 
+# A butterfly layer adds each block's skew to a run of rows in one numpy
+# loop per run, so a layer's skews are tiled to runs of at least this many
+# rows (or its whole half).
+_RUN = 64
+
+
+def _runs(layers: list, t0: int, j: int) -> list:
+    """Per layer i < j, the skew logs of the blocks of the 2^j points from t0
+    (a multiple of 2^j) as a column in the order the layer reads its rows,
+    the block number fastest, tiled to min(2^(j-1), _RUN) rows or more.
+    ``layers[i]`` starts with layer i's skew logs of the blocks of all 2^m
+    points."""
+    runs = []
+    for i in range(j):
+        blocks = 1 << (j - i - 1)
+        first = t0 >> (i + 1)
+        runs.append(np.tile(layers[i][first : first + blocks],
+                            (min(1 << i, max(1, _RUN // blocks)), 1)))
+    return runs
+
+
+def _block(first: int, last: int) -> tuple[int, int]:
+    """(t0, j): the smallest aligned block of 2^j points from t0 holding
+    ``first`` and ``last``."""
+    j = (first ^ last).bit_length()
+    return first >> j << j, j
+
+
 class TooManyErasures(Exception):
     """Raised when an erasure pattern exceeds the code's n - k budget."""
 
@@ -142,18 +170,23 @@ class ReedSolomonErasure:
         self._wht_work = np.array([field.log[: 1 << m]] * 2, dtype=float)
         self._log_hat = self._wht().copy()  # spectrum of log z, z < 2^m (log 0 = 0)
         # c * x is _expz[_logz[x] + log c] for logs in [0, q).  A zero factor
-        # (x = 0, or the skew of a layer's block 0) has log 2q, which lands
-        # in the zeros after the two periods of exp.
+        # (x = 0, or the skew of a layer's block 0) has log 2q; every index
+        # from 2q up lands, under take's mode="clip", on the final zero after
+        # the two periods of exp.
         self._logz = field.log.copy()
         self._logz[0] = 2 * q
-        self._expz = np.concatenate([field.exp, field.exp, np.zeros(2 * q + 1, np.int64)])
+        self._expz = np.concatenate([field.exp, field.exp, np.zeros(1, np.int64)])
         skews, sigma = _novel_basis(field, m)
-        self._skews = [np.where(v == 0, 2 * q, field.log[v])[:, None] for v in skews]
+        self._layers = _runs([np.where(v == 0, 2 * q, field.log[v])[:, None] for v in skews], 0, m)
         self._sigma, self._unsigma = sigma[:, None], (-sigma % q)[:, None]
         # Parity t is the polynomial through data points 0..k-1 evaluated at
-        # point k+t; the log-sums of that base are kept (k == n means no parity).
+        # point k+t: the scales of that base and of the parity points, and
+        # the parity block's skews, are fixed (k == n means no parity).
         if n > k:
-            self._data_logs = self._log_sums(np.arange(k))
+            sums = self._log_sums(np.arange(k))
+            t0, j = _block(k, n - 1)
+            self._parity = ((-sums[:k] % q)[:, None], sums[k:n, None], t0,
+                            _runs(self._layers, t0, j))
 
     def _wht(self) -> np.ndarray:
         """The unnormalised WHT of work row 0 into a work row, one product per axis."""
@@ -184,52 +217,57 @@ class ReedSolomonErasure:
         sums = self._wht().astype(np.int64)
         return np.remainder(np.right_shift(sums, self._m, out=sums), self.field.q, out=sums)
 
-    def _evaluate(self, base: np.ndarray, sums: np.ndarray, values: np.ndarray,
-                  targets: np.ndarray) -> np.ndarray:
-        """(len(targets), s) values at the sorted ``targets`` (none in
-        ``base``) of the polynomials through ``base`` with columns of
-        ``values`` (k, s); ``sums`` from :meth:`_log_sums`.
+    def _evaluate(self, base, values: np.ndarray, base_logs: np.ndarray, t0: int,
+                  runs: list) -> np.ndarray:
+        """C(x) = sum_i a_i / (x - x_i) at the 2^j points t0 + 0..2^j - 1
+        (t0 a multiple of 2^j, j = len(runs)) for the points ``base`` (an
+        index array or slice) and a_i the rows of ``values`` (k, s) scaled by
+        ``base_logs`` (k, 1), -sums[base] % q for sums from :meth:`_log_sums`;
+        ``runs`` is :func:`_runs` of the layers for that block.  The result
+        is a view of the work arrays, (2^j, s).
 
-        Lagrange gives P(x_t) = prod_j (x_t - x_j) * C(x_t), C(x) = sum_i a_i
-        / (x - x_i).  Put a on all points 0..2^m - 1 (zero off base); the
-        polynomial A of degree < 2^m through it is (W / W') * C, W vanishing
-        on the points and W' its constant derivative, so A'(x_t) = C(x_t)
-        off base.  A is the inverse FFT of a, A' the forward FFT of its formal
-        derivative.  X_j' = sum_{bits i of j} c_i X_{j - 2^i} for the basis
-        X_j = prod_{bits i of j} What_i; scaled by sigma_j, the coefficients
-        of the derivative are plain XORs of coefficients.
+        Lagrange gives P(x_t) = prod_j (x_t - x_j) * C(x_t), off base.  Put a
+        on all points 0..2^m - 1 (zero off base); the polynomial A of degree
+        < 2^m through it is (W / W') * C, W vanishing on the points and W'
+        its constant derivative, so A'(x_t) = C(x_t) off base.  A is the
+        inverse FFT of a, A' the forward FFT of its formal derivative.  X_j' =
+        sum_{bits i of j} c_i X_{j - 2^i} for the basis X_j = prod_{bits i of
+        j} What_i; scaled by sigma_j, the coefficients of the derivative are
+        plain XORs of coefficients.
 
-        The targets lie in the aligned block of 2^j points from t0: layer i >= j
-        keeps only the half holding t0, f0 + (What_i(b) + bit i of t0) * f1.
+        Layer i >= j keeps only the half holding t0, f0 + (What_i(b) + bit i
+        of t0) * f1.
         """
-        q, s, m = self.field.q, values.shape[1], self._m
+        s, m = values.shape[1], self._m
         if self._fft_work.shape[2] != s:
             self._fft_work = np.empty((2, 1 << m, s), dtype=np.int64)
         a, deriv = self._fft_work
         a.fill(0)
-        a[base] = self._scale(values, (-sums[base] % q)[:, None])
+        a[base] = self._scale(values, base_logs)
         coef = self._scale(self._ifft(a, deriv), self._sigma, out=a)
         deriv.fill(0)
         for i in range(m):
-            deriv.reshape(-1, 2, s << i)[:, 0] ^= coef.reshape(-1, 2, s << i)[:, 1]
+            if s << i < 8:  # short rows: one strided slice per residue
+                for r in range(1 << i):
+                    deriv[r :: 2 << i] ^= coef[r + (1 << i) :: 2 << i]
+            else:
+                deriv.reshape(-1, 2, s << i)[:, 0] ^= coef.reshape(-1, 2, s << i)[:, 1]
         f = self._scale(deriv, self._unsigma, out=deriv)
-        j = (int(targets[0]) ^ int(targets[-1])).bit_length()
-        t0 = int(targets[0]) >> j << j
-        for i in reversed(range(j, m)):
-            c = int(self._expz[self._skews[i][t0 >> (i + 1), 0]]) ^ (t0 >> i & 1)
+        for i in reversed(range(len(runs), m)):
+            c = int(self._expz[self._layers[i][t0 >> (i + 1), 0]]) ^ (t0 >> i & 1)
             f, hi = f[: len(f) // 2], f[len(f) // 2 :]
             f ^= self._scale(hi, self._logz[c])
-        c = self._fft(f, coef[: len(f)], t0)
-        return self._scale(c[targets - t0], sums[targets][:, None])
+        return self._fft(f, coef[: len(f)], t0, runs)
 
     def _scale(self, x: np.ndarray, log_c, out: np.ndarray | None = None) -> np.ndarray:
         """c * x elementwise, c by its log (broadcast); ``out`` may be ``x``."""
-        return self._expz.take(self._logz[x] + log_c, out=out, mode="clip")  # no copy of out
+        return self._expz.take(self._logz.take(x, mode="clip") + log_c, out=out, mode="clip")
 
-    def _fft(self, x: np.ndarray, y: np.ndarray, t0: int) -> np.ndarray:
+    def _fft(self, x: np.ndarray, y: np.ndarray, t0: int, runs: list) -> np.ndarray:
         """Values at the points t0 + 0..2^j - 1 (t0 a multiple of 2^j) of the
         polynomial whose novel-basis coefficients are the 2^j rows of ``x``,
-        row t for point t0 + t; ``x`` and ``y`` are overwritten.
+        row t for point t0 + t; ``runs`` is :func:`_runs` for that block, and
+        ``x`` and ``y`` are overwritten.
 
         Layer i = j-1, .., 0 splits each block b + span(1, .., 2^i) (b its
         first point) into halves where What_i is What_i(b) and What_i(b) + 1,
@@ -240,37 +278,40 @@ class ReedSolomonErasure:
         after j layers the rows are in natural order.
         """
         h, s = len(x) // 2, x.shape[1]
-        j, expz, logz, skews = h.bit_length(), self._expz, self._logz, self._skews
-        for i in reversed(range(j)):
-            lo, hi = x[:h], x[h:]
+        for i in reversed(range(len(runs))):
             pair = y.reshape(h, 2, s)
             out_lo, out_hi = pair[:, 0], pair[:, 1]
-            if t0 or i < j - 1:  # the single block of layer j - 1 from 0 has skew 0
-                skew = skews[i][t0 >> (i + 1):(t0 + 2 * h) >> (i + 1)]
-                prod = expz[logz[hi].reshape(1 << i, -1, s) + skew]
-                np.bitwise_xor(lo, prod.reshape(h, s), out=out_lo)
+            if t0 or i < len(runs) - 1:  # the single block of layer j - 1 from 0 has skew 0
+                self._butterfly(x[:h], x[h:], runs[i], out_lo)
             else:
-                out_lo[...] = lo
-            np.bitwise_xor(hi, out_lo, out=out_hi)
+                out_lo[...] = x[:h]
+            np.bitwise_xor(x[h:], out_lo, out=out_hi)
             x, y = y, x
         return x
 
     def _ifft(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The inverse of :meth:`_fft` at t0 = 0."""
         m, h, s = self._m, len(x) // 2, x.shape[1]
-        expz, logz, skews = self._expz, self._logz, self._skews
         for i in range(m):
             pair = x.reshape(h, 2, s)
             lo, hi = pair[:, 0], pair[:, 1]
             out_lo, out_hi = y[:h], y[h:]
             np.bitwise_xor(hi, lo, out=out_hi)
             if i < m - 1:
-                prod = expz[logz[out_hi].reshape(1 << i, -1, s) + skews[i]]
-                np.bitwise_xor(lo, prod.reshape(h, s), out=out_lo)
+                self._butterfly(lo, out_hi, self._layers[i], out_lo)
             else:
                 out_lo[...] = lo
             x, y = y, x
         return x
+
+    def _butterfly(self, lo: np.ndarray, hi: np.ndarray, run: np.ndarray,
+                   out: np.ndarray) -> None:
+        """out = lo + skew * hi for a layer's halves (h, s), the skews by
+        their logs ``run`` (a column of :func:`_runs`), repeating along hi."""
+        s = hi.shape[1]
+        logs = self._logz.take(hi, mode="clip").reshape(-1, len(run), s)
+        prod = self._expz.take(np.add(logs, run, out=logs), mode="clip")
+        np.bitwise_xor(lo, prod.reshape(-1, s), out=out)
 
     def encode(self, data: np.ndarray) -> np.ndarray:
         """Map k data symbols (or a (k, s) block) to n symbols (systematic)."""
@@ -282,8 +323,10 @@ class ReedSolomonErasure:
         if self.n == self.k:
             return data.copy()
         k, cols = self.k, data.reshape(self.k, -1)
+        base_logs, parity_logs, t0, runs = self._parity
         with self._lock:
-            parity = self._evaluate(np.arange(k), self._data_logs, cols, np.arange(k, self.n))
+            c = self._evaluate(slice(0, k), cols, base_logs, t0, runs)
+            parity = self._scale(c[k - t0 : self.n - t0], parity_logs)
         return np.concatenate([cols, parity]).reshape((self.n,) + data.shape[1:])
 
     def decode_erasures(self, symbols: np.ndarray, erased: np.ndarray) -> np.ndarray:
@@ -308,7 +351,11 @@ class ReedSolomonErasure:
         missing = np.flatnonzero(erased[: self.k])
         if missing.size == 0:
             return data
+        t0, j = _block(int(missing[0]), int(missing[-1]))
         with self._lock:
-            recovered = self._evaluate(avail, self._log_sums(avail), known, missing)
+            sums = self._log_sums(avail)
+            c = self._evaluate(avail, known, (-sums[avail] % self.field.q)[:, None], t0,
+                               self._layers if j == self._m else _runs(self._layers, t0, j))
+            recovered = self._scale(c[missing - t0], sums[missing][:, None])
         data[missing] = recovered.reshape((missing.size,) + symbols.shape[1:])
         return data

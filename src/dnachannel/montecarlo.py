@@ -19,7 +19,12 @@ results to ``settle`` a block at a time.  Most kinds finish a trial inside
 trial only draws its data bits and the channel's counts and noise
 (``channel.transmit_draws``); once a block holds ``BLOCK_READS`` reads, one
 pass encodes, transmits and majority-votes its trials as integer reads.
-The vote ignores read order, so no trial draws the channel's shuffle.
+An index-codec trial decodes the reads in source order
+(``channel.transmit_unshuffled``).  Neither decoder depends on read order:
+the vote counts reads, and ``decode_output`` erases an index read with any
+payload unlike its representative's, whichever read that is.  The shuffle
+is the channel's last draw, and ``trial_streams`` resets the generator for
+the next trial, so no trial draws it and no other draw moves.
 
 Verdicts are one-sided where the target is an analytic bound (empirical
 values may sit far below a loose bound; only exceeding it by more than
@@ -46,7 +51,8 @@ from .channel import (
     sample_counts,
     transmit,
     transmit_draws,
-    transmit_traced,
+    transmit_traced,  # not called: the span tracer patches this name
+    transmit_unshuffled,
 )
 from .codec import (
     CodecConfig,
@@ -227,7 +233,7 @@ class DecodeSuccess(ExperimentSpec):
             return _ShortDraws(words, *transmit_draws(self.channel, rng))
         msg = random_message(self.codec, rng)
         cw = encode_message(msg, self.codec)
-        out, _, counts, flips = transmit_traced(cw, self.channel, rng)
+        out, counts, flips = transmit_unshuffled(cw, self.channel, rng)
         report = decode_output(out, self.codec)
         # The decoder's own verdict (erasures within the outer budget); a
         # rare wrong message behind a reported success is a separate,

@@ -315,10 +315,14 @@ def _poisson_ptrs(rng: np.random.Generator, lam: float, size: int) -> np.ndarray
         u = rng.random(pending.size) - 0.5
         v = rng.random(pending.size)
         us = 0.5 - np.abs(u)
-        kf = np.floor((2.0 * a / us + b) * u + lam + 0.43)
+        # us = 0 (a uniform of exactly 0.0) would make 2a/us infinite; that
+        # attempt divides by 1 instead and is rejected (k = -1), as
+        # poisson_each's walk skips it.
+        live = us > 0.0
+        kf = np.floor((2.0 * a / np.where(live, us, 1.0) + b) * u + lam + 0.43)
         # A candidate outside int64 becomes -1, which the full test rejects
         # (it needs k >= 0); one the squeeze accepts is too large to return.
-        fits = np.abs(kf) < 2.0**63
+        fits = live & (np.abs(kf) < 2.0**63)
         k = np.where(fits, kf, -1.0).astype(np.int64)
 
         accept = (us >= 0.07) & (v <= v_r)
@@ -328,7 +332,8 @@ def _poisson_ptrs(rng: np.random.Generator, lam: float, size: int) -> np.ndarray
         check = ~accept & (k >= 0) & ((us >= 0.013) | (v <= us))
         if check.any():
             kc = k[check]
-            lhs = np.log(v[check] * inv_alpha / (a / (us[check] ** 2) + b))
+            with np.errstate(divide="ignore"):  # a ratio of 0 has log -inf: accept
+                lhs = np.log(v[check] * inv_alpha / (a / (us[check] ** 2) + b))
             rhs = -lam + kc * log_lam - _log_factorial(kc)
             accept[check] = lhs <= rhs
 
@@ -391,8 +396,10 @@ def poisson_each(rng: np.random.Generator, means) -> np.ndarray:
             if us >= 0.07 and v <= v_r:
                 break
             if k >= 0 and (us >= 0.013 or v <= us):
-                lhs = log(v * inv_alpha / (a / (us * us) + b))
-                if lhs <= -lam + k * log_lam - math.lgamma(k + 1.0):
+                ratio = v * inv_alpha / (a / (us * us) + b)
+                # A ratio of 0 (v = 0, or an underflow) has log -inf and
+                # accepts, as in _poisson_ptrs, without numpy's warning.
+                if ratio == 0.0 or log(ratio) <= -lam + k * log_lam - math.lgamma(k + 1.0):
                     break
         ks.append(k)
     # Rewind, then consume exactly what per-element calls would have.

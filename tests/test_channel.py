@@ -377,11 +377,11 @@ EACH_MEANS = st.one_of(
     st.floats(0.0, 10.0, exclude_min=True),
     st.floats(10.0, 1e6, exclude_min=True),
 )
-# Uniforms near the ends of [0, 1) make PTRS reject again and again.  (An
-# exact 0.0 would make the array path divide by zero.)
+# Uniforms near the ends of [0, 1) make PTRS reject again and again; an
+# exact 0.0 gives a PTRS attempt us = 0.
 EDGE_UNIFORMS = st.one_of(
-    st.sampled_from([2.0**-53, 0.5, 1.0 - 2.0**-53]),
-    st.floats(2.0**-53, 1.0, exclude_max=True),
+    st.sampled_from([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]),
+    st.floats(0.0, 1.0, exclude_max=True),
 )
 
 
@@ -391,6 +391,8 @@ EDGE_UNIFORMS = st.one_of(
 # Top-ups in a long rejection run and just before an inversion mean.
 @example(means=[10.5, 3.0, 0.0, 7.0, 10.0, 25.0], head=[], seed=1446)
 @example(means=[10.5, 10.5] + [1.0] * 20 + [10.5], head=[], seed=14839)
+# An attempt at us = 0, then one that accepts at v = 0 (log 0 = -inf).
+@example(means=[1e-300, 11.0], head=[0.0, 0.0, 0.0, 0.0625, 0.0], seed=0)
 def test_poisson_each_equals_per_element_calls(means, head, seed):
     # With a head, the stream starts with it and runs the block into
     # top-ups; without one it is a real generator's.
@@ -404,6 +406,16 @@ def test_poisson_each_equals_per_element_calls(means, head, seed):
     expected = [poisson_counts(ref, m, 1)[0] for m in means]
     assert poisson_each(rng, means).tolist() == expected
     assert rng.random() == ref.random()
+
+
+def test_ptrs_rejects_a_zero_uniform_without_dividing():
+    # u = 0.0 makes the attempt's us = 0: both paths reject it, without the
+    # divide-by-zero RuntimeWarning the suite turns into an error, and the
+    # variate is the next attempt's.
+    u = np.concatenate([[0.0, 0.3], np.random.default_rng(3).random(400)])
+    each = poisson_each(ScriptedUniforms(u), [20.0])
+    assert poisson_counts(ScriptedUniforms(u), 20.0, 1).tolist() == each.tolist()
+    assert each[0] == poisson_counts(ScriptedUniforms(u[2:]), 20.0, 1)[0]
 
 
 def sequential_cdf(lam):

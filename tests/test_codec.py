@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from dnachannel import codec
@@ -524,6 +525,38 @@ def test_dedup_matches_reference_loop():
             data = np.stack([outer_decode(symbols[:, j], erased, cfg.M, cfg.outer_k, w)
                              for j in range(s)], axis=1)
             assert (report.message == int_to_bits(data, w).reshape(-1)).all()
+
+
+# M = 12 leaves indices 12..15 out of range for every inner code.
+PERMUTED_CODECS = {
+    "identity": CodecConfig(M=12, L=12, inner=InnerCodeSpec.identity(), outer_k=8),
+    "rep3": CodecConfig(M=12, L=24, inner=InnerCodeSpec.repetition(3), outer_k=8),
+    "table": CodecConfig(M=12, L=24, inner=InnerCodeSpec.table_ml(8, 1), outer_k=8),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(PERMUTED_CODECS)), seed=st.integers(0, 2**32 - 1),
+       picks=st.lists(st.integers(0, 11), max_size=40),
+       flips=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 23)), max_size=12))
+@example(name="identity", seed=0, picks=[], flips=[])  # N = 0
+# Two copies of molecule 3 that conflict, and molecule 4 read as index 12.
+@example(name="identity", seed=0, picks=[3, 3, 4] + list(range(12)), flips=[(1, 11), (2, 0)])
+def test_decode_output_ignores_read_order(name, seed, picks, flips):
+    """The channel's reads are a multiset: any order decodes to one report."""
+    cfg = PERMUTED_CODECS[name]
+    rng = np.random.default_rng(seed)
+    reads = encode_message(random_message(cfg, rng), cfg).molecules[np.array(picks, dtype=np.intp)]
+    for i, b in flips:
+        if i < len(reads):
+            reads[i, b % cfg.L] ^= 1
+    want = decode_output(ChannelOutput(reads=reads), cfg)
+    # Reversed, each index's first and last reads swap places.
+    for order in [np.arange(len(reads))[::-1]] + [rng.permutation(len(reads)) for _ in range(4)]:
+        got = decode_output(ChannelOutput(reads=reads[order]), cfg)
+        assert (got.erasures, got.collisions, got.undetected_risk, got.ok) == \
+            (want.erasures, want.collisions, want.undetected_risk, want.ok)
+        assert not want.ok or np.array_equal(got.message, want.message)
 
 
 def test_perfect_channel_roundtrip_many_messages():

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dnachannel.gf import GF2w, ReedSolomonErasure, TooManyErasures
+from dnachannel.gf import GF2w, ReedSolomonErasure, TooManyErasures, _runs
 
 
 @pytest.mark.parametrize("w", range(2, 17))
@@ -384,6 +384,28 @@ def test_transform_kernel_matches_lagrange(n, k, w):
         assert (got == _reference_decode(n, k, w, noisy, erased)).all()
         assert (rs.decode_erasures(noisy[:, 1], erased) == got[:, 1]).all()
         assert (rs.decode_erasures(cw, erased) == data).all()
+
+
+@pytest.mark.parametrize("n,k,w", [(16, 5, 4), (200, 120, 8), (1000, 700, 13)])
+@pytest.mark.parametrize("s", [1, 3])
+def test_evaluate_matches_lagrange_on_every_aligned_block(n, k, w, s):
+    """The kernel off the full transform: for every aligned block of 2^j
+    points from t0, j = 0..m, its values at the block's points off base."""
+    rs = ReedSolomonErasure(n, k, w)
+    m, q = rs._m, rs.field.q
+    rng = np.random.default_rng([n, k, w, s])
+    base = np.sort(rng.choice(n, size=k, replace=False))
+    values = rng.integers(0, 1 << w, size=(k, s))
+    off = np.setdiff1d(np.arange(1 << m), base)
+    want = _lagrange(w, base, values, off)
+    sums = rs._log_sums(base)
+    base_logs = (-sums[base] % q)[:, None]
+    for j in range(m + 1):
+        for t0 in range(0, 1 << m, 1 << j):
+            c = rs._evaluate(base, values, base_logs, t0, _runs(rs._layers, t0, j))
+            at = (off >= t0) & (off < t0 + (1 << j))
+            got = rs._scale(c[off[at] - t0], sums[off[at]][:, None])
+            assert np.array_equal(got, want[at]), (j, t0)
 
 
 # The plain Lagrange reference reproduces the pinned codewords as well.

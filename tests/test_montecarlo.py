@@ -19,6 +19,9 @@ from dnachannel.codec import (
     CodecConfig,
     ConfigError,
     InnerCodeSpec,
+    decode_output,
+    encode_message,
+    random_message,
     short_molecule_decode,
     short_molecule_encode,
 )
@@ -156,6 +159,37 @@ def test_short_blocks_match_the_single_trial_reference(M, L, sampling, p, trials
         assert max(N) < BLOCK_READS < sum(N)
     elif check == "a trial above the budget":
         assert max(N) > BLOCK_READS
+
+
+@dataclass(frozen=True, kw_only=True)
+class ShuffledReference(DecodeSuccess):
+    """An index-codec trial that also draws the channel's shuffle."""
+
+    def trial(self, rng):
+        msg = random_message(self.codec, rng)
+        out, _, counts, flips = transmit_traced(encode_message(msg, self.codec), self.channel, rng)
+        report = decode_output(out, self.codec)
+        row = (out.N, int(np.count_nonzero(counts)), report.ok, report.erasures,
+               report.collisions, flips / out.reads.size if out.N > 0 else None)
+        return row, float(report.ok)
+
+
+@pytest.mark.parametrize("M,L,inner,k,sampling,p", [
+    (16, 24, InnerCodeSpec.repetition(3), 12, SamplingSpec.poisson(3.0), 0.05),
+    (12, 12, InnerCodeSpec.identity(), 8, SamplingSpec.poisson_pcr(6.0, 2.0), 0.03),
+    (12, 8, InnerCodeSpec.identity(), 6, SamplingSpec.bernoulli(1.0), 0.02),  # no reads
+    (256, 48, InnerCodeSpec.repetition(3), 192, SamplingSpec.poisson_pcr(20.0, 5.0), 0.01),
+])
+def test_index_trials_match_the_shuffled_reference(M, L, inner, k, sampling, p):
+    # The reads stay in source order; the records are those of trials that
+    # shuffle them, conflicts and out-of-range indices (M = 12) included.
+    ch = ChannelParams(M=M, beta=L / math.log2(M), p=p, sampling=sampling, L=L)
+    codec = CodecConfig(M=M, L=L, inner=inner, outer_k=k)
+    spec = dict(channel=ch, codec=codec, trials=30, base_seed=117, min_rate=0.5)
+    text = run_text(DecodeSuccess(**spec))
+    assert text == run_text(ShuffledReference(**spec))
+    records = [json.loads(line) for line in text.splitlines()[:-1]]
+    assert any(r["collisions"] for r in records) == (p > 0 and sampling.q0() < 1)
 
 
 def test_short_blocks_fail_every_trial_that_overflows():
