@@ -39,7 +39,6 @@ from .channel import (
     PoissonPCR,
     SamplingSpec,
     apply_noise,
-    q0_of,
     sample_counts,
     shuffle_reads,
     transmit,

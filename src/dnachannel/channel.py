@@ -8,8 +8,8 @@ all ordering information.
 
 The sampling distribution is a :class:`SamplingSpec` subclass --
 :class:`Bernoulli`, :class:`Poisson`, :class:`PoissonPCR` or
-:class:`CustomPMF` -- that holds its own parameters and draws its own
-counts; Poisson up to lambda = 10 and CustomPMF keep a read-only table.
+:class:`CustomPMF` -- a frozen value that holds its parameters, and
+nothing derived from them, and draws its own counts.
 
 Every operation is pure given an explicit ``numpy.random.Generator``; the
 stream consumption order inside :func:`transmit` is fixed (counts, then
@@ -34,19 +34,17 @@ noise needs memory for one chunk, whatever the number of reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import _PTRS_THRESHOLD, _inversion_cdf, poisson_counts, poisson_each
+from .rng import poisson_counts, poisson_each
 
 __all__ = [
     "SamplingSpec", "Bernoulli", "Poisson", "PoissonPCR", "CustomPMF",
     "ChannelParams",
     "CodewordSet",
     "ChannelOutput",
-    "q0_of",
     "sample_counts",
     "apply_noise",
     "shuffle_reads",
@@ -77,11 +75,6 @@ class SamplingSpec:
     def __init__(self, *args, **kwargs):
         raise ValueError("SamplingSpec is abstract; build one with SamplingSpec.bernoulli, "
                          ".poisson, .poisson_pcr, .custom or .custom_truncated")
-
-    def __reduce__(self):
-        # Unpickling re-runs the constructor, so a sampler table comes back
-        # rebuilt and read-only, not as a writable copy.
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @classmethod
     def bernoulli(cls, q: float) -> "SamplingSpec":
@@ -146,12 +139,6 @@ class Poisson(SamplingSpec):
         if not 0.0 < self.lam < math.inf:  # False for NaN too
             raise ValueError(f"poisson lambda must be finite and > 0, got {self.lam}")
 
-    @cached_property
-    def _cdf(self) -> np.ndarray | None:
-        # sample()'s table, the read-only one poisson_counts inverts over up to
-        # lam = 10 (None above: PTRS); built on first use, as the CLI builds all presets.
-        return _inversion_cdf(float(self.lam))[:-1] if self.lam <= _PTRS_THRESHOLD else None
-
     def q0(self) -> float:
         return math.exp(-self.lam)
 
@@ -159,9 +146,7 @@ class Poisson(SamplingSpec):
         return float(self.lam)
 
     def sample(self, M: int, rng: np.random.Generator) -> np.ndarray:
-        if self._cdf is None:
-            return poisson_counts(rng, self.lam, M)
-        return self._cdf.searchsorted(rng.random(M)).astype(np.int64, copy=False)
+        return poisson_counts(rng, self.lam, M)
 
 
 @dataclass(frozen=True)
@@ -205,9 +190,6 @@ class CustomPMF(SamplingSpec):
             raise ValueError("pmf entries must be probabilities")
         if abs(arr.sum() - 1.0) > PMF_TOLERANCE:
             raise ValueError(f"pmf must sum to 1 within {PMF_TOLERANCE}, got {arr.sum()!r}")
-        # sample()'s table, read-only: the same doubles as np.cumsum(pmf).
-        object.__setattr__(self, "_cdf", np.cumsum(arr))
-        self._cdf.setflags(write=False)
 
     def q0(self) -> float:
         return float(self.pmf[0])
@@ -218,13 +200,8 @@ class CustomPMF(SamplingSpec):
     def sample(self, M: int, rng: np.random.Generator) -> np.ndarray:
         # Residual mass above the table (only possible within PMF_TOLERANCE
         # roundoff) falls into the last bin, found by searching all but it.
-        u = rng.random(M)
-        return self._cdf[:-1].searchsorted(u, side="right").astype(np.int64, copy=False)
-
-
-def q0_of(spec: SamplingSpec) -> float:
-    """Exact probability that one molecule is sampled zero times."""
-    return spec.q0()
+        cdf = np.cumsum(self.pmf)[:-1]
+        return cdf.searchsorted(rng.random(M), side="right").astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -294,7 +271,7 @@ class CodewordSet:
 
 @dataclass(frozen=True)
 class ChannelOutput:
-    """Unordered multiset of reads, stored as a shuffled (N, L) bit array."""
+    """Multiset of reads, an (N, L) bit array in the order its producer gave it."""
 
     reads: np.ndarray
 
@@ -359,15 +336,15 @@ def apply_noise(reads: np.ndarray, p: float, rng: np.random.Generator) -> np.nda
 def shuffle_reads(reads: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Return the reads in uniformly random order (multiset preserved)."""
     reads = np.asarray(reads)
-    perm = rng.permutation(reads.shape[0])
-    return reads[perm]
+    return reads[rng.permutation(reads.shape[0])]
 
 
 def transmit(
     codeword: CodewordSet, params: ChannelParams, rng: np.random.Generator
 ) -> ChannelOutput:
     """Run one channel use: sample counts, expand, corrupt, shuffle."""
-    return transmit_traced(codeword, params, rng)[0]
+    out = transmit_unshuffled(codeword, params, rng)[0]
+    return ChannelOutput(reads=shuffle_reads(out.reads, rng))
 
 
 def transmit_traced(

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import capacity as cap
-from .channel import ChannelParams, SamplingSpec, q0_of
+from .channel import ChannelParams, SamplingSpec
 from .codec import CodecConfig, InnerCodeSpec
 from .montecarlo import (
     ExperimentSpec,
@@ -183,9 +183,9 @@ def _resolve_q0(args, parser) -> float:
     if args.q0 is not None:
         return args.q0
     if args.lam is not None and args.alpha is not None:
-        return q0_of(SamplingSpec.poisson_pcr(args.lam, args.alpha))
+        return SamplingSpec.poisson_pcr(args.lam, args.alpha).q0()
     if args.lam is not None:
-        return q0_of(SamplingSpec.poisson(args.lam))
+        return SamplingSpec.poisson(args.lam).q0()
     if args.q is not None:
         return args.q
     parser.error("--model noise-free requires one of --q0, --lambda[, --alpha], --q")

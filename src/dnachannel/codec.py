@@ -172,9 +172,10 @@ class TableMLCode(InnerCodeSpec):
             raise ConfigError(f"inner info bits {self.k_info} exceed molecule length {L}")
         return self.k_info
 
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=4)
     def codebook(self, L: int) -> np.ndarray:
-        """The 2^k_info distinct length-L codewords, built once per L."""
+        """The 2^k_info distinct length-L codewords.  The last four built are
+        kept: one is 2^k_info x L bytes, 48 MiB at k_info = 20, L = 48."""
         rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(self.seed)))
         book = rng.integers(0, 2, size=(1 << self.info_bits(L), L), dtype=np.uint8)
         if np.unique(book, axis=0).shape[0] != book.shape[0]:
@@ -220,9 +221,10 @@ def inner_decode(read: np.ndarray, spec: InnerCodeSpec, L: int) -> np.ndarray:
 # Outer code (thin wrappers over the Reed-Solomon erasure codec)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _outer_code(n: int, k: int, w: int) -> ReedSolomonErasure:
-    """One Reed-Solomon codec per (n, k, w), built on first use."""
+    """One Reed-Solomon codec per (n, k, w), built on first use; the last
+    few are kept (building one at M = 2^16 peaks at ~12 MiB)."""
     return ReedSolomonErasure(n, k, w)
 
 

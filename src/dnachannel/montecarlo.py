@@ -47,9 +47,7 @@ from .channel import (
     ChannelParams,
     SamplingSpec,
     apply_noise,
-    q0_of,
     sample_counts,
-    transmit,
     transmit_draws,
     transmit_traced,  # not called: the span tracer patches this name
     transmit_unshuffled,
@@ -511,7 +509,8 @@ def measure_undetected_swaps(
     bad = 0
     for _, rng in trial_streams(base_seed, trials):
         msg = random_message(cfg, rng)
-        out = transmit(encode_message(msg, cfg), channel, rng)
+        # No shuffle: decode_output ignores read order (module docstring).
+        out = transmit_unshuffled(encode_message(msg, cfg), channel, rng)[0]
         report = decode_output(out, cfg)
         if report.ok and not np.array_equal(report.message, msg):
             bad += 1
@@ -559,7 +558,7 @@ def rate_vs_capacity_sweep(
             spec_i, p_i = SamplingSpec.bernoulli(value), p
         else:
             spec_i, p_i = sampling, value
-        q0 = q0_of(spec_i)
+        q0 = spec_i.q0()
         if p_i == 0.0:
             c = cap.noise_free_capacity(q0, beta).value
         else:

@@ -1,10 +1,14 @@
 """Deterministic random-number plumbing.
 
 All randomness in this package flows through numpy's Philox bit generator,
-a counter-based PRNG.  Substreams are derived with ``numpy.random.SeedSequence``
-using the substream's index path as the ``spawn_key``, so the stream for
-(seed, trial 17) or (seed, trial 17, molecule 3) is a pure function of those
-integers: a trial's output does not depend on which trials ran before it.
+a counter-based PRNG, seeded through ``numpy.random.SeedSequence`` with an
+index path as the ``spawn_key``, so every stream is a pure function of a base
+seed and a few integers.  ``substream(base, *path)`` is the generator for that
+path.  A run's trial t runs on a different stream:
+``generator_from_seed(derive_seed(base, t))``, a generator seeded with the
+trial's derived seed, which is what a trial record's ``seed`` field holds.
+So a trial's output does not depend on which trials ran before it, and
+``generator_from_seed(record.seed)`` replays it alone.
 
 ``trial_streams`` seeds a run's trials by one of two paths, then resets one
 shared Philox generator to each trial's key, so the stream is bit for bit

@@ -1,5 +1,6 @@
 """Channel-core tests: sampling law, noise marginal, shuffling, determinism."""
 
+import dataclasses
 import hashlib
 import math
 import pickle
@@ -19,12 +20,12 @@ from dnachannel.channel import (
     CodewordSet,
     SamplingSpec,
     apply_noise,
-    q0_of,
     sample_counts,
     shuffle_reads,
     transmit,
     transmit_draws,
     transmit_traced,
+    transmit_unshuffled,
 )
 from dnachannel.rng import (
     _invert,
@@ -44,27 +45,27 @@ def rng_for(*path):
 
 
 # ---------------------------------------------------------------------------
-# q0_of
+# q0
 # ---------------------------------------------------------------------------
 
 def test_q0_bernoulli_is_q():
-    assert q0_of(SamplingSpec.bernoulli(0.1)) == 0.1
+    assert SamplingSpec.bernoulli(0.1).q0() == 0.1
 
 
 def test_q0_poisson_matches_high_precision_oracle():
     oracle = float(mpmath.e ** -1)
-    assert q0_of(SamplingSpec.poisson(1.0)) == pytest.approx(oracle, abs=1e-15)
+    assert SamplingSpec.poisson(1.0).q0() == pytest.approx(oracle, abs=1e-15)
 
 
 def test_q0_poisson_pcr_matches_high_precision_oracle():
     # compound model: exp(-alpha (1 - e^{-lambda/alpha}))
     oracle = float(mpmath.e ** (-2 * (1 - mpmath.e ** -1)))
-    assert q0_of(SamplingSpec.poisson_pcr(2.0, 2.0)) == pytest.approx(oracle, abs=1e-15)
+    assert SamplingSpec.poisson_pcr(2.0, 2.0).q0() == pytest.approx(oracle, abs=1e-15)
     assert oracle == pytest.approx(0.2824535638505403, abs=1e-14)
 
 
 def test_q0_custom_is_first_entry():
-    assert q0_of(SamplingSpec.custom([0.25, 0.5, 0.25])) == 0.25
+    assert SamplingSpec.custom([0.25, 0.5, 0.25]).q0() == 0.25
 
 
 def test_custom_pmf_validation():
@@ -91,7 +92,7 @@ def test_custom_truncated_renormalizes_and_flags():
     spec = SamplingSpec.custom_truncated(geometric())
     assert spec.truncated
     assert abs(sum(spec.pmf) - 1.0) < 1e-12
-    assert q0_of(spec) == pytest.approx(0.5, abs=1e-12)
+    assert spec.q0() == pytest.approx(0.5, abs=1e-12)
 
 
 def test_sampling_spec_validation():
@@ -174,8 +175,8 @@ def test_poisson_pcr_empirical_q0():
     spec = SamplingSpec.poisson_pcr(2.0, 2.0)
     counts = sample_counts(spec, 200_000, rng_for(5))
     miss = (counts == 0).mean()
-    sigma = math.sqrt(q0_of(spec) * (1 - q0_of(spec)) / counts.size)
-    assert abs(miss - q0_of(spec)) < 4 * sigma
+    sigma = math.sqrt(spec.q0() * (1 - spec.q0()) / counts.size)
+    assert abs(miss - spec.q0()) < 4 * sigma
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +463,7 @@ def test_poisson_counts_past_int64_raises():
 @pytest.mark.parametrize("lam", [1e-300, 0.5, 1.0, 10.0, 10.5, 30.0])
 def test_poisson_table_is_the_inversion_poisson_counts_runs(lam):
     spec = SamplingSpec.poisson(lam)
-    if lam > 10:
-        assert spec._cdf is None  # PTRS
-    else:
-        assert spec._cdf.tobytes() == _inversion_cdf(lam)[:-1].tobytes()
-        with pytest.raises(ValueError):
-            spec._cdf[0] = 0.5
+    if lam <= 10:  # inversion; PTRS above
         u = edge_uniforms(_inversion_cdf(lam))
 
         class Uniforms:
@@ -481,7 +477,8 @@ def test_poisson_table_is_the_inversion_poisson_counts_runs(lam):
     assert a.random(3).tolist() == b.random(3).tolist()  # same stream position
 
 
-@pytest.mark.parametrize("spec", [
+# One spec of every kind, Poisson on both sides of the PTRS threshold.
+EVERY_KIND = pytest.mark.parametrize("spec", [
     SamplingSpec.bernoulli(0.3),
     SamplingSpec.poisson(1.0),
     SamplingSpec.poisson(30.0),
@@ -489,30 +486,31 @@ def test_poisson_table_is_the_inversion_poisson_counts_runs(lam):
     SamplingSpec.custom([0.2, 0.5, 0.3]),
     SamplingSpec.custom_truncated(0.5 ** k for k in range(1, 200)),
 ], ids=["bernoulli", "poisson", "poisson-ptrs", "poisson-pcr", "custom", "custom-truncated"])
+
+
+@EVERY_KIND
 def test_sampling_spec_survives_pickle(spec):
-    table = getattr(spec, "_cdf", None)  # built before the pickle, if lazily
     back = pickle.loads(pickle.dumps(spec))
     assert type(back) is type(spec) and back == spec and hash(back) == hash(spec)
     assert getattr(back, "truncated", None) == getattr(spec, "truncated", None)
-    if table is not None:
-        # Rebuilt by the constructor, not restored as a writable copy.
-        assert back._cdf.tobytes() == table.tobytes()
-        with pytest.raises(ValueError):
-            back._cdf[0] = 0.5
     assert sample_counts(back, 300, rng_for(13)).tolist() == \
         sample_counts(spec, 300, rng_for(13)).tolist()
 
 
+@EVERY_KIND
+def test_sampling_spec_holds_only_its_fields(spec):
+    # A plain value: sampling leaves no derived state on the spec.
+    sample_counts(spec, 50, rng_for(14))
+    assert set(vars(spec)) == {f.name for f in dataclasses.fields(spec)}
+
+
 # [0.1] * 10 sums below 1, so some uniforms lie above the last entry.
 @pytest.mark.parametrize("pmf", [[1.0], [0.2, 0.5, 0.3], [0.1] * 10])
-def test_custom_pmf_table_is_cumsum_and_read_only(pmf):
+def test_custom_pmf_samples_by_cumsum_search(pmf):
     spec = SamplingSpec.custom(pmf)
-    assert spec._cdf.tobytes() == np.cumsum(pmf).tobytes()
-    with pytest.raises(ValueError):
-        spec._cdf[0] = 0.5
     assert spec == SamplingSpec.custom(pmf) and hash(spec) == hash(SamplingSpec.custom(pmf))
     # sample() against the search it replaced, capped at the last bin.
-    u = edge_uniforms(spec._cdf)
+    u = edge_uniforms(np.cumsum(pmf))
 
     class Uniforms:
         def random(self, size):
@@ -538,7 +536,7 @@ def test_empirical_q0_hoeffding_scale():
     misses = [
         (sample_counts(spec, 100_000, rng_for(7, t)) == 0).mean() for t in range(10)
     ]
-    assert abs(np.mean(misses) - q0_of(spec)) < 0.005
+    assert abs(np.mean(misses) - spec.q0()) < 0.005
 
 
 # ---------------------------------------------------------------------------
@@ -796,6 +794,17 @@ def test_transmit_traced_flip_count(p, q):
     assert (flips > 0) == (p > 0.0 and q == 0.0)
     # The count costs no draw: the stream is transmit's.
     assert np.array_equal(out.reads, transmit(cw, params, rng_for(30)).reads)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05])
+def test_transmit_is_unshuffled_then_shuffle(p):
+    cw = CodewordSet(molecules=rng_for(31).integers(0, 2, size=(300, 12), dtype=np.uint8))
+    params = _params(300, p, SamplingSpec.poisson(2.0), 12)
+    a, b = rng_for(32), rng_for(32)
+    got = transmit(cw, params, a)
+    expected = shuffle_reads(transmit_unshuffled(cw, params, b)[0].reads, b)
+    assert got.reads.tobytes() == expected.tobytes()
+    assert a.random(3).tolist() == b.random(3).tolist()  # same stream position
 
 
 def test_transmit_rejects_mismatched_codeword():

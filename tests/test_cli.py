@@ -10,9 +10,10 @@ import pytest
 
 from dnachannel import capacity as cap
 from dnachannel import cli
-from dnachannel.montecarlo import ExperimentSpec
+from dnachannel.montecarlo import ExperimentSpec, TrialRecord, records_to_jsonl
 from dnachannel.channel import ChannelParams, SamplingSpec
 from dnachannel.codec import CodecConfig, InnerCodeSpec
+from dnachannel.rng import generator_from_seed
 
 
 def run_cli(capsys, *argv):
@@ -356,6 +357,24 @@ def test_preset_jsonl_pinned_digest(capsys, tmp_path, command, preset):
     assert code == 0
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == PRESET_DIGESTS[command, preset]
+
+
+@pytest.mark.parametrize("command,preset", sorted(PRESET_DIGESTS))
+def test_record_seed_replays_its_trial(capsys, tmp_path, command, preset):
+    # Each JSONL record, replayed alone from its seed field, comes back byte
+    # for byte.  Eight trials are more than are seeded one by one.
+    path = tmp_path / f"{preset}.jsonl"
+    code, _, _ = run_cli(capsys, command, "--preset", preset, "--seed", "5",
+                         "--trials", "8", "--out", str(path))
+    assert code == 0
+    presets = cli._sim_presets if command == "simulate" else cli._rt_presets
+    spec = presets(5, 8)[preset]
+    lines = path.read_text().splitlines(keepends=True)[:-1]  # then the summary
+    assert len(lines) == 8
+    for line in lines:
+        rec = TrialRecord(**json.loads(line))
+        row, _ = spec.settle([spec.trial(generator_from_seed(rec.seed))])[0]
+        assert records_to_jsonl([TrialRecord(rec.trial, rec.seed, *row)]) == line
 
 
 def test_simulate_seed_changes_output(capsys):

@@ -266,6 +266,22 @@ def test_table_ml_decode_memory_bounded():
     assert peak < 2 * codec.TABLE_DECODE_BUDGET
 
 
+def test_codec_caches_keep_only_the_last_few():
+    # A sweep over many codes must not keep every codec or codebook alive.
+    codec._outer_code.cache_clear()
+    for k in range(1, 16):
+        outer_encode(np.zeros(k, dtype=np.int64), 16, k, 4)
+    info = codec._outer_code.cache_info()
+    assert info.currsize == info.maxsize < 15
+    assert codec._outer_code(16, 15, 4) is codec._outer_code(16, 15, 4)
+    books = codec.TableMLCode.codebook
+    books.cache_clear()
+    for seed in range(8):
+        InnerCodeSpec.table_ml(4, seed).codebook(32)
+    info = books.cache_info()
+    assert info.currsize == info.maxsize < 8
+
+
 def test_table_ml_duplicate_codebook_rejected():
     # k close to L makes duplicates certain (2^8 words of 4 bits)
     with pytest.raises(ConfigError):

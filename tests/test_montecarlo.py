@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from dnachannel import channel, cli, montecarlo
 from dnachannel.capacity import chernoff_read_error_bound, coupon_tail_bound
-from dnachannel.channel import ChannelParams, SamplingSpec, transmit_traced
+from dnachannel.channel import ChannelParams, SamplingSpec, transmit, transmit_traced
 from dnachannel.codec import (
     CodecConfig,
     ConfigError,
@@ -41,7 +41,7 @@ from dnachannel.montecarlo import (
     verify_chernoff,
     write_csv,
 )
-from dnachannel.rng import derive_seed
+from dnachannel.rng import derive_seed, generator_from_seed, trial_streams
 
 M16 = CodecConfig(M=16, L=8, inner=InnerCodeSpec.identity(), outer_k=12)
 M16_REP3 = CodecConfig(M=16, L=24, inner=InnerCodeSpec.repetition(3), outer_k=12)
@@ -527,6 +527,19 @@ def test_undetected_swaps_pinned_value():
     cfg = CodecConfig(M=16, L=8, inner=InnerCodeSpec.identity(), outer_k=4)
     freq = measure_undetected_swaps(cfg, bern_channel(16, 8, 0.1, p=0.1), 200, 7)
     assert freq == 178 / 200
+
+
+def test_undetected_swaps_equal_the_shuffled_reference():
+    # measure_undetected_swaps draws no shuffle: decode_output ignores read
+    # order, and the shuffle is each trial's last draw on a reset stream.
+    channel, trials = bern_channel(16, 24, 0.1, p=0.06), 300
+    bad = 0
+    for _, rng in trial_streams(121, trials):
+        msg = random_message(M16_REP3, rng)
+        report = decode_output(transmit(encode_message(msg, M16_REP3), channel, rng), M16_REP3)
+        bad += report.ok and not np.array_equal(report.message, msg)
+    assert bad > 0
+    assert measure_undetected_swaps(M16_REP3, channel, trials, 121) == bad / trials
 
 
 def test_undetected_swaps_below_union_bound():
