@@ -12,6 +12,7 @@ status 2).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -225,7 +226,9 @@ def _cmd_tradeoff(args, parser) -> int:
     return 0
 
 
-def _cmd_experiment(args, parser, presets) -> int:
+def _cmd_experiment(args, parser) -> int:
+    # Looked up per call: the parser is built once per process.
+    presets = _sim_presets if args.command == "simulate" else _rt_presets
     spec = presets(args.seed, args.trials)[args.preset]
     print(f"seed={args.seed}")
     result = run(spec)
@@ -319,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     precision(pt)
     pt.set_defaults(func=_cmd_tradeoff)
 
-    def experiment_parser(name, help_text, names, presets):
+    def experiment_parser(name, help_text, names):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--preset", choices=names, required=True)
         p.add_argument("--trials", type=int, help="override the preset trial count")
@@ -330,13 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--strict", action="store_true",
                        help="exit 1 if the verdict is FAIL or a trial failed")
         seeded(p)
-        p.set_defaults(func=lambda a, pp: _cmd_experiment(a, pp, presets))
+        p.set_defaults(func=_cmd_experiment)
         return p
 
-    experiment_parser("simulate", "channel-statistics experiments",
-                      SIM_PRESET_NAMES, _sim_presets)
-    experiment_parser("roundtrip", "encode/transmit/decode experiments",
-                      RT_PRESET_NAMES, _rt_presets)
+    experiment_parser("simulate", "channel-statistics experiments", SIM_PRESET_NAMES)
+    experiment_parser("roundtrip", "encode/transmit/decode experiments", RT_PRESET_NAMES)
 
     ps = sub.add_parser("sweep", help="rate vs capacity vs success CSV")
     ps.add_argument("--var", choices=["lambda", "q", "p"], required=True)
@@ -355,8 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process (~1.2 ms to build): parse_args keeps no state in it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)

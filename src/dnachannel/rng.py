@@ -273,7 +273,7 @@ def poisson_counts(rng: np.random.Generator, lam: float, size: int) -> np.ndarra
     if lam == 0:
         return np.zeros(size, dtype=np.int64)
     if lam <= _PTRS_THRESHOLD:
-        return _invert(float(lam), rng.random(size))
+        return _invert(lam, rng.random(size))
     return _poisson_ptrs(rng, lam, size)
 
 
@@ -294,11 +294,21 @@ def _inversion_cdf(lam: float) -> np.ndarray:
     return cdf
 
 
+# cdf_0..cdf_{kmax-1} of _inversion_cdf(lam) by lam, emptied when full.  A
+# dict lookup: an lru_cache call plus a fresh slice took ~0.25 us longer.
+_SEARCH_TABLES: dict[float, np.ndarray] = {}
+
+
 def _invert(lam: float, u: np.ndarray) -> np.ndarray:
     """First k with u <= cdf_k, capped at k_max: inversion by sequential search."""
     # Searching cdf_0..cdf_{kmax-1} returns k_max for any u above them, as
     # the cap would.
-    return _inversion_cdf(lam)[:-1].searchsorted(u).astype(np.int64, copy=False)
+    table = _SEARCH_TABLES.get(lam)
+    if table is None:
+        if len(_SEARCH_TABLES) >= 256:
+            _SEARCH_TABLES.clear()
+        table = _SEARCH_TABLES[lam] = _inversion_cdf(float(lam))[:-1]
+    return table.searchsorted(u).astype(np.int64, copy=False)
 
 
 def _ptrs_constants(lam: float) -> tuple[float, float, float, float, float]:

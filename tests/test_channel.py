@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from dnachannel import channel
+from dnachannel import channel, rng as rng_module
 from dnachannel.channel import (
     ChannelOutput,
     ChannelParams,
@@ -159,6 +159,15 @@ def test_invert_matches_the_capped_search_at_the_table_edges(lam):
     got = _invert(lam, u)
     assert got.dtype == np.int64
     assert got.tolist() == np.minimum(np.searchsorted(cdf, u), cdf.size - 1).tolist()
+
+
+def test_inversion_search_tables_stay_bounded():
+    # One cached table per lambda, emptied when full; a rebuilt table is the same.
+    first = poisson_counts(rng_for(5), 0.5, 100)
+    for lam in np.linspace(0.01, 10.0, 600):
+        poisson_counts(rng_for(6), lam, 2)
+    assert 0 < len(rng_module._SEARCH_TABLES) <= 256
+    assert poisson_counts(rng_for(5), 0.5, 100).tolist() == first.tolist()
 
 
 def test_poisson_rejection_distribution_chi_square():

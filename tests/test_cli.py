@@ -10,7 +10,7 @@ import pytest
 
 from dnachannel import capacity as cap
 from dnachannel import cli
-from dnachannel.montecarlo import ExperimentSpec, TrialRecord, records_to_jsonl
+from dnachannel.montecarlo import ExperimentSpec, TrialRecord, records_to_jsonl, run
 from dnachannel.channel import ChannelParams, SamplingSpec
 from dnachannel.codec import CodecConfig, InnerCodeSpec
 from dnachannel.rng import generator_from_seed
@@ -404,6 +404,18 @@ def test_strict_failure_exits_1(capsys, monkeypatch):
     # without --strict the same FAIL exits 0
     code, _, _ = run_cli(capsys, "roundtrip", "--preset", "m16-clean")
     assert code == 0
+
+
+def test_parser_is_built_once_and_presets_are_read_per_command(capsys, monkeypatch):
+    parser = cli._parser()
+    spec = ExperimentSpec.estimate_q0(
+        ChannelParams(M=8, beta=2.0, p=0.0, sampling=SamplingSpec.bernoulli(0.5)), 2, 3)
+    monkeypatch.setattr(cli, "_sim_presets", lambda seed, trials: {"q0-bern03": spec})
+    code, out, _ = run_cli(capsys, "simulate", "--preset", "q0-bern03")
+    assert code == 0 and cli._parser() is parser
+    result = run(spec)
+    assert out == (f"seed={cli.DEFAULT_SEED}\n" + records_to_jsonl(result.records)
+                   + json.dumps(result.summary.to_json()) + "\n")
 
 
 @dataclass(frozen=True, kw_only=True)

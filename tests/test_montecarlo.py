@@ -10,7 +10,7 @@ from typing import ClassVar
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dnachannel import channel, cli, montecarlo
 from dnachannel.capacity import chernoff_read_error_bound, coupon_tail_bound
@@ -109,7 +109,7 @@ def test_short_molecule_experiment_runs():
 class ShortReference(DecodeSuccess):
     """The short-molecule scheme trial by trial: encode, transmit, decode."""
 
-    reads = ExperimentSpec.reads
+    block_trials = ExperimentSpec.block_trials
     settle = ExperimentSpec.settle
 
     def trial(self, rng):
@@ -240,6 +240,103 @@ def test_short_preset_run_memory():
         tracemalloc.stop()
     # 2000 records take ~0.58 MiB; one block of BLOCK_READS reads the rest.
     assert peak <= 1 << 20
+
+
+@pytest.mark.parametrize("M,L,codec,sampling,p,trials", [
+    (64, 4, None, SamplingSpec.poisson(1.0), 0.05, 150),
+    (40, 5, None, SamplingSpec.poisson_pcr(40, 2), 0.05, 12),
+    (16, 5, None, SamplingSpec.bernoulli(1.0), 0.05, 9),  # no reads
+    (16, 8, M16, SamplingSpec.poisson(2.0), 0.02, 9),  # index codec
+])
+@pytest.mark.parametrize("block_trials", [1, 3, None])
+@pytest.mark.parametrize("block_reads", [BLOCK_READS, 50])
+def test_records_do_not_depend_on_the_grouping(monkeypatch, M, L, codec, sampling, p,
+                                               trials, block_trials, block_reads):
+    if codec is None:
+        spec = short_spec(M, L, sampling, p, trials, 121)
+        expected = run_text(short_spec(M, L, sampling, p, trials, 121, ShortReference))
+    else:
+        spec = DecodeSuccess(channel=ChannelParams(M=M, beta=L / math.log2(M), p=p,
+                                                   sampling=sampling, L=L),
+                             codec=codec, trials=trials, base_seed=121)
+        expected = run_text(spec)
+    monkeypatch.setattr(montecarlo, "BLOCK_READS", block_reads)
+    if block_trials is not None:
+        monkeypatch.setattr(DecodeSuccess, "block_trials", block_trials)
+    assert run_text(spec) == expected
+
+
+@pytest.mark.parametrize("M,L,codec,sampling,expected", [
+    (64, 4, None, SamplingSpec.poisson(1.0), 64),  # short-l4-m64: 64 reads a trial
+    (64, 4, None, SamplingSpec.poisson(0.5), 64),  # capped by the held counts
+    (16, 5, None, SamplingSpec.bernoulli(1.0), 256),  # no reads: counts alone
+    (40, 5, None, SamplingSpec.poisson_pcr(40, 2), 2),
+    (128, 4, None, SamplingSpec.poisson_pcr(40, 2), 1),  # one trial above the budget
+    (64, 4, None, SamplingSpec.poisson(1e19), 1),
+    (16, 8, M16, SamplingSpec.poisson(2.0), 1),
+])
+def test_block_trials(M, L, codec, sampling, expected):
+    ch = ChannelParams(M=M, beta=L / math.log2(M), p=0.0, sampling=sampling, L=L)
+    spec = DecodeSuccess(channel=ch, codec=codec or ShortMoleculeConfig(M=M, L=L),
+                         trials=1, base_seed=1)
+    assert spec.block_trials == expected
+    assert ExperimentSpec.estimate_q0(ch, trials=1, base_seed=1).block_trials == 1
+
+
+def test_short_settle_passes_hold_at_most_block_reads(monkeypatch):
+    # Trials of ~240 reads, some above a budget patched to 256 reads.
+    budget = 256
+    spec = short_spec(4, 3, SamplingSpec.poisson_pcr(60, 1), 0.05, 40, 122)
+    block = [spec.trial(rng) for _, rng in trial_streams(122, 40)]
+    reads = [int(d[1].sum()) for d in block]
+    assert max(reads) > budget and sum(reads) > 30 * budget
+    spec.settle(block)  # fill the codec's caches
+
+    def settle_peak(block_reads):
+        monkeypatch.setattr(montecarlo, "BLOCK_READS", block_reads)
+        tracemalloc.start()
+        try:
+            spec.settle(block)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # ~40 bytes a read in a pass, plus the block's stacked counts and rows.
+    bound = 64 * max(budget, max(reads)) + (16 << 10)
+    assert settle_peak(budget) <= bound
+    assert settle_peak(sum(reads)) > bound  # the whole block in one pass
+    passes = []
+    vote = montecarlo.short_molecule_vote
+
+    def spy(values, L, owner, outputs):
+        passes.append((values.size, outputs))
+        return vote(values, L, owner, outputs)
+
+    monkeypatch.setattr(montecarlo, "BLOCK_READS", budget)
+    monkeypatch.setattr(montecarlo, "short_molecule_vote", spy)
+    spec.settle(block)
+    assert sum(n for n, _ in passes) == sum(reads) and sum(t for _, t in passes) == 40
+    assert all(n <= budget or t == 1 for n, t in passes)
+    assert any(n > budget for n, _ in passes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=st.integers(1, 300), lam=st.floats(0.001, 12.0), seed=st.integers(0, 2**32))
+@example(M=1, lam=0.4, seed=0)  # no draws
+@example(M=1, lam=3.0, seed=0)  # every draw is the one coupon
+@example(M=4, lam=10.0, seed=1)  # every coupon drawn
+def test_coupon_distinct_count_is_the_unique_count(M, lam, seed):
+    spec = ExperimentSpec.coupon_tail(M, lam, 0.1, trials=1, base_seed=0)
+    (n_draws, distinct), _ = spec.trial(generator_from_seed(seed))
+    draws = generator_from_seed(seed).integers(0, M, size=round(lam * M))
+    assert (n_draws, distinct) == (draws.size, np.unique(draws).size)
+
+
+def test_coupon_distinct_count_edges():
+    # No draws, one coupon drawn repeatedly, every coupon of four drawn.
+    for M, lam, seen in [(1, 0.4, 0), (5, 0.01, 0), (1, 3.0, 1), (4, 10.0, 4)]:
+        spec = ExperimentSpec.coupon_tail(M, lam, 0.1, trials=1, base_seed=0)
+        assert spec.trial(generator_from_seed(1))[0][1] == seen
 
 
 def test_coupon_tail_far_below_bound():
@@ -675,7 +772,7 @@ _RECORD_VALUES = st.one_of(
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.builds(TrialRecord, *[_RECORD_VALUES] * len(TrialRecord._fields)),
-                max_size=6))
+                max_size=40))
 def test_jsonl_is_json_dumps_of_each_record(records):
     try:
         expected = "".join(json.dumps(r.to_json()) + "\n" for r in records)
