@@ -42,6 +42,10 @@ __all__ = [
     "hoeffding_seen_fraction_bound",
     "coupon_tail_bound",
     "chernoff_read_error_bound",
+    "binomial_log_pmf",
+    "binomial_cdf",
+    "binomial_test",
+    "short_molecule_success",
     "tradeoff_point",
     "optimal_lambda",
     "short_molecule_bound",
@@ -298,6 +302,56 @@ def chernoff_read_error_bound(L: int, p: float, delta: float) -> float:
     if delta <= p:
         raise ValueError(f"bound requires delta > p, got delta={delta}, p={p}")
     return 2.0 ** (-L * kl_binary(delta, p))
+
+
+# ---------------------------------------------------------------------------
+# Exact laws: binomial in log space, short-molecule recovery
+# ---------------------------------------------------------------------------
+
+def binomial_log_pmf(k: int, n: int, p: float) -> float:
+    """ln P(Bin(n, p) = k), from log-gamma, so it stays finite where
+    C(n, k) p^k (1-p)^(n-k) would overflow or underflow term by term."""
+    if not 0.0 <= p <= 1.0:  # False for NaN too
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    if not 0 <= k <= n:
+        return -math.inf
+    if p == 0.0 or p == 1.0:
+        return 0.0 if k == n * p else -math.inf
+    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+            + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
+def binomial_cdf(k: int, n: int, p: float) -> float:
+    """P(Bin(n, p) <= k), summed exactly rounded over the pmf."""
+    return math.fsum(math.exp(binomial_log_pmf(j, n, p)) for j in range(k + 1))
+
+
+def binomial_test(k: int, n: int, p: float) -> float:
+    """Two-sided exact p-value of k successes in n trials of Bin(n, p).
+
+    The mass of every outcome no more likely than k (relative slack 1e-7
+    for rounding), as scipy.stats.binomtest's default computes it.
+    """
+    cut = binomial_log_pmf(k, n, p) + math.log1p(1e-7)
+    logs = (binomial_log_pmf(j, n, p) for j in range(n + 1))
+    return min(1.0, math.fsum(math.exp(x) for x in logs if x <= cut))
+
+
+def short_molecule_success(q0: float, M: int, L: int) -> float:
+    """Noise-free recovery probability of the short-molecule scheme.
+
+    Its M molecules hold K = 2^(L-1) segments round-robin, so segment s has
+    c_s copies (ceil or floor of M/K), and a trial recovers every bit iff
+    every segment is read at least once: prod_s (1 - q0^c_s).
+    """
+    if not 0.0 <= q0 <= 1.0:  # False for NaN too
+        raise ValueError(f"q0 must be in [0, 1], got {q0}")
+    K = 1 << (L - 1)
+    if M < K:
+        raise ValueError(f"need M >= 2^(L-1)={K}, got M={M}")
+    few, extra = divmod(M, K)
+    copies = [few + 1] * extra + [few] * (K - extra)
+    return math.prod(1.0 - q0 ** c for c in copies)
 
 
 # ---------------------------------------------------------------------------

@@ -45,13 +45,14 @@ entry >= u over a cached table of cdf_0..cdf_kmax, capped at k_max; the
 table holds the doubles sequential search would sum, so the lookup returns
 what that search would.  ``poisson_each(rng, means)`` returns exactly
 ``[poisson_counts(rng, m, 1)[0] for m in means]``, element by element in
-index order, and leaves the generator in the same state.  It draws one block
-of uniforms and walks the means over it in one in-order pass: a zero mean
-takes nothing, a mean up to 10 one uniform looked up in the same table, a
-larger mean PTRS's pairs with the same arithmetic.  The block is topped up
-whenever the walk would run past its end.  Then the generator is rewound
-and re-draws exactly the number of uniforms the walk consumed.  Both rely
-on ``rng.random(n)`` giving the same doubles as n calls of ``rng.random(1)``.
+index order, and leaves the generator in the same state.  It walks the means
+in one in-order pass over uniforms it draws in blocks, and never draws one
+it does not consume: a zero mean takes nothing, a mean up to 10 one uniform
+looked up in the same table, a larger mean PTRS's pairs with the same
+arithmetic.  Each block holds exactly the fewest uniforms the means not yet
+served can use, one per inversion mean and a pair per PTRS mean, so only a
+PTRS rejection asks for another.  This relies on ``rng.random(n)`` giving
+the same doubles as n calls of ``rng.random(1)``.
 """
 
 from __future__ import annotations
@@ -366,9 +367,10 @@ def poisson_each(rng: np.random.Generator, means) -> np.ndarray:
 
     Values and the generator's state afterwards are exactly those of
     ``[poisson_counts(rng, m, 1)[0] for m in means]`` (see the module
-    docstring), at the cost of one block draw instead of one call per mean.
-    Every floating-point operation matches :func:`_invert` or
-    :func:`_poisson_ptrs` on a size-1 draw.
+    docstring): every uniform drawn is one those calls would consume, drawn
+    in a few blocks instead of a call per mean.  Every floating-point
+    operation matches :func:`_invert` or :func:`_poisson_ptrs` on a size-1
+    draw.
     """
     means = np.asarray(means, dtype=np.float64)
     if means.ndim != 1:
@@ -376,24 +378,26 @@ def poisson_each(rng: np.random.Generator, means) -> np.ndarray:
     if not (np.isfinite(means) & (means >= 0.0)).all():
         raise ValueError("means must be finite and >= 0")
     live = means > 0.0  # a zero mean draws nothing
-    lams = means[live].tolist()
-    n_ptrs = int(np.count_nonzero(means > _PTRS_THRESHOLD))
-    state = rng.bit_generator.state
-    # One uniform per inversion mean and a budget for the PTRS means.
-    uni = rng.random(len(lams) - n_ptrs + _ptrs_budget(n_ptrs)).tolist()
+    lams = means[live]
+    # Uniforms per step: an inversion takes one, a PTRS attempt a pair.
+    steps = np.where(lams > _PTRS_THRESHOLD, 2, 1)
+    # least[j]: the fewest uniforms means j onward can use.
+    least = steps[::-1].cumsum()[::-1].tolist()
+    uni = rng.random(least[0] if least else 0).tolist()
     log = np.log  # the ufunc _poisson_ptrs uses; math.log may differ in an ulp
-    tables: dict[float, object] = {}
+    tables: dict[float, tuple] = {}  # lam: (uniforms per step, table or constants)
     ks = []
     pos = 0
-    for j, lam in enumerate(lams):
-        c = tables.get(lam)
-        if c is None:
-            c = tables[lam] = (_inversion_cdf(lam)[:-1].tolist()
-                               if lam <= _PTRS_THRESHOLD else _ptrs_constants(lam))
+    for j, lam in enumerate(lams.tolist()):
+        entry = tables.get(lam)
+        if entry is None:
+            entry = tables[lam] = ((1, _inversion_cdf(lam)[:-1].tolist())
+                                   if lam <= _PTRS_THRESHOLD else (2, _ptrs_constants(lam)))
+        step, c = entry
         while True:  # one pass per inversion, one per PTRS attempt
-            if pos + 2 > len(uni):  # room for a PTRS attempt; rejections can run long
-                uni += rng.random(pos + 2 - len(uni) + _ptrs_budget(len(lams) - j)).tolist()
-            if lam <= _PTRS_THRESHOLD:
+            if pos + step > len(uni):  # a PTRS rejection ate a later mean's share
+                uni += rng.random(pos + least[j] - len(uni)).tolist()
+            if step == 1:
                 k = bisect_left(c, uni[pos])  # as _invert's searchsorted
                 pos += 1
                 break
@@ -416,14 +420,6 @@ def poisson_each(rng: np.random.Generator, means) -> np.ndarray:
                 if ratio == 0.0 or log(ratio) <= -lam + k * log_lam - math.lgamma(k + 1.0):
                     break
         ks.append(k)
-    # Rewind, then consume exactly what per-element calls would have.
-    rng.bit_generator.state = state
-    rng.random(pos)
     out = np.zeros(means.size, dtype=np.int64)
     out[live] = ks
     return out
-
-
-def _ptrs_budget(n: int) -> int:
-    # PTRS takes ~1.2-1.35 attempts per variate for lam > 10; budget 1.5.
-    return 3 * n + 4

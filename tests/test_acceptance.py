@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+import pytest
 
 from dnachannel import capacity as cap
 from dnachannel.channel import ChannelOutput
@@ -205,3 +206,57 @@ def test_criterion_14_reproducibility():
         repeat = records_to_jsonl(run(spec, workers=1).records).encode()
         ok &= serial == threaded == repeat
     check(14, "byte-identical JSONL at 1 and 8 workers", ok)
+
+
+# ---------------------------------------------------------------------------
+# Exact two-sided oracles.  The preset verdicts above are one-sided and
+# loose: short-l4-m64's min_rate 0.99 passes any Poisson coverage above
+# ~0.84, not just 1.  These test each preset's pooled count against its
+# exact binomial law, two-sided, at its default seed and three more.
+# coupon-m1000 and m16-rep3-noisy keep only their one-sided verdicts.
+# ---------------------------------------------------------------------------
+
+EXACT_ALPHA = 1e-3
+EXACT_SEEDS = [DEFAULT_SEED, 1, 2, 3]
+
+
+def successes(spec) -> int:
+    result = run(spec)
+    assert result.failed == 0
+    return sum(r.decode_success for r in result.records)
+
+
+@pytest.mark.parametrize("seed", EXACT_SEEDS)
+def test_exact_short_molecule_recovery(seed):
+    # 8 segments x 8 copies under Poisson(1), p = 0: (1 - e^-8)^8
+    spec = _rt_presets(seed, None)["short-l4-m64"]
+    ch = spec.channel
+    exact = cap.short_molecule_success(ch.sampling.q0(), ch.M, ch.L)
+    assert exact == pytest.approx(0.997319, abs=1e-6)
+    assert cap.binomial_test(successes(spec), spec.trials, exact) > EXACT_ALPHA
+
+
+@pytest.mark.parametrize("seed", EXACT_SEEDS)
+def test_exact_index_codec_recovery(seed):
+    # Identity inner code at p = 0: a trial fails iff more than M - k of
+    # the M molecules are lost, Bin(256, 0.05) > 26.
+    spec = _rt_presets(seed, None)["m256-bern"]
+    ch = spec.channel
+    exact = cap.binomial_cdf(ch.M - spec.codec.outer_k, ch.M, ch.sampling.q0())
+    assert exact == pytest.approx(0.999763, abs=1e-6)
+    assert cap.binomial_test(successes(spec), spec.trials, exact) > EXACT_ALPHA
+
+
+@pytest.mark.parametrize("seed", EXACT_SEEDS)
+def test_exact_chernoff_tail_reads(seed):
+    # A read is in the tail when flips >= delta * L, the trial's comparison;
+    # its flips are Bin(L, p), and the pooled tail reads Bin(reads, tail).
+    spec = _sim_presets(seed, None)["chernoff-l64"]
+    L = spec.read_len
+    first = next(k for k in range(L + 1) if k >= spec.delta * L)
+    exact = 1.0 - cap.binomial_cdf(first - 1, L, spec.p)
+    assert exact == pytest.approx(0.0012367, rel=1e-4)
+    reads = spec.trials * spec.reads_per_trial
+    tail = run(spec).summary.mean * reads
+    assert tail == pytest.approx(round(tail), abs=1e-6)
+    assert cap.binomial_test(round(tail), reads, exact) > EXACT_ALPHA

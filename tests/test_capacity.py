@@ -501,3 +501,56 @@ def test_scheme_rate_frozen_example():
 
 def test_scheme_rate_clamps():
     assert cap.scheme_rate(0.5, 0.1, 1.5) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Exact binomial law and short-molecule recovery
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n,p", [(1, 0.5), (10, 0.3), (64, 0.05), (256, 0.05), (1000, 0.999763)])
+def test_binomial_log_pmf_matches_exact_rationals(n, p):
+    for k in sorted({0, 1, n // 3, n // 2, n - 1, n}):
+        exact = mpmath.binomial(n, k) * mpmath.mpf(p) ** k * (1 - mpmath.mpf(p)) ** (n - k)
+        assert cap.binomial_log_pmf(k, n, p) == pytest.approx(float(mpmath.log(exact)), rel=1e-11)
+    assert cap.binomial_log_pmf(-1, n, p) == cap.binomial_log_pmf(n + 1, n, p) == -math.inf
+
+
+def test_binomial_edges():
+    assert cap.binomial_log_pmf(0, 5, 0.0) == cap.binomial_log_pmf(5, 5, 1.0) == 0.0
+    assert cap.binomial_log_pmf(1, 5, 0.0) == cap.binomial_log_pmf(4, 5, 1.0) == -math.inf
+    assert cap.binomial_cdf(-1, 5, 0.3) == 0.0
+    assert cap.binomial_cdf(5, 5, 0.3) == pytest.approx(1.0, abs=1e-15)
+    for bad in (-0.1, 1.1, math.nan):
+        with pytest.raises(ValueError):
+            cap.binomial_log_pmf(0, 5, bad)
+
+
+def test_binomial_cdf_matches_exact_tail():
+    # criterion 6's oracle: P(Bin(256, 1/20) <= 26), summed in rationals
+    p = mpmath.mpf(1) / 20
+    exact = sum(mpmath.binomial(256, j) * p**j * (1 - p) ** (256 - j) for j in range(27))
+    assert cap.binomial_cdf(26, 256, 0.05) == pytest.approx(float(exact), rel=1e-13)
+
+
+@pytest.mark.parametrize("k,n,p", [
+    (998, 1000, 0.999763), (3, 10, 0.5), (0, 10, 0.3), (10, 10, 0.3),
+    (130, 100_000, 0.0012367), (5, 100_000, 0.0012367), (9972, 10_000, 0.997319),
+])
+def test_binomial_test_matches_scipy(k, n, p):
+    from scipy import stats
+
+    assert cap.binomial_test(k, n, p) == pytest.approx(stats.binomtest(k, n, p).pvalue,
+                                                       rel=1e-8)
+
+
+def test_short_molecule_success():
+    q0 = math.exp(-1.0)
+    assert cap.short_molecule_success(q0, 64, 4) == pytest.approx((1 - math.exp(-8)) ** 8,
+                                                                  rel=1e-15)
+    # 10 molecules over 4 segments: copies 3, 3, 2, 2
+    assert cap.short_molecule_success(0.5, 10, 3) == pytest.approx(
+        (1 - 0.5**3) ** 2 * (1 - 0.5**2) ** 2, rel=1e-15)
+    assert cap.short_molecule_success(0.0, 8, 4) == 1.0
+    assert cap.short_molecule_success(1.0, 8, 4) == 0.0
+    with pytest.raises(ValueError):
+        cap.short_molecule_success(0.5, 7, 4)

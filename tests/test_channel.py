@@ -30,7 +30,6 @@ from dnachannel.channel import (
 from dnachannel.rng import (
     _invert,
     _inversion_cdf,
-    _ptrs_budget,
     derive_seed,
     poisson_counts,
     poisson_each,
@@ -244,6 +243,45 @@ def test_pcr_counts_pinned_digest():
     )
 
 
+def compound_poisson_pmf(n_max, lam, alpha):
+    """P(count = n) for n < n_max under PCR: sum_a Pois(a; alpha) Pois(n; a lam/alpha)."""
+    a = np.arange(int(alpha + 40 * math.sqrt(alpha) + 50))[:, None]
+    n = np.arange(n_max)
+    return (stats.poisson.pmf(a, alpha) * stats.poisson.pmf(n, a * lam / alpha)).sum(0)
+
+
+def pooled_chi2_pvalue(counts, pmf):
+    """Chi-square p-value of integer counts against pmf (over 0, 1, ...),
+    adjacent bins pooled left to right to an expected count >= 5, the tail
+    from the last bin on pooled into one."""
+    expected = counts.size * pmf
+    observed = np.bincount(counts, minlength=pmf.size)
+    bins, e, o = [], 0.0, 0
+    for e_n, o_n in zip(expected, observed):
+        e, o = e + e_n, o + o_n
+        if e >= 5:
+            bins.append((e, o))
+            e, o = 0.0, 0
+    tail = (counts.size - sum(b[0] for b in bins), counts.size - sum(b[1] for b in bins))
+    if tail[0] < 5:
+        tail = (bins[-1][0] + tail[0], bins[-1][1] + tail[1])
+        bins.pop()
+    bins.append(tail)
+    e, o = np.array(bins).T
+    return stats.chi2.sf(((o - e) ** 2 / e).sum(), len(bins) - 1)
+
+
+@pytest.mark.parametrize("seed", [12345, 1, 2, 3])
+def test_pcr_counts_follow_the_compound_poisson_law(seed):
+    # deep-pcr-m256's sampler over 200 trial streams, 51 200 counts, against
+    # the exact law at alpha = 1e-3: a mean off by 3 % fails by far.
+    spec = SamplingSpec.poisson_pcr(20.0, 5.0)
+    counts = np.concatenate([sample_counts(spec, 256, rng)
+                             for _, rng in rng_module.trial_streams(seed, 200)])
+    pmf = compound_poisson_pmf(int(counts.max()) + 50, 20.0, 5.0)
+    assert pooled_chi2_pvalue(counts, pmf) > 1e-3
+
+
 def test_poisson_each_empty_and_zero_means_draw_nothing():
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
     assert poisson_each(rng, []).shape == (0,)
@@ -261,35 +299,58 @@ def test_poisson_each_mean_at_threshold_uses_inversion():
     assert uniforms_consumed(make, lambda r: poisson_each(r, [10.0])) == 1
 
 
+def exact_script(make_rng, means):
+    """The uniforms per-element poisson_counts calls consume from
+    ``make_rng()``, and their values: a script poisson_each must read to its
+    end and no further."""
+    stream = make_rng().random(4096)
+    rng = ScriptedUniforms(stream)
+    expected = [poisson_counts(rng, m, 1)[0] for m in means]
+    return stream[:rng.state], expected
+
+
+def assert_exact_consumption(script, means, expected):
+    rng = ScriptedUniforms(script)  # asserts on a read past the script
+    assert poisson_each(rng, means).tolist() == expected
+    assert rng.state == script.size
+
+
 def test_poisson_each_tops_up_after_long_rejection_run():
     # Seed 1446 makes PTRS at mean 10.5 reject six times before accepting:
-    # 14 uniforms, more than the whole first block for these means holds
-    # (one per inversion mean plus the budget of two PTRS means).
+    # 14 uniforms, more than the first block (the fewest the five nonzero
+    # means can use, 7) holds, so the walk draws the rest mid-run.
     make = partial(np.random.default_rng, 1446)
     used = uniforms_consumed(make, lambda r: poisson_counts(r, 10.5, 1))
     means = [10.5, 3.0, 0.0, 7.0, 10.0, 25.0]
-    assert used == 14 and used > 3 + _ptrs_budget(2)
-    rng, ref = make(), make()
-    expected = [poisson_counts(ref, m, 1)[0] for m in means]
-    assert poisson_each(rng, means).tolist() == expected
-    assert rng.random() == ref.random()
+    assert used == 14
+    script, expected = exact_script(make, means)
+    assert script.size == used + 3 + 2
+    assert_exact_consumption(script, means, expected)
 
 
 def test_poisson_each_tops_up_past_the_block_end():
     # Seed 14839 makes the first two PTRS draws at mean 10.5 take 20
-    # uniforms.  The 20 inversion means after them read uniforms 20..39,
-    # so the first block of 20 + budget(3) runs out among them: the walk
-    # tops up just before an inversion mean, the third PTRS mean then
-    # reading uniforms 40 and 41 from the top-up.
+    # uniforms, 16 more than their share of the first block, so the seventh
+    # of the 20 inversion means after them finds no uniform left: the walk
+    # then draws exactly what the rest need, the third PTRS mean's pair
+    # included.
     make = partial(np.random.default_rng, 14839)
     two = lambda r: [poisson_counts(r, 10.5, 1) for _ in range(2)]
     assert uniforms_consumed(make, two) == 20
     means = [10.5, 10.5] + [1.0] * 20 + [10.5]
-    assert 20 < 20 + _ptrs_budget(3) < 40
-    rng, ref = make(), make()
-    expected = [poisson_counts(ref, m, 1)[0] for m in means]
-    assert poisson_each(rng, means).tolist() == expected
-    assert rng.random() == ref.random()
+    script, expected = exact_script(make, means)
+    assert script.size == 20 + 20 + 2
+    assert_exact_consumption(script, means, expected)
+
+
+@pytest.mark.parametrize("seed,means", [
+    (5, [0.3, 1.0, 2.5, 1e-300, 9.999, 10.0, 4.0]),  # inversion means only
+    (1446, [10.5]),  # six PTRS rejections, then an accept
+    (7, [0.0, 10.5, 0.0, 0.0, 3.0, 40.0, 0.0, 10.0, 12.0, 0.0]),  # zero means mixed in
+])
+def test_poisson_each_draws_exactly_what_per_element_calls_use(seed, means):
+    script, expected = exact_script(partial(np.random.default_rng, seed), means)
+    assert_exact_consumption(script, means, expected)
 
 
 def test_poisson_each_rejects_bad_means():
@@ -339,7 +400,6 @@ class ScriptedUniforms:
     def __init__(self, u):
         self.u = np.asarray(u, dtype=np.float64)
         self.state = 0
-        self.bit_generator = self
 
     def random(self, size=None):
         n = 1 if size is None else size
@@ -421,11 +481,13 @@ def test_poisson_each_equals_per_element_calls(means, head, seed):
 def test_ptrs_rejects_a_zero_uniform_without_dividing():
     # u = 0.0 makes the attempt's us = 0: both paths reject it, without the
     # divide-by-zero RuntimeWarning the suite turns into an error, and the
-    # variate is the next attempt's.
+    # variate is the next attempt's.  poisson_each reads exactly the
+    # uniforms poisson_counts does.
     u = np.concatenate([[0.0, 0.3], np.random.default_rng(3).random(400)])
-    each = poisson_each(ScriptedUniforms(u), [20.0])
-    assert poisson_counts(ScriptedUniforms(u), 20.0, 1).tolist() == each.tolist()
-    assert each[0] == poisson_counts(ScriptedUniforms(u[2:]), 20.0, 1)[0]
+    rng = ScriptedUniforms(u)
+    expected = poisson_counts(rng, 20.0, 1).tolist()
+    assert expected[0] == poisson_counts(ScriptedUniforms(u[2:]), 20.0, 1)[0]
+    assert_exact_consumption(u[:rng.state], [20.0], expected)
 
 
 def sequential_cdf(lam):
@@ -451,10 +513,8 @@ def test_inversion_boundary_uniforms(lam):
     u = u[u < 1.0]
     expected = lockstep_inversion(u, lam)
     assert np.array_equal(poisson_counts(ScriptedUniforms(u), lam, u.size), expected)
-    # poisson_each draws a block with room for PTRS, then rewinds to it
-    padded = np.concatenate([u, np.full(_ptrs_budget(0), 0.5)])
-    each = poisson_each(ScriptedUniforms(padded), np.full(u.size, lam))
-    assert np.array_equal(each, expected)
+    # poisson_each reads the script to its end and no further
+    assert_exact_consumption(u, np.full(u.size, lam), expected.tolist())
     if lam == 9.999:
         assert expected[-1] == cdf.size - 1 and cdf[-1] < u[-1]
 
