@@ -13,9 +13,15 @@ def load_tool(name):
     return module
 
 
+def in_process(bench):
+    """What ``bench.fresh`` measures, run in this process."""
+    return lambda task, src: bench.child(task)
+
+
 def test_bench_quick_layer_table_has_the_documented_keys():
     bench = load_tool("bench")
-    table = bench.layer_table(bench.QUICK_M, bench.QUICK_TIMING)
+    quick = bench.QUICK
+    [table] = bench.fresh_layers(quick["ms"], quick["timing"], [bench.SRC], in_process(bench))
     assert set(table) == {"bernoulli", "poisson", "poisson_pcr", "custom"}
     for by_m in table.values():
         assert set(by_m) == {"256", "1024"}

@@ -1,10 +1,11 @@
-"""Write ``BENCH_<PR>.json``: the environment, end-to-end figures and
-per-layer timings of this checkout, so that runs compare across changes.
+"""Write ``BENCH_<PR>.json``: the environment, end-to-end figures, page-fault
+loops and per-layer timings of this checkout, so that runs compare across
+changes.
 
 Run from anywhere:
 
-    python3 tools/bench.py --pr 26                     # BENCH_26.json at the repo root
-    python3 tools/bench.py --pr 26 --against HEAD~1    # plus that revision's layers
+    python3 tools/bench.py --pr 27                     # BENCH_27.json at the repo root
+    python3 tools/bench.py --pr 27 --against HEAD~1    # plus that revision's layers
     python3 tools/bench.py --quick --out bench.json    # smoke run, under a minute
 
 The file holds three sections:
@@ -17,19 +18,27 @@ The file holds three sections:
     its three metrics and its gates.  ``presets``: each ``--strict`` CLI
     preset's wall time in fresh processes, interpreter start included, min
     and median in seconds.  ``tier1``: wall time, exit code and summary line
-    of the tier-1 test run (null with --quick).
+    of the tier-1 test run (null with --quick).  ``faults``: per workload,
+    minor page faults per batch in two steady-state loops.  Loop A counts
+    ``ru_minflt`` over 500 batches after 20 warm-up ones; loop B over
+    ``worker.timed_batches`` for 4 s after one warm-up trial, as one
+    benchmark process does.  Each loop stores ``faults_per_batch``,
+    ``batches`` and its process's ``peak_rss_mb`` (``ru_maxrss``).
 ``layers``
     ``sample_counts``: for each sampling kind and M, the min and median time
     of one call in ms, over repeats of a timeit loop on a fixed-seed
-    generator.  Every (kind, M) is timed in a fresh process with the
-    benchmark's child environment (one BLAS thread, fixed str hashing).
-    With --against, ``against`` holds that revision's sha and the same
-    table, its processes alternating with this checkout's.
+    generator.  With --against, ``against`` holds that revision's sha and
+    the same table, its processes alternating with this checkout's.
+
+Each fault loop and layer cell runs in a fresh interpreter with the
+benchmark's child environment (one BLAS thread, fixed str hashing), since
+a fault count depends on the exact order of allocations in the process.
 
 --quick times M in {256, 1024} only, in shorter loops, runs each workload
-for 1 s and each preset once, and skips the tier-1 run.  The exit status is
-1 if a workload gate, a preset or the tier-1 run fails.  ``benchmark/`` is
-run and imported, never changed.
+for 1 s and each preset once, runs the fault loops with 1 warm-up and 2
+counted batches and loop B for 0.5 s, and skips the tier-1 run.  The exit
+status is 1 if a workload gate, a preset, a fault loop or the tier-1 run
+fails.  ``benchmark/`` is run and imported, never changed.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ import json
 import os
 import platform
 import re
+import resource
 import subprocess
 import sys
 import tarfile
@@ -50,13 +60,17 @@ from statistics import median
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "benchmark")
+SRC = os.path.join(ROOT, "src")
 
-LAYER_M = (256, 1024, 4096, 16384, 65536)
-QUICK_M = (256, 1024)
+# Sizes of a full and a --quick run.  A layer's timeit loop runs at least
+# loop_s and is repeated.
+FULL = {"ms": (256, 1024, 4096, 16384, 65536), "timing": {"repeats": 7, "loop_s": 0.2},
+        "faults": {"warmup": 20, "batches": 500, "seconds": 4.0},
+        "workload_s": 8.0, "preset_runs": 3}
+QUICK = {"ms": (256, 1024), "timing": {"repeats": 3, "loop_s": 0.01},
+         "faults": {"warmup": 1, "batches": 2, "seconds": 0.5},
+         "workload_s": 1.0, "preset_runs": 1}
 LAYER_SEED = 2026
-# Per-call timings: a timeit loop runs at least this long, and is repeated.
-FULL_TIMING = {"repeats": 7, "loop_s": 0.2}
-QUICK_TIMING = {"repeats": 3, "loop_s": 0.01}
 WORKLOAD_SEED = 1
 # What the ``dnachannel`` console script runs.
 CLI = "import sys; from dnachannel.cli import main; sys.exit(main())"
@@ -90,10 +104,36 @@ def time_sample_counts(kind: str, M: int, repeats: int, loop_s: float) -> dict:
     return {"min_ms": min(ms), "median_ms": median(ms), "number": number}
 
 
-def layer_table(ms, timing: dict) -> dict:
-    """{kind: {str(M): timing}}, every kind at every M, timed in this process."""
-    return {kind: {str(M): time_sample_counts(kind, M, **timing) for M in ms}
-            for kind in sampling_specs()}
+def minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def fault_loop(workload: str, loop: str, warmup: int, batches: int, seconds: float) -> dict:
+    """Minor faults per batch of one workload in steady-state loop A or B."""
+    import workloads
+
+    with tempfile.TemporaryDirectory() as tmp:
+        wl = workloads.build(workload, os.path.join(tmp, "out.jsonl"))
+        if loop == "A":
+            for b in range(warmup):
+                wl.run_batch(wl.batch_trials, workloads.batch_seed(WORKLOAD_SEED, b))
+            start = minflt()
+            for b in range(warmup, warmup + batches):
+                wl.run_batch(wl.batch_trials, workloads.batch_seed(WORKLOAD_SEED, b))
+        else:
+            import worker
+
+            wl.run_batch(1, workloads.batch_seed(WORKLOAD_SEED, -1))
+            start = minflt()
+            batches = len(worker.timed_batches(wl, WORKLOAD_SEED, 0, seconds)["rates"])
+        faults = minflt() - start
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return {"faults_per_batch": faults / batches, "batches": batches, "peak_rss_mb": peak_mb}
+
+
+def child(task: dict) -> dict:
+    """One fresh process's measurement: a fault loop or a layer cell."""
+    return fault_loop(**task) if "loop" in task else time_sample_counts(**task)
 
 
 def bench_run():
@@ -106,22 +146,35 @@ def bench_run():
 
 
 def child_env(src: str) -> dict:
-    """``benchmark/run.py``'s child environment, importing the package from ``src``."""
-    return dict(bench_run().child_env(), PYTHONPATH=src)
+    """``benchmark/run.py``'s child environment, with ``src`` and ``benchmark/`` on the path."""
+    return dict(bench_run().child_env(), PYTHONPATH=os.pathsep.join([src, BENCH]))
 
 
-def fresh_layers(ms, timing: dict, srcs: list[str]) -> list[dict]:
+def fresh(task: dict, src: str) -> dict:
+    """``child(task)`` in a fresh interpreter that imports the package from ``src``."""
+    cmd = [sys.executable, os.path.abspath(__file__), "--child", json.dumps(task)]
+    out = subprocess.run(cmd, env=child_env(src), capture_output=True, text=True)
+    if out.returncode != 0:
+        sys.stderr.write(out.stderr)
+        raise SystemExit(f"error: {json.dumps(task)} exited {out.returncode}")
+    return json.loads(out.stdout)
+
+
+def fault_loops(names, sizes: dict, measure=fresh) -> dict:
+    """{workload: {loop: counts}}, each loop in its own fresh process."""
+    return {name: {loop: measure(dict(workload=name, loop=loop, **sizes), SRC)
+                   for loop in ("A", "B")}
+            for name in names}
+
+
+def fresh_layers(ms, timing: dict, srcs: list[str], measure=fresh) -> list[dict]:
     """One layer table per source tree, each (kind, M) in a fresh process,
     the trees alternating."""
     tables = [{kind: {} for kind in sampling_specs()} for _ in srcs]
     for kind in sampling_specs():
         for M in ms:
             for src, table in zip(srcs, tables):
-                cmd = [sys.executable, os.path.abspath(__file__), "--layer", kind, str(M),
-                       json.dumps(timing)]
-                out = subprocess.run(cmd, env=child_env(src), capture_output=True, text=True,
-                                     check=True)
-                table[kind][str(M)] = json.loads(out.stdout)
+                table[kind][str(M)] = measure(dict(kind=kind, M=M, **timing), src)
     return tables
 
 
@@ -142,7 +195,7 @@ def preset_times(runs: int) -> dict:
     """Wall time of each ``--strict`` preset, ``runs`` fresh processes each."""
     from dnachannel.cli import RT_PRESET_NAMES, SIM_PRESET_NAMES
 
-    env = child_env(os.path.join(ROOT, "src"))
+    env = child_env(SRC)
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for command, names in (("simulate", SIM_PRESET_NAMES), ("roundtrip", RT_PRESET_NAMES)):
@@ -162,7 +215,7 @@ def preset_times(runs: int) -> dict:
 
 def tier1() -> dict:
     """Wall time and outcome of the tier-1 test run."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env = dict(os.environ, PYTHONPATH=SRC)
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
            "--continue-on-collection-errors"]
     t0 = time.perf_counter()
@@ -214,33 +267,33 @@ def main() -> int:
     ap.add_argument("--out", help="write here instead")
     ap.add_argument("--quick", action="store_true", help="smoke-sized run")
     ap.add_argument("--against", metavar="REV", help="also time this revision's layers")
-    ap.add_argument("--layer", nargs=3, help=argparse.SUPPRESS)
+    ap.add_argument("--child", type=json.loads, help=argparse.SUPPRESS)
     args = ap.parse_args()
-    if args.layer:
-        kind, M, timing = args.layer
-        print(json.dumps(time_sample_counts(kind, int(M), **json.loads(timing))))
+    if args.child:
+        print(json.dumps(child(args.child)))
         return 0
     if args.out is None and args.pr is None:
         ap.error("give --pr or --out")
     out_path = args.out or os.path.join(ROOT, f"BENCH_{args.pr}.json")
-    sys.path.insert(0, os.path.join(ROOT, "src"))
+    sys.path.insert(0, SRC)
     with open(os.path.join(BENCH, "digests.json")) as fh:
         names = sorted(json.load(fh))
 
-    ms, timing = (QUICK_M, QUICK_TIMING) if args.quick else (LAYER_M, FULL_TIMING)
+    size = QUICK if args.quick else FULL
     result = {"pr": args.pr, "quick": args.quick, "env": environment()}
     result["end_to_end"] = {
-        "workloads": {n: workload_run(n, 1.0 if args.quick else 8.0) for n in names},
-        "presets": preset_times(1 if args.quick else 3),
+        "workloads": {n: workload_run(n, size["workload_s"]) for n in names},
+        "presets": preset_times(size["preset_runs"]),
         "tier1": None if args.quick else tier1(),
+        "faults": fault_loops(names, size["faults"]),
     }
     with tempfile.TemporaryDirectory() as tmp:
-        srcs = [os.path.join(ROOT, "src")]
+        srcs = [SRC]
         sha = args.against and export_src(args.against, tmp)
         if sha:
             srcs.append(os.path.join(tmp, "src"))
-        tables = fresh_layers(ms, timing, srcs)
-    result["layers"] = {"timing": timing, "sample_counts": tables[0]}
+        tables = fresh_layers(size["ms"], size["timing"], srcs)
+    result["layers"] = {"timing": size["timing"], "sample_counts": tables[0]}
     if sha:
         result["layers"]["against"] = {"git_sha": sha, "sample_counts": tables[1]}
     with open(out_path, "w") as fh:
