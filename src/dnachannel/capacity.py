@@ -46,6 +46,7 @@ __all__ = [
     "binomial_cdf",
     "binomial_test",
     "short_molecule_success",
+    "coupon_distinct_pmf",
     "tradeoff_point",
     "optimal_lambda",
     "short_molecule_bound",
@@ -352,6 +353,27 @@ def short_molecule_success(q0: float, M: int, L: int) -> float:
     few, extra = divmod(M, K)
     copies = [few + 1] * extra + [few] * (K - extra)
     return math.prod(1.0 - q0 ** c for c in copies)
+
+
+def coupon_distinct_pmf(M: int, n: int) -> np.ndarray:
+    """Exact law of the distinct count among n uniform draws, with
+    replacement, from M coupons: entry d is P(d distinct), d = 0..M.
+
+    With d coupons seen, the next draw is new with probability (M - d)/M;
+    n steps of that chain give the occupancy law in O(n M).
+    """
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    seen = np.arange(M + 1) / M
+    pmf = np.zeros(M + 1)
+    pmf[0] = 1.0
+    for _ in range(n):
+        new = pmf * (1.0 - seen)
+        pmf *= seen
+        pmf[1:] += new[:-1]
+    return pmf
 
 
 # ---------------------------------------------------------------------------

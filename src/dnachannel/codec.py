@@ -246,10 +246,10 @@ def outer_decode(symbols: np.ndarray, erased: np.ndarray, n: int, k: int, w: int
 class CodecConfig:
     """Full scheme parameters: molecule count/length, inner code, outer code.
 
-    ``field_width`` is the smallest w <= 16 with 2^w >= M that divides the
-    per-molecule payload (payload bits = inner info bits - index bits);
-    each molecule then carries payload_bits / w outer symbols, outer
-    codewords being interleaved across molecules.
+    ``field_width`` is the smallest w in [2, 16] with 2^w >= M that
+    divides the per-molecule payload (payload bits = inner info bits -
+    index bits); each molecule then carries payload_bits / w outer
+    symbols, outer codewords being interleaved across molecules.
     """
 
     M: int
@@ -271,11 +271,12 @@ class CodecConfig:
         object.__setattr__(self, "field_width", self._auto_field_width())
 
     def _auto_field_width(self) -> int:
-        for w in range(self.index_bits, self.payload_bits + 1):
+        lo = max(2, self.index_bits)  # GF(2^w) needs w >= 2
+        for w in range(lo, self.payload_bits + 1):
             if self.payload_bits % w == 0 and w <= 16:
                 return w
         raise ConfigError(
-            f"no field width w in [{self.index_bits}, 16] divides "
+            f"no field width w in [{lo}, 16] divides "
             f"payload bits {self.payload_bits}"
         )
 

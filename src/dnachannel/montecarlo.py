@@ -606,7 +606,7 @@ def _plain_lines(records) -> str | None:
         if "inf" not in text and "nan" not in text:
             # One copy at a time: a chain holds the joined text too, and
             # freeing three ~300 KB strings together let glibc trim its heap
-            # (~75 more minor faults per 2000-record batch, tools/minflt.py).
+            # (~75 more minor faults per 2000-record batch, tools/bench.py).
             text = text.replace("None", "null")
             text = text.replace("True", "true")
             return text.replace("False", "false")

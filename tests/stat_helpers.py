@@ -1,0 +1,25 @@
+"""Statistical checks shared by the test modules."""
+
+import numpy as np
+from scipy import stats
+
+
+def pooled_chi2_pvalue(counts, pmf):
+    """Chi-square p-value of integer counts against pmf (over 0, 1, ...),
+    adjacent bins pooled left to right to an expected count >= 5, the tail
+    from the last bin on pooled into one."""
+    expected = counts.size * pmf
+    observed = np.bincount(counts, minlength=pmf.size)
+    bins, e, o = [], 0.0, 0
+    for e_n, o_n in zip(expected, observed):
+        e, o = e + e_n, o + o_n
+        if e >= 5:
+            bins.append((e, o))
+            e, o = 0.0, 0
+    tail = (counts.size - sum(b[0] for b in bins), counts.size - sum(b[1] for b in bins))
+    if tail[0] < 5:
+        tail = (bins[-1][0] + tail[0], bins[-1][1] + tail[1])
+        bins.pop()
+    bins.append(tail)
+    e, o = np.array(bins).T
+    return stats.chi2.sf(((o - e) ** 2 / e).sum(), len(bins) - 1)

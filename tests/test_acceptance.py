@@ -26,6 +26,7 @@ from dnachannel.codec import (
 )
 from dnachannel.montecarlo import records_to_jsonl, run, verify_chernoff
 from dnachannel.rng import substream
+from stat_helpers import pooled_chi2_pvalue
 
 mpmath.mp.dps = 40
 
@@ -212,8 +213,9 @@ def test_criterion_14_reproducibility():
 # Exact two-sided oracles.  The preset verdicts above are one-sided and
 # loose: short-l4-m64's min_rate 0.99 passes any Poisson coverage above
 # ~0.84, not just 1.  These test each preset's pooled count against its
-# exact binomial law, two-sided, at its default seed and three more.
-# coupon-m1000 and m16-rep3-noisy keep only their one-sided verdicts.
+# exact law, two-sided, at its default seed and three more: a binomial
+# test, or a chi-square test of coupon-m1000's distinct counts.
+# m16-rep3-noisy keeps only its one-sided verdict.
 # ---------------------------------------------------------------------------
 
 EXACT_ALPHA = 1e-3
@@ -260,3 +262,26 @@ def test_exact_chernoff_tail_reads(seed):
     tail = run(spec).summary.mean * reads
     assert tail == pytest.approx(round(tail), abs=1e-6)
     assert cap.binomial_test(round(tail), reads, exact) > EXACT_ALPHA
+
+
+@pytest.mark.parametrize("seed", EXACT_SEEDS)
+def test_exact_coupon_distinct_counts(seed):
+    # The Chebyshev bound (0.149) passes any law that rarely reaches 733
+    # distinct; the exact occupancy law has mean 632.30 and P(>= 733) ~ 4e-25.
+    spec = _sim_presets(seed, None)["coupon-m1000"]
+    pmf = cap.coupon_distinct_pmf(spec.M, round(spec.lam * spec.M))
+    d = np.arange(spec.M + 1)
+    assert (pmf * d).sum() == pytest.approx(632.3046, abs=1e-4)
+    assert pmf[733:].sum() == pytest.approx(3.926e-25, rel=1e-3)
+    result = run(spec)
+    assert result.failed == 0
+    distinct = np.array([r.distinct_seen for r in result.records])
+    assert distinct.size == 10_000
+    assert pooled_chi2_pvalue(distinct, pmf) > EXACT_ALPHA
+
+
+@pytest.mark.parametrize("seed", EXACT_SEEDS)
+def test_exact_clean_recovery(seed):
+    # m16-clean loses no molecule and flips no bit, so every trial decodes.
+    spec = _rt_presets(seed, None)["m16-clean"]
+    assert successes(spec) == spec.trials

@@ -6,6 +6,7 @@ re-derived here with the in-test oracle before being trusted.
 
 import itertools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -554,3 +555,52 @@ def test_short_molecule_success():
     assert cap.short_molecule_success(1.0, 8, 4) == 0.0
     with pytest.raises(ValueError):
         cap.short_molecule_success(0.5, 7, 4)
+
+
+# ---------------------------------------------------------------------------
+# Argument checks: each rejected input raises ValueError naming the argument
+# ---------------------------------------------------------------------------
+
+BSC = np.array([[0.9, 0.1], [0.1, 0.9]])
+
+
+def case(fn, *args, message, **kwargs):
+    return pytest.param(fn, args, kwargs, message, id=fn.__name__)
+
+
+@pytest.mark.parametrize("fn, args, kwargs, message", [
+    case(cap.kl_binary, 1.5, 0.1, message="arguments must be probabilities, got (1.5, 0.1)"),
+    case(cap.noise_free_capacity, 1.5, 2.0, message="q0 must be in [0, 1], got 1.5"),
+    case(cap.noisy_capacity, 1.5, 0.1, 2.0, message="q must be in [0, 1], got 1.5"),
+    case(cap.noisy_capacity, 0.1, 0.6, 2.0, message="p must be in [0, 0.5], got 0.6"),
+    case(cap.capacity_upper_bound, -0.1, 0.1, 2.0, message="q must be in [0, 1], got -0.1"),
+    case(cap.in_capacity_region, 0.5, 2.0, message="p must be in [0, 0.5), got 0.5"),
+    case(cap.dmc_capacity_ba, np.array([0.5, 0.5]), message="transition must be a 2-D matrix"),
+    case(cap.dmc_capacity_ba, BSC, tol=0.0, message="tol must be > 0, got 0.0"),
+    case(cap.sdmc_capacity, BSC, 1.5, 4.0, message="q must be in [0, 1], got 1.5"),
+    case(cap.counting_T, 0, 1, message="a must be >= 1, got 0"),
+    case(cap.counting_T, 1, -1, message="b must be >= 0, got -1"),
+    case(cap.counting_T_log_upper, 0, 1, message="a must be >= 1, got 0"),
+    case(cap.counting_T_log_upper, 1, -1, message="b must be >= 0, got -1"),
+    case(cap.hoeffding_seen_fraction_bound, 0, 0.1, message="M must be >= 1, got 0"),
+    case(cap.coupon_tail_bound, 0, 1.0, 0.1, message="M must be >= 1, got 0"),
+    case(cap.chernoff_read_error_bound, 0, 0.05, 0.15, message="L must be >= 1, got 0"),
+    case(cap.short_molecule_success, 1.5, 64, 4, message="q0 must be in [0, 1], got 1.5"),
+    case(cap.scheme_rate, 1.5, 1.0, 4.0, message="q must be in [0, 1], got 1.5"),
+    case(cap.scheme_rate, 0.05, 0.0, 4.0, message="r_inner must be in (0, 1], got 0.0"),
+    case(cap.coupon_distinct_pmf, 0, 5, message="M must be >= 1, got 0"),
+    case(cap.coupon_distinct_pmf, 5, -1, message="n must be >= 0, got -1"),
+])
+def test_argument_checks(fn, args, kwargs, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        fn(*args, **kwargs)
+
+
+def test_coupon_distinct_pmf_small_cases():
+    # Two draws from two coupons: 1 or 2 distinct, each with probability 1/2.
+    assert cap.coupon_distinct_pmf(2, 2).tolist() == [0.0, 0.5, 0.5]
+    assert cap.coupon_distinct_pmf(3, 0).tolist() == [1.0, 0.0, 0.0, 0.0]
+    # Against enumeration of all 4^3 draw sequences.
+    law = cap.coupon_distinct_pmf(4, 3)
+    seen = [len(set(draws)) for draws in itertools.product(range(4), repeat=3)]
+    assert law == pytest.approx([seen.count(d) / 64 for d in range(5)], abs=1e-15)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import re
 import tracemalloc
 from functools import partial
 
@@ -35,6 +36,7 @@ from dnachannel.rng import (
     poisson_each,
     substream,
 )
+from stat_helpers import pooled_chi2_pvalue
 
 mpmath.mp.dps = 30
 
@@ -248,27 +250,6 @@ def compound_poisson_pmf(n_max, lam, alpha):
     a = np.arange(int(alpha + 40 * math.sqrt(alpha) + 50))[:, None]
     n = np.arange(n_max)
     return (stats.poisson.pmf(a, alpha) * stats.poisson.pmf(n, a * lam / alpha)).sum(0)
-
-
-def pooled_chi2_pvalue(counts, pmf):
-    """Chi-square p-value of integer counts against pmf (over 0, 1, ...),
-    adjacent bins pooled left to right to an expected count >= 5, the tail
-    from the last bin on pooled into one."""
-    expected = counts.size * pmf
-    observed = np.bincount(counts, minlength=pmf.size)
-    bins, e, o = [], 0.0, 0
-    for e_n, o_n in zip(expected, observed):
-        e, o = e + e_n, o + o_n
-        if e >= 5:
-            bins.append((e, o))
-            e, o = 0.0, 0
-    tail = (counts.size - sum(b[0] for b in bins), counts.size - sum(b[1] for b in bins))
-    if tail[0] < 5:
-        tail = (bins[-1][0] + tail[0], bins[-1][1] + tail[1])
-        bins.pop()
-    bins.append(tail)
-    e, o = np.array(bins).T
-    return stats.chi2.sf(((o - e) ** 2 / e).sum(), len(bins) - 1)
 
 
 @pytest.mark.parametrize("seed", [12345, 1, 2, 3])
@@ -960,3 +941,34 @@ def test_derive_seed_is_pure_function():
     assert derive_seed(1, 2) == derive_seed(1, 2)
     assert derive_seed(1, 2) != derive_seed(1, 3)
     assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)  # per-molecule depth
+
+
+# ---------------------------------------------------------------------------
+# Argument checks
+# ---------------------------------------------------------------------------
+
+def _wrong_length_transmit():
+    params = ChannelParams(M=4, beta=4.0, p=0.0, sampling=SamplingSpec.bernoulli(0.0))
+    transmit_unshuffled(CodewordSet(np.zeros((4, 7), np.uint8)), params,
+                        np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(partial(SamplingSpec.custom_truncated, [0.1, 0.2]),
+                 "pmf terms sum to 0.30000000000000004, never reaching 1 - ",
+                 id="custom_truncated"),
+    pytest.param(partial(ChannelParams, M=16, beta=2.0, p=0.0,
+                         sampling=SamplingSpec.bernoulli(0.0), L=-1),
+                 "L must be >= 1, got -1", id="ChannelParams"),
+    pytest.param(partial(CodewordSet, np.zeros(4, np.uint8)),
+                 "molecules must be a 2-D (M, L) bit array", id="CodewordSet"),
+    pytest.param(partial(ChannelOutput, np.zeros(4, np.uint8)),
+                 "reads must be a 2-D (N, L) bit array", id="ChannelOutput"),
+    pytest.param(partial(sample_counts, SamplingSpec.poisson(1.0), 0, np.random.default_rng(0)),
+                 "M must be >= 1, got 0", id="sample_counts"),
+    pytest.param(_wrong_length_transmit, "codeword length 7 != params L=8",
+                 id="transmit_unshuffled"),
+])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call()

@@ -527,3 +527,34 @@ def test_help_exits_zero(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 0
     assert "--" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# Argument errors: exit 2 with one "error:" line on stderr
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, message", [
+    (["region", "--p-grid", "0:0.1", "--out", "-"],
+     "grid must be start:stop:step, got '0:0.1'"),
+    (["region", "--p-grid", "0:0.1:0", "--out", "-"], "grid step must be > 0"),
+    (["capacity", "--model", "sdmc", "--matrix", "bsc:1.5", "--beta", "4"],
+     "bsc crossover must be in [0, 1], got 1.5"),
+    (["capacity", "--model", "sdmc", "--matrix", "file:{empty}", "--beta", "4"],
+     "matrix file must contain uniform rows"),
+    (["capacity", "--model", "sdmc", "--beta", "4"], "--model sdmc requires --matrix"),
+    (["capacity", "--model", "noise-free", "--beta", "5"],
+     "--model noise-free requires one of --q0, --lambda[, --alpha], --q"),
+    (["tradeoff", "--lambda", "1"], "tradeoff requires --beta (except with --cost-ratio alone)"),
+], ids=["grid form", "grid step", "bsc", "matrix file", "sdmc", "noise-free", "tradeoff"])
+def test_argument_errors_exit_2(capsys, tmp_path, argv, message):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n")
+    argv = [a.format(empty=empty) for a in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # parser.error, after its usage lines
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    [line] = [line for line in err.splitlines() if "error: " in line]
+    assert line.split("error: ", 1)[1].startswith(message)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from dnachannel.codec import (
 )
 from dnachannel.codec import _index_block
 from dnachannel.gf import TooManyErasures
+from dnachannel.montecarlo import ExperimentSpec, run
 from dnachannel.rng import substream
 
 
@@ -337,6 +339,26 @@ def test_config_validation():
     with pytest.raises(TypeError):  # field_width is derived, not an argument
         CodecConfig(M=16, L=8, inner=InnerCodeSpec.identity(), outer_k=12,
                     field_width=8)
+
+
+@pytest.mark.parametrize("L, w", [(3, 2), (4, 3), (5, 2), (7, 2), (9, 2)])
+def test_two_molecule_config_roundtrips(L, w):
+    # One index bit, but GF(2^w) needs w >= 2, so the width search starts there.
+    cfg = CodecConfig(M=2, L=L, inner=InnerCodeSpec.identity(), outer_k=1)
+    assert cfg.field_width == w
+    channel = ChannelParams(M=2, beta=L, p=0.0, sampling=SamplingSpec.bernoulli(0.0), L=L)
+    rng = np.random.default_rng(L)
+    msg = random_message(cfg, rng)
+    report = decode_output(transmit(encode_message(msg, cfg), channel, rng), cfg)
+    assert np.array_equal(report.message, msg)
+    result = run(ExperimentSpec.decode_success(channel, cfg, trials=50, base_seed=L,
+                                               min_rate=1.0))
+    assert result.failed == 0 and result.summary.mean == 1.0
+
+
+def test_two_molecule_config_needs_two_payload_bits():
+    with pytest.raises(ConfigError, match=r"no field width w in \[2, 16\] divides payload bits 1"):
+        CodecConfig(M=2, L=2, inner=InnerCodeSpec.identity(), outer_k=1)
 
 
 def test_achieved_rate_simple_counts():
@@ -741,3 +763,27 @@ def test_parse_reports_first_bad_line_number():
         parse_reads("M=4 L=3\n" + good + "000\n1\u00e91\n")  # non-ASCII
     with pytest.raises(ValueError, match=r"^line 4 is not a 3-bit 0/1 string$"):
         parse_reads("M=2 L=3\n\n010\n0a0\n")  # blank lines count
+
+
+# ---------------------------------------------------------------------------
+# Argument checks: each raises ConfigError with a one-line reason
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    # 16 random 4-bit words cannot all differ but with probability ~1e-6.
+    pytest.param(lambda: InnerCodeSpec.table_ml(4, seed=0).codebook(4),
+                 "table_ml seed 0 produced duplicate codewords for k=4, L=4", id="table_ml"),
+    pytest.param(lambda: inner_encode(np.zeros(5), InnerCodeSpec.identity(), 8),
+                 "expected 8 info bits, got 5", id="inner_encode"),
+    pytest.param(lambda: inner_decode(np.zeros(7), InnerCodeSpec.identity(), 8),
+                 "expected length-8 reads, got 7", id="inner_decode"),
+    pytest.param(lambda: CodecConfig(M=1, L=8, inner=InnerCodeSpec.identity(), outer_k=1),
+                 "M must be >= 2, got 1", id="CodecConfig"),
+    pytest.param(lambda: decode_output(ChannelOutput(np.zeros((3, 7), np.uint8)), M16),
+                 "reads have length 7, config says 8", id="decode_output"),
+    pytest.param(lambda: short_molecule_decode(ChannelOutput(np.zeros((2, 5), np.uint8)), 4),
+                 "reads have length 5, expected 4", id="short_molecule_decode"),
+])
+def test_argument_checks(call, message):
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        call()

@@ -414,3 +414,14 @@ def test_rs_codeword_pinned_other_kernel(n, k, w):
     data = np.random.default_rng([n, k, w]).integers(0, 1 << w, size=(k, 1))
     cw = _reference_encode(n, k, w, data)[:, 0]
     assert hashlib.sha256(cw.astype("<i8").tobytes()).hexdigest() == PINNED_CODEWORDS[n, k, w]
+
+
+@pytest.mark.parametrize("symbols, erased", [
+    (np.zeros(15), np.zeros(16, bool)),
+    (np.zeros(16), np.zeros(15, bool)),
+    (np.zeros((16, 2, 2)), np.zeros(16, bool)),
+], ids=["short symbols", "short flags", "3-D symbols"])
+def test_decode_erasures_checks_shapes(symbols, erased):
+    rs = ReedSolomonErasure(16, 12, 4)
+    with pytest.raises(ValueError, match=r"^expected 16 symbols and erasure flags"):
+        rs.decode_erasures(symbols, erased)

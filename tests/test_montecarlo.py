@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -797,3 +798,13 @@ def test_summary_json_shape():
     js = s.to_json()
     assert js["ci95"] == [0.3, 0.7]
     assert "expected" not in js and js["verdict"] == "PASS"
+
+
+@pytest.mark.parametrize("var, sampling, message", [
+    ("beta", None, "var must be lambda, q, or p, got 'beta'"),
+    ("p", None, "sweeping p requires a fixed sampling spec"),
+])
+def test_rate_vs_capacity_sweep_argument_checks(var, sampling, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        montecarlo.rate_vs_capacity_sweep(var, [0.1], M16, trials=1, base_seed=1,
+                                          sampling=sampling)

@@ -3,6 +3,8 @@
 import importlib.util
 import os
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -13,18 +15,46 @@ def load_tool(name):
     return module
 
 
+@pytest.fixture(scope="module")
+def bench():
+    return load_tool("bench")
+
+
 def in_process(bench):
     """What ``bench.fresh`` measures, run in this process."""
     return lambda task, src: bench.child(task)
 
 
-def test_bench_quick_layer_table_has_the_documented_keys():
-    bench = load_tool("bench")
+def test_bench_quick_layer_table_has_the_documented_keys(bench):
     quick = bench.QUICK
     [table] = bench.fresh_layers(quick["ms"], quick["timing"], [bench.SRC], in_process(bench))
     assert set(table) == {"bernoulli", "poisson", "poisson_pcr", "custom"}
     for by_m in table.values():
         assert set(by_m) == {"256", "1024"}
         for t in by_m.values():
-            assert set(t) == {"min_ms", "median_ms", "number"}
-            assert 0 < t["min_ms"] <= t["median_ms"] and t["number"] >= 1
+            assert set(t) == {"min_ms", "median_ms", "iqr_ms", "medians_ms"}
+            assert len(t["medians_ms"]) == bench.PROCESSES
+            assert 0 < t["min_ms"] <= t["median_ms"] <= max(t["medians_ms"])
+            assert 0 <= t["iqr_ms"] <= max(t["medians_ms"]) - t["min_ms"]
+    ratio = bench.ratios(table, table)
+    assert ratio == {kind: {"256": 1.0, "1024": 1.0} for kind in table}
+
+
+def test_bench_layer_cell_statistics(bench):
+    cell = bench.layer_cell([{"median_ms": t} for t in (3.0, 1.0, 2.0)])
+    assert cell == {"min_ms": 1.0, "median_ms": 2.0, "iqr_ms": 1.0,
+                    "medians_ms": [1.0, 2.0, 3.0]}
+
+
+def test_bench_quick_fault_loops_have_the_documented_keys(bench, monkeypatch):
+    monkeypatch.syspath_prepend(bench.BENCH)
+    names = ("archive-m4096", "deep-pcr-m256", "short-l4-m64")
+    faults = bench.fault_loops(names, bench.QUICK["faults"], in_process(bench))
+    assert set(faults) == set(names)
+    for loops in faults.values():
+        assert set(loops) == {"A", "B"}
+        for loop, counts in loops.items():
+            assert set(counts) == {"faults_per_batch", "batches", "peak_rss_mb"}
+            assert counts["faults_per_batch"] >= 0 and counts["peak_rss_mb"] > 0
+        assert loops["A"]["batches"] == bench.QUICK["faults"]["batches"]
+        assert loops["B"]["batches"] >= 1

@@ -25,10 +25,14 @@ The file holds three sections:
     benchmark process does.  Each loop stores ``faults_per_batch``,
     ``batches`` and its process's ``peak_rss_mb`` (``ru_maxrss``).
 ``layers``
-    ``sample_counts``: for each sampling kind and M, the min and median time
-    of one call in ms, over repeats of a timeit loop on a fixed-seed
-    generator.  With --against, ``against`` holds that revision's sha and
-    the same table, its processes alternating with this checkout's.
+    ``sample_counts``: for each sampling kind and M, one call's time in ms.
+    Each (kind, M) runs in 3 fresh processes, each timing the median of
+    repeats of a timeit loop on a fixed-seed generator.  A cell holds those
+    per-process medians (``medians_ms``), their min, median and
+    interquartile range (``iqr_ms``).  With --against, ``against`` holds
+    that revision's sha, the same table (its processes alternating with
+    this checkout's), and per cell the ``ratio`` of its median to this
+    checkout's (above 1 where this checkout is faster).
 
 Each fault loop and layer cell runs in a fresh interpreter with the
 benchmark's child environment (one BLAS thread, fixed str hashing), since
@@ -56,7 +60,7 @@ import tarfile
 import tempfile
 import time
 import timeit
-from statistics import median
+from statistics import median, quantiles
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "benchmark")
@@ -64,12 +68,13 @@ SRC = os.path.join(ROOT, "src")
 
 # Sizes of a full and a --quick run.  A layer's timeit loop runs at least
 # loop_s and is repeated.
-FULL = {"ms": (256, 1024, 4096, 16384, 65536), "timing": {"repeats": 7, "loop_s": 0.2},
+FULL = {"ms": (256, 1024, 4096, 16384, 65536), "timing": {"repeats": 5, "loop_s": 0.2},
         "faults": {"warmup": 20, "batches": 500, "seconds": 4.0},
         "workload_s": 8.0, "preset_runs": 3}
 QUICK = {"ms": (256, 1024), "timing": {"repeats": 3, "loop_s": 0.01},
          "faults": {"warmup": 1, "batches": 2, "seconds": 0.5},
          "workload_s": 1.0, "preset_runs": 1}
+PROCESSES = 3  # per layer cell and source tree
 LAYER_SEED = 2026
 WORKLOAD_SEED = 1
 # What the ``dnachannel`` console script runs.
@@ -100,8 +105,7 @@ def time_sample_counts(kind: str, M: int, repeats: int, loop_s: float) -> dict:
     number = 1
     while timer.timeit(number) < loop_s:
         number *= 2
-    ms = [t / number * 1e3 for t in timer.repeat(repeats, number)]
-    return {"min_ms": min(ms), "median_ms": median(ms), "number": number}
+    return {"median_ms": median(timer.repeat(repeats, number)) / number * 1e3}
 
 
 def minflt() -> int:
@@ -167,15 +171,33 @@ def fault_loops(names, sizes: dict, measure=fresh) -> dict:
             for name in names}
 
 
+def layer_cell(runs: list[dict]) -> dict:
+    """A layer cell from its processes' timings."""
+    ms = sorted(r["median_ms"] for r in runs)
+    q1, _, q3 = quantiles(ms, n=4, method="inclusive")
+    return {"min_ms": ms[0], "median_ms": median(ms), "iqr_ms": q3 - q1, "medians_ms": ms}
+
+
 def fresh_layers(ms, timing: dict, srcs: list[str], measure=fresh) -> list[dict]:
-    """One layer table per source tree, each (kind, M) in a fresh process,
-    the trees alternating."""
+    """One layer table per source tree; each (kind, M) in PROCESSES fresh
+    processes per tree, the trees alternating."""
     tables = [{kind: {} for kind in sampling_specs()} for _ in srcs]
     for kind in sampling_specs():
         for M in ms:
-            for src, table in zip(srcs, tables):
-                table[kind][str(M)] = measure(dict(kind=kind, M=M, **timing), src)
+            runs = [[] for _ in srcs]
+            for _ in range(PROCESSES):
+                for src, side in zip(srcs, runs):
+                    side.append(measure(dict(kind=kind, M=M, **timing), src))
+            for table, side in zip(tables, runs):
+                table[kind][str(M)] = layer_cell(side)
     return tables
+
+
+def ratios(against: dict, this: dict) -> dict:
+    """Per cell, ``against``'s median time over ``this``'s."""
+    return {kind: {M: against[kind][M]["median_ms"] / cell["median_ms"]
+                   for M, cell in by_m.items()}
+            for kind, by_m in this.items()}
 
 
 def workload_run(name: str, seconds: float) -> dict:
@@ -293,9 +315,11 @@ def main() -> int:
         if sha:
             srcs.append(os.path.join(tmp, "src"))
         tables = fresh_layers(size["ms"], size["timing"], srcs)
-    result["layers"] = {"timing": size["timing"], "sample_counts": tables[0]}
+    result["layers"] = {"timing": size["timing"], "processes": PROCESSES,
+                        "sample_counts": tables[0]}
     if sha:
-        result["layers"]["against"] = {"git_sha": sha, "sample_counts": tables[1]}
+        result["layers"]["against"] = {"git_sha": sha, "sample_counts": tables[1],
+                                       "ratio": ratios(tables[1], tables[0])}
     with open(out_path, "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
