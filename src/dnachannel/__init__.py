@@ -74,7 +74,7 @@ from .montecarlo import (
     EstimateQ0,
     ExperimentSpec,
     RunResult,
-    ShortMoleculeConfig,
+    ShortMoleculeSuccess,
     Summary,
     TrialRecord,
     measure_undetected_swaps,

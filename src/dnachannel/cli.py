@@ -24,7 +24,7 @@ from .channel import ChannelParams, SamplingSpec
 from .codec import CodecConfig, InnerCodeSpec
 from .montecarlo import (
     ExperimentSpec,
-    ShortMoleculeConfig,
+    ShortMoleculeSuccess,
     rate_vs_capacity_sweep,
     records_to_jsonl,
     region_sweep,
@@ -77,10 +77,10 @@ def _parse_matrix(text: str) -> np.ndarray:
             for line in fh:
                 if line.strip():
                     rows.append([float(tok) for tok in line.split()])
-        matrix = np.array(rows, dtype=float)
-        if matrix.ndim != 2:
+        # Checked before np.array, which rejects ragged rows with its own message.
+        if not rows or any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("matrix file must contain uniform rows")
-        return matrix
+        return np.array(rows, dtype=float)
     raise ValueError(f"matrix must be 'bsc:<p>' or 'file:<path>', got {text!r}")
 
 
@@ -136,9 +136,10 @@ def _rt_presets(seed: int, trials: int | None) -> dict[str, ExperimentSpec]:
             ChannelParams(M=16, beta=6.0, p=0.02, sampling=SamplingSpec.bernoulli(0.0), L=24),
             codecs["m16-rep3"], t(1000), seed, min_rate=0.95,
         ),
-        "short-l4-m64": ExperimentSpec.decode_success(
-            ChannelParams(M=64, beta=4.0 / 6.0, p=0.0, sampling=SamplingSpec.poisson(1.0), L=4),
-            ShortMoleculeConfig(M=64, L=4), t(10_000), seed, min_rate=0.99,
+        "short-l4-m64": ShortMoleculeSuccess(
+            channel=ChannelParams(M=64, beta=4.0 / 6.0, p=0.0,
+                                  sampling=SamplingSpec.poisson(1.0), L=4),
+            trials=t(10_000), base_seed=seed, min_rate=0.99,
         ),
     }
 

@@ -2,8 +2,10 @@
 
 Each experiment kind is a subclass of ``ExperimentSpec`` carrying its own
 parameters and its trial: ``EstimateQ0`` (unseen fraction q0),
-``DecodeSuccess`` (encode, transmit, decode), ``BoundCheck`` (per-read
-Chernoff tail) and ``CouponTail`` (coupon-collector tail).
+``DecodeSuccess`` (index codec: encode, transmit, decode),
+``ShortMoleculeSuccess`` (the short-molecule replication scheme, beta < 1),
+``BoundCheck`` (per-read Chernoff tail) and ``CouponTail`` (coupon-collector
+tail).
 
 An experiment is a list of independent trials, run in order; trial t runs
 on a Philox stream whose seed is a pure function of (base_seed, t), so a
@@ -73,10 +75,10 @@ from .codec import short_molecule_decode, short_molecule_encode  # noqa: F401
 from .rng import derive_seed, generator_from_seed, trial_streams, word_bits
 
 __all__ = [
-    "ShortMoleculeConfig",
     "ExperimentSpec",
     "EstimateQ0",
     "DecodeSuccess",
+    "ShortMoleculeSuccess",
     "BoundCheck",
     "CouponTail",
     "TrialRecord",
@@ -101,24 +103,11 @@ __all__ = [
 # MiB trial by trial; its speed is the same within noise over that range.
 BLOCK_READS = 1 << 12
 
-@dataclass(frozen=True)
-class ShortMoleculeConfig:
-    """Codec stand-in selecting the short-molecule replication scheme."""
-
-    M: int
-    L: int
-
-    def __post_init__(self):
-        if not (self.L >= 1 and self.M >= 1 << (self.L - 1)):
-            raise ConfigError(f"short-molecule scheme needs L >= 1 and M >= 2^(L-1), "
-                              f"got M={self.M}, L={self.L}")
-
-
 @dataclass(frozen=True, kw_only=True)
 class ExperimentSpec:
     """What every experiment shares: trial count, seed and verdict target.
 
-    Each kind is a subclass (built by the classmethods below) with its own
+    Each kind is a subclass (most built by a classmethod below) with its own
     parameters, a ``metric`` name and a ``trial(rng)`` that makes every use
     of the trial's stream.  ``run`` gathers the trials' results in blocks
     of ``block_trials`` trials, and ``settle(block)`` turns a block into
@@ -197,18 +186,11 @@ class EstimateQ0(ExperimentSpec):
 
 @dataclass(frozen=True, kw_only=True)
 class DecodeSuccess(ExperimentSpec):
-    """Encode a random message, pass it through the channel, decode it.
-
-    With a ``ShortMoleculeConfig`` a trial only draws, in stream order: the
-    raw words holding the 2^(L-1) data bits (``rng.word_bits``), the reads of
-    each molecule and the (N, L) flip pattern of the reads in source order
-    (None at p = 0).  ``settle`` runs the scheme over a block of trials at
-    once.
-    """
+    """Encode a random message with the index codec, transmit and decode it."""
 
     metric: ClassVar[str] = "success_rate"
     channel: ChannelParams
-    codec: CodecConfig | ShortMoleculeConfig
+    codec: CodecConfig
 
     def __post_init__(self):
         super().__post_init__()
@@ -218,12 +200,6 @@ class DecodeSuccess(ExperimentSpec):
                               f"channel M={ch.M}, L={ch.L}")
 
     def trial(self, rng):
-        """One trial.  ``rng`` is always a Philox generator that ``trial_streams``
-        has just reset, so short-molecule bits can be raw words (rng's bit
-        contract): no later draw reads a 32-bit half ``integers`` leaves pending."""
-        if isinstance(self.codec, ShortMoleculeConfig):
-            words = rng.bit_generator.random_raw(-(-(1 << (self.codec.L - 1)) // 8))
-            return (words, *transmit_draws(self.channel, rng))
         msg = random_message(self.codec, rng)
         cw = encode_message(msg, self.codec)
         out, counts, flips = transmit_unshuffled(cw, self.channel, rng)
@@ -236,18 +212,41 @@ class DecodeSuccess(ExperimentSpec):
                report.collisions, flips / out.reads.size if out.N > 0 else None)
         return row, float(report.ok)
 
+
+@dataclass(frozen=True, kw_only=True)
+class ShortMoleculeSuccess(ExperimentSpec):
+    """The short-molecule replication scheme on the channel's M and L.
+
+    A trial only draws, in stream order: the raw words holding the 2^(L-1)
+    data bits (``rng.word_bits``), the reads of each molecule and the (N, L)
+    flip pattern of the reads in source order (None at p = 0).  ``settle``
+    runs the scheme over a block of trials at once.
+    """
+
+    metric: ClassVar[str] = "success_rate"
+    channel: ChannelParams
+
+    def __post_init__(self):
+        super().__post_init__()
+        M, L = self.channel.M, self.channel.L
+        if M < 1 << (L - 1):
+            raise ConfigError(f"short-molecule scheme needs M >= 2^(L-1), got M={M}, L={L}")
+
+    def trial(self, rng):
+        """One trial.  ``rng`` is always a Philox generator that ``trial_streams``
+        has just reset, so the data bits can be raw words (rng's bit contract):
+        no later draw reads a 32-bit half ``integers`` leaves pending."""
+        words = rng.bit_generator.random_raw(-(-(1 << (self.channel.L - 1)) // 8))
+        return (words, *transmit_draws(self.channel, rng))
+
     @property
     def block_trials(self) -> int:
-        if isinstance(self.codec, ShortMoleculeConfig):
-            # Expected reads within BLOCK_READS, and M counts a trial as well.
-            mean = max(self.channel.sampling.mean_coverage(), 1.0)
-            return max(1, int(BLOCK_READS // (self.codec.M * mean)))
-        return 1
+        # Expected reads within BLOCK_READS, and M counts a trial as well.
+        mean = max(self.channel.sampling.mean_coverage(), 1.0)
+        return max(1, int(BLOCK_READS // (self.channel.M * mean)))
 
     def settle(self, block):
-        if not isinstance(self.codec, ShortMoleculeConfig):
-            return block
-        L, T = self.codec.L, len(block)
+        L, T = self.channel.L, len(block)
         words, counts, patterns = zip(*block)
         # np.array stacks as np.stack does, in a third of the time.
         bits = word_bits(np.array(words), 1 << (L - 1))
@@ -255,7 +254,7 @@ class DecodeSuccess(ExperimentSpec):
         n = counts.sum(axis=1)
         ends = n.cumsum()
         # Every molecule of every trial as an integer segment << 1 | bit.
-        values = short_molecule_values(bits, self.codec.M, L)
+        values = short_molecule_values(bits, self.channel.M, L)
         recovered, flips, start = [], [], 0
         while start < T:
             # Reads of the next trials that fit BLOCK_READS (or of one trial
@@ -276,7 +275,7 @@ class DecodeSuccess(ExperimentSpec):
         erasures = np.count_nonzero(recovered < 0, axis=1).tolist()
         distinct = np.count_nonzero(counts, axis=1).tolist()
         n = n.tolist()
-        # An exact count and one rounded division, as in trial().
+        # An exact count and one rounded division, as in DecodeSuccess.trial.
         flip_rate = [f / (N * L) if N > 0 else None
                      for f, N in zip(flips or itertools.repeat(0), n)]
         rows = zip(n, distinct, success, erasures, itertools.repeat(None), flip_rate)

@@ -278,7 +278,6 @@ def poisson_counts(rng: np.random.Generator, lam: float, size: int) -> np.ndarra
     return _poisson_ptrs(rng, lam, size)
 
 
-@lru_cache(maxsize=256)
 def _inversion_cdf(lam: float) -> np.ndarray:
     """cdf_0..cdf_kmax of Poisson(lam), built the way sequential search would.
 
@@ -290,26 +289,21 @@ def _inversion_cdf(lam: float) -> np.ndarray:
     steps = np.empty(k_max + 1)
     steps[0] = math.exp(-lam)
     steps[1:] = lam / np.arange(1, k_max + 1)
-    cdf = np.cumsum(np.cumprod(steps))
-    cdf.setflags(write=False)
-    return cdf
+    return np.cumsum(np.cumprod(steps))
 
 
-# cdf_0..cdf_{kmax-1} of _inversion_cdf(lam) by lam, emptied when full.  A
-# dict lookup: an lru_cache call plus a fresh slice took ~0.25 us longer.
-_SEARCH_TABLES: dict[float, np.ndarray] = {}
+@lru_cache(maxsize=256)
+def _search_table(lam: float) -> np.ndarray:
+    """cdf_0..cdf_{kmax-1} of ``_inversion_cdf(lam)``, read-only.  Searching
+    it returns k_max for any u above them, as the cap would."""
+    table = _inversion_cdf(float(lam))[:-1]
+    table.setflags(write=False)
+    return table
 
 
 def _invert(lam: float, u: np.ndarray) -> np.ndarray:
     """First k with u <= cdf_k, capped at k_max: inversion by sequential search."""
-    # Searching cdf_0..cdf_{kmax-1} returns k_max for any u above them, as
-    # the cap would.
-    table = _SEARCH_TABLES.get(lam)
-    if table is None:
-        if len(_SEARCH_TABLES) >= 256:
-            _SEARCH_TABLES.clear()
-        table = _SEARCH_TABLES[lam] = _inversion_cdf(float(lam))[:-1]
-    return table.searchsorted(u).astype(np.int64, copy=False)
+    return _search_table(lam).searchsorted(u).astype(np.int64, copy=False)
 
 
 def _ptrs_constants(lam: float) -> tuple[float, float, float, float, float]:
@@ -391,7 +385,7 @@ def poisson_each(rng: np.random.Generator, means) -> np.ndarray:
     for j, lam in enumerate(lams.tolist()):
         entry = tables.get(lam)
         if entry is None:
-            entry = tables[lam] = ((1, _inversion_cdf(lam)[:-1].tolist())
+            entry = tables[lam] = ((1, _search_table(lam).tolist())
                                    if lam <= _PTRS_THRESHOLD else (2, _ptrs_constants(lam)))
         step, c = entry
         while True:  # one pass per inversion, one per PTRS attempt

@@ -23,3 +23,12 @@ def pooled_chi2_pvalue(counts, pmf):
     bins.append(tail)
     e, o = np.array(bins).T
     return stats.chi2.sf(((o - e) ** 2 / e).sum(), len(bins) - 1)
+
+
+def permanent(a):
+    """Permanent of a square matrix by Ryser's formula over its 2^n column
+    subsets S: (-1)^n sum_S (-1)^|S| prod_i sum_{j in S} a_ij."""
+    n = a.shape[0]
+    subsets = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    signs = (-1.0) ** (n - subsets.sum(axis=1))
+    return float(signs @ (subsets @ a.T).prod(axis=1))

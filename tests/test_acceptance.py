@@ -26,7 +26,7 @@ from dnachannel.codec import (
 )
 from dnachannel.montecarlo import records_to_jsonl, run, verify_chernoff
 from dnachannel.rng import substream
-from stat_helpers import pooled_chi2_pvalue
+from stat_helpers import permanent, pooled_chi2_pvalue
 
 mpmath.mp.dps = 40
 
@@ -215,7 +215,6 @@ def test_criterion_14_reproducibility():
 # ~0.84, not just 1.  These test each preset's pooled count against its
 # exact law, two-sided, at its default seed and three more: a binomial
 # test, or a chi-square test of coupon-m1000's distinct counts.
-# m16-rep3-noisy keeps only its one-sided verdict.
 # ---------------------------------------------------------------------------
 
 EXACT_ALPHA = 1e-3
@@ -285,3 +284,26 @@ def test_exact_clean_recovery(seed):
     # m16-clean loses no molecule and flips no bit, so every trial decodes.
     spec = _rt_presets(seed, None)["m16-clean"]
     assert successes(spec) == spec.trials
+
+
+@pytest.mark.parametrize("seed", EXACT_SEEDS)
+def test_exact_noisy_index_recovery_and_flips(seed):
+    # Bernoulli(0) reads each of the M = 2^4 molecules once, so a trial has
+    # no erasure iff its decoded indices form a permutation.  Each index bit
+    # decodes wrong with probability e = P(rep(3) majority flips),
+    # independently, so that is the permanent of A[i][j] = e^d (1-e)^(4-d),
+    # d = popcount(i ^ j); (1-e)^64 would leave out index swaps.
+    spec = _rt_presets(seed, None)["m16-rep3-noisy"]
+    ch = spec.channel
+    e = 3 * ch.p**2 * (1 - ch.p) + ch.p**3
+    d = np.array([[bin(i ^ j).count("1") for j in range(ch.M)] for i in range(ch.M)])
+    exact = permanent(e**d * (1 - e) ** (math.log2(ch.M) - d))
+    assert exact == pytest.approx(0.9270239, abs=1e-7)
+    result = run(spec)
+    assert result.failed == 0
+    clean = sum(r.erasures == 0 for r in result.records)
+    assert cap.binomial_test(clean, spec.trials, exact) > EXACT_ALPHA
+    # Every read's L bits flip independently with probability p.
+    bits = ch.M * ch.L
+    flips = sum(round(r.flip_rate * bits) for r in result.records)
+    assert cap.binomial_test(flips, spec.trials * bits, ch.p) > EXACT_ALPHA

@@ -163,11 +163,13 @@ def test_invert_matches_the_capped_search_at_the_table_edges(lam):
 
 
 def test_inversion_search_tables_stay_bounded():
-    # One cached table per lambda, emptied when full; a rebuilt table is the same.
+    # One cached table per lambda, the least recent dropped when full; a
+    # rebuilt table is the same.
     first = poisson_counts(rng_for(5), 0.5, 100)
     for lam in np.linspace(0.01, 10.0, 600):
         poisson_counts(rng_for(6), lam, 2)
-    assert 0 < len(rng_module._SEARCH_TABLES) <= 256
+    info = rng_module._search_table.cache_info()
+    assert info.currsize == info.maxsize == 256
     assert poisson_counts(rng_for(5), 0.5, 100).tolist() == first.tolist()
 
 

@@ -541,15 +541,19 @@ def test_help_exits_zero(capsys, argv):
      "bsc crossover must be in [0, 1], got 1.5"),
     (["capacity", "--model", "sdmc", "--matrix", "file:{empty}", "--beta", "4"],
      "matrix file must contain uniform rows"),
+    (["capacity", "--model", "sdmc", "--matrix", "file:{ragged}", "--beta", "4"],
+     "matrix file must contain uniform rows"),
     (["capacity", "--model", "sdmc", "--beta", "4"], "--model sdmc requires --matrix"),
     (["capacity", "--model", "noise-free", "--beta", "5"],
      "--model noise-free requires one of --q0, --lambda[, --alpha], --q"),
     (["tradeoff", "--lambda", "1"], "tradeoff requires --beta (except with --cost-ratio alone)"),
-], ids=["grid form", "grid step", "bsc", "matrix file", "sdmc", "noise-free", "tradeoff"])
+], ids=["grid form", "grid step", "bsc", "matrix file", "ragged matrix file", "sdmc",
+        "noise-free", "tradeoff"])
 def test_argument_errors_exit_2(capsys, tmp_path, argv, message):
-    empty = tmp_path / "empty.txt"
+    empty, ragged = tmp_path / "empty.txt", tmp_path / "ragged.txt"
     empty.write_text("\n")
-    argv = [a.format(empty=empty) for a in argv]
+    ragged.write_text("0.9 0.1\n0.2\n")
+    argv = [a.format(empty=empty, ragged=ragged) for a in argv]
     try:
         code = cli.main(argv)
     except SystemExit as exc:  # parser.error, after its usage lines

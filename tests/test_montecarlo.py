@@ -30,7 +30,7 @@ from dnachannel.montecarlo import (
     BLOCK_READS,
     DecodeSuccess,
     ExperimentSpec,
-    ShortMoleculeConfig,
+    ShortMoleculeSuccess,
     Summary,
     TrialRecord,
     measure_undetected_swaps,
@@ -99,22 +99,21 @@ def test_decode_success_flip_rate_tracks_p():
 def test_short_molecule_experiment_runs():
     channel = ChannelParams(M=64, beta=4 / 6, p=0.0,
                             sampling=SamplingSpec.poisson(1.0), L=4)
-    spec = ExperimentSpec.decode_success(channel, ShortMoleculeConfig(M=64, L=4),
-                                         trials=300, base_seed=105, min_rate=0.99)
+    spec = ShortMoleculeSuccess(channel=channel, trials=300, base_seed=105, min_rate=0.99)
     result = run(spec)
     assert result.summary.verdict == "PASS"
     assert result.records[0].collisions is None  # not applicable to this scheme
 
 
 @dataclass(frozen=True, kw_only=True)
-class ShortReference(DecodeSuccess):
+class ShortReference(ShortMoleculeSuccess):
     """The short-molecule scheme trial by trial: encode, transmit, decode."""
 
     block_trials = ExperimentSpec.block_trials
     settle = ExperimentSpec.settle
 
     def trial(self, rng):
-        M, L = self.codec.M, self.codec.L
+        M, L = self.channel.M, self.channel.L
         bits = rng.integers(0, 2, size=1 << (L - 1), dtype=np.uint8)
         cw = short_molecule_encode(bits, M, L)
         out, _, counts, flips = transmit_traced(cw, self.channel, rng)
@@ -126,10 +125,9 @@ class ShortReference(DecodeSuccess):
         return row, float(success)
 
 
-def short_spec(M, L, sampling, p, trials, base_seed, cls=DecodeSuccess):
+def short_spec(M, L, sampling, p, trials, base_seed, cls=ShortMoleculeSuccess):
     ch = ChannelParams(M=M, beta=L / math.log2(M), p=p, sampling=sampling, L=L)
-    return cls(channel=ch, codec=ShortMoleculeConfig(M=M, L=L), trials=trials,
-               base_seed=base_seed, min_rate=0.5)
+    return cls(channel=ch, trials=trials, base_seed=base_seed, min_rate=0.5)
 
 
 def run_text(spec):
@@ -263,7 +261,7 @@ def test_records_do_not_depend_on_the_grouping(monkeypatch, M, L, codec, samplin
         expected = run_text(spec)
     monkeypatch.setattr(montecarlo, "BLOCK_READS", block_reads)
     if block_trials is not None:
-        monkeypatch.setattr(DecodeSuccess, "block_trials", block_trials)
+        monkeypatch.setattr(type(spec), "block_trials", block_trials)
     assert run_text(spec) == expected
 
 
@@ -278,8 +276,8 @@ def test_records_do_not_depend_on_the_grouping(monkeypatch, M, L, codec, samplin
 ])
 def test_block_trials(M, L, codec, sampling, expected):
     ch = ChannelParams(M=M, beta=L / math.log2(M), p=0.0, sampling=sampling, L=L)
-    spec = DecodeSuccess(channel=ch, codec=codec or ShortMoleculeConfig(M=M, L=L),
-                         trials=1, base_seed=1)
+    spec = (DecodeSuccess(channel=ch, codec=codec, trials=1, base_seed=1) if codec
+            else ShortMoleculeSuccess(channel=ch, trials=1, base_seed=1))
     assert spec.block_trials == expected
     assert ExperimentSpec.estimate_q0(ch, trials=1, base_seed=1).block_trials == 1
 
@@ -504,18 +502,18 @@ def test_coupon_spec_rejects_bad_parameters(params):
 @pytest.mark.parametrize("channel,codec", [
     (bern_channel(16, 8, 0.0), M16_REP3),  # L 8 vs 24
     (bern_channel(32, 8, 0.0), M16),  # M 32 vs 16
-    (ChannelParams(M=64, beta=5 / 6, p=0.0, sampling=SamplingSpec.poisson(1.0), L=5),
-     ShortMoleculeConfig(M=64, L=4)),
 ])
 def test_decode_success_rejects_geometry_mismatch(channel, codec):
     with pytest.raises(ConfigError, match="^codec geometry M=.* does not match channel"):
         ExperimentSpec.decode_success(channel, codec, trials=1, base_seed=1)
 
 
-@pytest.mark.parametrize("M,L", [(4, 4), (64, 0)])
+@pytest.mark.parametrize("M,L", [(4, 4), (64, 8)])
 def test_short_molecule_config_rejects_impossible_geometry(M, L):
-    with pytest.raises(ConfigError, match="^short-molecule scheme needs"):
-        ShortMoleculeConfig(M=M, L=L)
+    ch = ChannelParams(M=M, beta=L / math.log2(M), p=0.0,
+                       sampling=SamplingSpec.poisson(1.0), L=L)
+    with pytest.raises(ConfigError, match=r"^short-molecule scheme needs M >= 2\^\(L-1\)"):
+        ShortMoleculeSuccess(channel=ch, trials=1, base_seed=1)
 
 
 @pytest.mark.parametrize("verdict", [dict(expected=0.3), dict(tolerance=0.01)])

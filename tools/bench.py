@@ -25,13 +25,15 @@ The file holds three sections:
     benchmark process does.  Each loop stores ``faults_per_batch``,
     ``batches`` and its process's ``peak_rss_mb`` (``ru_maxrss``).
 ``layers``
-    ``sample_counts``: for each sampling kind and M, one call's time in ms.
-    Each (kind, M) runs in 3 fresh processes, each timing the median of
-    repeats of a timeit loop on a fixed-seed generator.  A cell holds those
-    per-process medians (``medians_ms``), their min, median and
-    interquartile range (``iqr_ms``).  With --against, ``against`` holds
-    that revision's sha, the same table (its processes alternating with
-    this checkout's), and per cell the ``ratio`` of its median to this
+    One call's time in ms, per layer, case and M: ``sample_counts`` for
+    each sampling kind, and ``apply_noise`` at p = 0.01 and 0.05 on an
+    (M, 48) all-zero block passed as a zero-stride view.  Each cell runs in
+    3 fresh processes, each timing the median of repeats of a timeit loop
+    on a fixed-seed Philox generator.  A cell holds those per-process
+    medians (``medians_ms``), their min, median and interquartile range
+    (``iqr_ms``).  With --against, ``against`` holds that revision's sha,
+    the same tables (its processes alternating with this checkout's), and
+    under ``ratio`` per layer and cell the ratio of its median to this
     checkout's (above 1 where this checkout is faster).
 
 Each fault loop and layer cell runs in a fresh interpreter with the
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import os
 import platform
@@ -76,6 +79,9 @@ QUICK = {"ms": (256, 1024), "timing": {"repeats": 3, "loop_s": 0.01},
          "workload_s": 1.0, "preset_runs": 1}
 PROCESSES = 3  # per layer cell and source tree
 LAYER_SEED = 2026
+# apply_noise's crossover probabilities and read length (deep-pcr-m256's L).
+NOISE_PS = ["0.01", "0.05"]
+NOISE_READ_LEN = 48
 WORKLOAD_SEED = 1
 # What the ``dnachannel`` console script runs.
 CLI = "import sys; from dnachannel.cli import main; sys.exit(main())"
@@ -93,15 +99,29 @@ def sampling_specs() -> dict:
     }
 
 
-def time_sample_counts(kind: str, M: int, repeats: int, loop_s: float) -> dict:
-    """Per-call time of ``sample_counts`` for one kind at one M, in ms."""
+def layer_cases() -> dict:
+    """Each timed layer's cases: sampling kinds, and crossover probabilities."""
+    return {"sample_counts": list(sampling_specs()), "apply_noise": NOISE_PS}
+
+
+def layer_call(layer: str, case: str, M: int):
+    """One call of ``layer`` for ``case`` at M, on a fixed-seed generator."""
     import numpy as np
 
-    from dnachannel.channel import sample_counts
+    from dnachannel.channel import apply_noise, sample_counts
 
-    spec = sampling_specs()[kind]
     rng = np.random.Generator(np.random.Philox(LAYER_SEED))
-    timer = timeit.Timer(lambda: sample_counts(spec, M, rng))
+    if layer == "sample_counts":
+        spec = sampling_specs()[case]
+        return lambda: sample_counts(spec, M, rng)
+    # All-zero reads as a zero-stride view, as channel.transmit_draws passes them.
+    zeros = np.broadcast_to(np.uint8(0), (M, NOISE_READ_LEN))
+    return lambda: apply_noise(zeros, float(case), rng)
+
+
+def time_layer(layer: str, case: str, M: int, repeats: int, loop_s: float) -> dict:
+    """Per-call time of one ``layer_call`` in ms."""
+    timer = timeit.Timer(layer_call(layer, case, M))
     number = 1
     while timer.timeit(number) < loop_s:
         number *= 2
@@ -137,7 +157,7 @@ def fault_loop(workload: str, loop: str, warmup: int, batches: int, seconds: flo
 
 def child(task: dict) -> dict:
     """One fresh process's measurement: a fault loop or a layer cell."""
-    return fault_loop(**task) if "loop" in task else time_sample_counts(**task)
+    return fault_loop(**task) if "loop" in task else time_layer(**task)
 
 
 def bench_run():
@@ -179,25 +199,27 @@ def layer_cell(runs: list[dict]) -> dict:
 
 
 def fresh_layers(ms, timing: dict, srcs: list[str], measure=fresh) -> list[dict]:
-    """One layer table per source tree; each (kind, M) in PROCESSES fresh
-    processes per tree, the trees alternating."""
-    tables = [{kind: {} for kind in sampling_specs()} for _ in srcs]
-    for kind in sampling_specs():
-        for M in ms:
+    """One {layer: {case: {M: cell}}} table per source tree; each cell in
+    PROCESSES fresh processes per tree, the trees alternating."""
+    tables = [{layer: {case: {} for case in cases} for layer, cases in layer_cases().items()}
+              for _ in srcs]
+    for layer, cases in layer_cases().items():
+        for case, M in itertools.product(cases, ms):
             runs = [[] for _ in srcs]
             for _ in range(PROCESSES):
                 for src, side in zip(srcs, runs):
-                    side.append(measure(dict(kind=kind, M=M, **timing), src))
+                    side.append(measure(dict(layer=layer, case=case, M=M, **timing), src))
             for table, side in zip(tables, runs):
-                table[kind][str(M)] = layer_cell(side)
+                table[layer][case][str(M)] = layer_cell(side)
     return tables
 
 
 def ratios(against: dict, this: dict) -> dict:
     """Per cell, ``against``'s median time over ``this``'s."""
-    return {kind: {M: against[kind][M]["median_ms"] / cell["median_ms"]
-                   for M, cell in by_m.items()}
-            for kind, by_m in this.items()}
+    return {layer: {case: {M: against[layer][case][M]["median_ms"] / cell["median_ms"]
+                           for M, cell in by_m.items()}
+                    for case, by_m in by_case.items()}
+            for layer, by_case in this.items()}
 
 
 def workload_run(name: str, seconds: float) -> dict:
@@ -315,10 +337,9 @@ def main() -> int:
         if sha:
             srcs.append(os.path.join(tmp, "src"))
         tables = fresh_layers(size["ms"], size["timing"], srcs)
-    result["layers"] = {"timing": size["timing"], "processes": PROCESSES,
-                        "sample_counts": tables[0]}
+    result["layers"] = {"timing": size["timing"], "processes": PROCESSES, **tables[0]}
     if sha:
-        result["layers"]["against"] = {"git_sha": sha, "sample_counts": tables[1],
+        result["layers"]["against"] = {"git_sha": sha, **tables[1],
                                        "ratio": ratios(tables[1], tables[0])}
     with open(out_path, "w") as fh:
         json.dump(result, fh, indent=1)
