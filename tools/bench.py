@@ -105,7 +105,8 @@ def layer_cases() -> dict:
 
 
 def layer_call(layer: str, case: str, M: int):
-    """One call of ``layer`` for ``case`` at M, on a fixed-seed generator."""
+    """The call ``time_layer`` times: ``layer`` for ``case`` at M, on a
+    fixed-seed generator."""
     import numpy as np
 
     from dnachannel.channel import apply_noise, sample_counts
