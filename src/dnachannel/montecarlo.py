@@ -10,7 +10,7 @@ tail).
 An experiment is a list of independent trials, run in order; trial t runs
 on a Philox stream whose seed is a pure function of (base_seed, t), so a
 trial's result does not depend on the trials before it.  A run of up to
-five trials is seeded trial by trial, a longer one 4096 trials at a time,
+three trials is seeded trial by trial, a longer one 4096 trials at a time,
 and its trials share one generator, reset to each trial's stream
 (``rng.trial_streams``).  Records serialize to JSON lines, summaries to a
 single JSON object, and parameter sweeps to CSV.
@@ -353,7 +353,8 @@ class TrialRecord(NamedTuple):
     flip_rate: float | None = None
 
     def to_json(self) -> dict:
-        return self._asdict()
+        # Non-finite floats become null, as in Summary.to_json.
+        return {k: _json_float(v) for k, v in self._asdict().items()}
 
 
 @dataclass(frozen=True)

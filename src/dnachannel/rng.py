@@ -15,15 +15,15 @@ shared Philox generator to each trial's key, so the stream is bit for bit
 that of ``generator_from_seed(derive_seed(base, t))``.  A run of at most
 ``_PER_TRIAL_MAX`` trials asks numpy's SeedSequence for each trial's seed
 and key, exactly as those two functions do.  A longer run seeds its trials
-together, ``_SEED_BLOCK`` trials at a time: ``_generate_state`` transcribes
-numpy's SeedSequence (``mix_entropy`` and ``generate_state``) onto a
-(rows, 4) uint32 pool, one seed per row, and ``trial_streams`` calls it
-twice per block: for every trial's seed, with the base seed's words shared
-by every row and the trial index as a column, and for every seed's Philox
-key, with the seed's two words as columns.  That pass costs about as much
-for one trial as for a few dozen, numpy's per-call overhead being most of
-it, so the two paths cross at about six trials (timings at
-``_PER_TRIAL_MAX``).
+together, ``_SEED_BLOCK`` trials at a time, one seed per row of uint32
+arrays.  Every trial's seed shares the base seed's words, which numpy has
+already mixed into ``SeedSequence(base).pool``: ``_seed_words`` hashes only
+the trial index into that pool and applies the output hash.  Each seed's
+Philox key is numpy's ``mix_entropy`` and ``generate_state`` of the seed's
+two words, which ``_philox_keys`` transcribes for that fixed entropy.  That
+pass costs about as much for one trial as for a few dozen, numpy's per-call
+overhead being most of it, so the two paths cross at about four trials
+(timings at ``_PER_TRIAL_MAX``).
 
 Bit contract.  ``rng.integers(0, 2, size=n, dtype=np.uint8)`` spends one
 32-bit draw on every 4 bits, low byte first, and keeps each byte's top bit;
@@ -68,9 +68,9 @@ __all__ = ["derive_seed", "substream", "trial_streams", "random_bits",
 
 # Runs of at most this many trials are seeded one trial at a time.  A whole
 # trial_streams run, timeit on a 2-vCPU Xeon (Python 3.11, numpy 2.4), per
-# trial vs vectorised: 25/73/89/105/121/137 us vs 96/101/102/103/104/105 us
-# for 1/4/5/6/7/8 trials.  Six trials is a tie.
-_PER_TRIAL_MAX = 5
+# trial vs vectorised: 30/50/66/87/104/124 us vs 72/75/75/76/76/77 us for
+# 1/2/3/4/5/6 trials.  Four trials is the first the vectorised path wins.
+_PER_TRIAL_MAX = 3
 
 # Longer runs are seeded this many trials at a time, so seeding memory stays
 # bounded however many trials a run has (up to 2^32).  Seeding 10^6 trials at
@@ -169,45 +169,18 @@ def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
     return out
 
 
-def _generate_state(entropy: list[np.ndarray], n_words: int) -> np.ndarray:
-    """Rows of ``SeedSequence(entropy).generate_state(n_words)``, n_words <= 4.
+def _hashmix(value, consts):
+    """numpy's hashmix; ``consts``: each call's hash constant before and after."""
+    h = value ^ consts[0]
+    h *= consts[1]
+    h ^= h >> _HALF
+    return h
 
-    ``entropy`` lists the 32-bit entropy words in order, each a (rows, 1)
-    uint32 column or a (1, 1) word shared by every row; shared words keep
-    the pool one row wide until the first column reaches it.  A missing
-    pool word hashes as a zero word, as numpy's does.
-    """
-    def hashmix(value, consts):  # consts: (2, ...) hash constant per call
-        h = value ^ consts[0]
-        h *= consts[1]
-        h ^= h >> _HALF
-        return h
 
-    def mix(x, y):
-        r = x * _MIX_MULT_L - y * _MIX_MULT_R
-        r ^= r >> _HALF
-        return r
-
-    a = _hash_constants(_INIT_A, _MULT_A, _POOL * (max(len(entropy), _POOL) + 1))
-    head = entropy[:_POOL]
-    pool = np.zeros((max(w.shape[0] for w in head), _POOL), dtype=np.uint32)
-    for i, w in enumerate(head):
-        pool[:, i:i + 1] = w
-    pool = hashmix(pool, a[:, :_POOL])
-    # No update of round s changes word s, so one array step does all
-    # three; it writes a placeholder into column s, restored afterwards.
-    cross = a[:, _CROSS_CALLS]
-    for s in range(_POOL):
-        mixed = mix(pool, hashmix(pool[:, s:s + 1], cross[:, s]))
-        mixed[:, s] = pool[:, s]
-        pool = mixed
-    # Entropy beyond the pool is hashed into each pool word on its own, so
-    # the words generate_state never reads are dropped first.  Slicing, not
-    # fancy indexing, keeps the result C-ordered for callers' uint64 views.
-    pool = pool[:, :n_words]
-    for i, w in enumerate(entropy[_POOL:], start=_POOL):
-        pool = mix(pool, hashmix(w, a[:, _POOL * i:_POOL * i + n_words]))
-    return hashmix(pool, _hash_constants(_INIT_B, _MULT_B, n_words))
+def _mix(x, y):
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    r ^= r >> _HALF
+    return r
 
 
 def _as_uint64(words: np.ndarray) -> np.ndarray:
@@ -219,24 +192,40 @@ def _seed_words(base_seed: int, start: int, stop: int) -> np.ndarray:
     """(stop - start, 2) uint32 words of derive_seed(base_seed, t) for t in
     start..stop-1, low word first.
 
-    The entropy is the base seed's 32-bit words, shared by every trial and
-    zero-padded to the pool size as numpy pads before a spawn key, then t.
+    The entropy is the base seed's n >= 4 words (zero-padded, as numpy pads
+    before a spawn key, and as its pool mixes a missing word), then t.
+    ``SeedSequence(base_seed).pool`` has mixed the shared words; t, word n,
+    is hashed into pool words 0 and 1 by calls 4n and 4n+1.
     ``trial_streams`` has checked the base seed and 0 <= start < stop <= 2^32.
     """
     base_seed = int(base_seed)
     n = max(_POOL, -(-base_seed.bit_length() // 32))
-    words = np.frombuffer(base_seed.to_bytes(4 * n, "little"), "<u4")
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL * n + 2)
     t = np.arange(start, stop, dtype=np.uint32)[:, None]
-    return _generate_state([*words.astype(np.uint32).reshape(n, 1, 1), t], 2)
+    pool = np.random.SeedSequence(base_seed).pool[:2]
+    pool = _mix(pool, _hashmix(t, a[:, _POOL * n:]))
+    return _hashmix(pool, _hash_constants(_INIT_B, _MULT_B, 2))
 
 
 def _philox_keys(words: np.ndarray) -> np.ndarray:
     """(n, 2) uint64 keys SeedSequence(seed).generate_state(2, np.uint64).
 
-    ``words`` holds each seed's low and high 32-bit words, shape (n, 2); a
-    seed below 2^32 is numpy's entropy [lo], which mixes like [lo, 0].
+    ``words`` holds each seed's low and high 32-bit words, shape (n, 2), the
+    entropy of numpy's ``mix_entropy``; a seed below 2^32 is numpy's entropy
+    [lo], which mixes like [lo, 0].
     """
-    return _as_uint64(_generate_state([words[:, :1], words[:, 1:]], 4))
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
+    pool = np.zeros((len(words), _POOL), dtype=np.uint32)
+    pool[:, :2] = words  # words 2 and 3 hash a zero
+    pool = _hashmix(pool, a[:, :_POOL])
+    # No update of round s changes word s, so one array step does all
+    # three; it writes a placeholder into column s, restored afterwards.
+    cross = a[:, _CROSS_CALLS]
+    for s in range(_POOL):
+        mixed = _mix(pool, _hashmix(pool[:, s:s + 1], cross[:, s]))
+        mixed[:, s] = pool[:, s]
+        pool = mixed
+    return _as_uint64(_hashmix(pool, _hash_constants(_INIT_B, _MULT_B, _POOL)))
 
 
 def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:

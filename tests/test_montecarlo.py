@@ -782,6 +782,16 @@ def test_jsonl_is_json_dumps_of_each_record(records):
         assert records_to_jsonl(records) == expected
 
 
+def test_non_finite_record_fields_are_strict_json():
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    records = [TrialRecord(t, 1, flip_rate=x) for t, x in
+               enumerate([math.nan, math.inf, -math.inf, np.float64(math.nan)])]
+    lines = records_to_jsonl(records).splitlines()
+    assert [json.loads(line, parse_constant=reject)["flip_rate"] for line in lines] == [None] * 4
+
+
 def test_write_csv_formats_cells(tmp_path):
     path = tmp_path / "table.csv"
     write_csv(path, [{"a": 1.0 / 3.0, "b": None, "c": 7}], ["a", "b", "c"])

@@ -18,8 +18,9 @@ from dnachannel.rng import (
     word_bits,
 )
 
-# 2^130 + 1 has five 32-bit words, one more than the SeedSequence pool.
-BASE_SEEDS = [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 9, 2**130 + 1]
+# 2^128 - 1 fills the SeedSequence pool's four 32-bit words; 2^128 and
+# 2^130 + 1 have a fifth, which numpy mixes in past the pool.
+BASE_SEEDS = [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 9, 2**128 - 1, 2**128, 2**130 + 1]
 
 
 def plain(state):
@@ -29,13 +30,16 @@ def plain(state):
     return state.tolist() if isinstance(state, np.ndarray) else state
 
 
-@pytest.mark.parametrize("trials", [1, 300])
+# A start of 0, and the last 300 trials of the uint32 trial column.
+@pytest.mark.parametrize("trials,start", [pytest.param(1, 0, id="1"),
+                                          pytest.param(300, 0, id="300"),
+                                          pytest.param(300, 2**32 - 300, id="300-top")])
 @pytest.mark.parametrize("base", BASE_SEEDS)
-def test_seed_words_match_derive_seed(base, trials):
-    words = _seed_words(base, 0, trials)
+def test_seed_words_match_derive_seed(base, trials, start):
+    words = _seed_words(base, start, start + trials)
     assert words.shape == (trials, 2) and words.dtype == np.uint32
     seeds = [lo | hi << 32 for lo, hi in words.tolist()]
-    assert seeds == [derive_seed(base, t) for t in range(trials)]
+    assert seeds == [derive_seed(base, t) for t in range(start, start + trials)]
 
 
 @pytest.mark.parametrize("trials", [1, 300])
@@ -88,12 +92,12 @@ def test_trial_streams_reject_bad_arguments(base, trials):
         next(trial_streams(base, trials))
 
 
-@pytest.mark.parametrize("trials", [_PER_TRIAL_MAX - 1, _PER_TRIAL_MAX,
-                                    _PER_TRIAL_MAX + 1])
+# Every count seeded trial by trial, and the first three seeded together.
+@pytest.mark.parametrize("trials", range(1, _PER_TRIAL_MAX + 4))
 @pytest.mark.parametrize("base", [0, 12345, 2**130 + 1])
 def test_trial_streams_either_side_of_per_trial_max(base, trials):
-    # The last two counts take different seeding paths; both must give
-    # derive_seed's seeds and SeedSequence's keys on the shared generator.
+    # Both seeding paths must give derive_seed's seeds and SeedSequence's
+    # keys on the shared generator.
     rngs = set()
     for t, (seed, rng) in enumerate(trial_streams(base, trials)):
         assert seed == derive_seed(base, t)

@@ -15,7 +15,8 @@ The file holds three sections:
     sha and whether the work tree had uncommitted changes (``dirty``).
 ``end_to_end``
     ``workloads``: each ``benchmark/run.py --trace 0`` workload at seed 1,
-    its three metrics and its gates.  ``presets``: each ``--strict`` CLI
+    its three metrics and its gates; a run is ``correct`` only if it printed
+    a gate, every gate it printed is true and its last line says so.  ``presets``: each ``--strict`` CLI
     preset's wall time in fresh processes, interpreter start included, min
     and median in seconds.  ``tier1``: wall time, exit code and summary line
     of the tier-1 test run (null with --quick).  ``faults``: per workload,
@@ -31,10 +32,13 @@ The file holds three sections:
     3 fresh processes, each timing the median of repeats of a timeit loop
     on a fixed-seed Philox generator.  A cell holds those per-process
     medians (``medians_ms``), their min, median and interquartile range
-    (``iqr_ms``).  With --against, ``against`` holds that revision's sha,
-    the same tables (its processes alternating with this checkout's), and
-    under ``ratio`` per layer and cell the ratio of its median to this
-    checkout's (above 1 where this checkout is faster).
+    (``iqr_ms``).  The processes import a copy of this checkout's ``src``
+    under a temporary directory.  With --against, ``against`` holds that
+    revision's sha, the same tables (its processes alternating with this
+    checkout's, its ``src`` exported beside the copy under a name of the
+    same length, so both trees are laid out alike), and under ``ratio`` per
+    layer and cell the ratio of its median to this checkout's (above 1
+    where this checkout is faster).
 
 Each fault loop and layer cell runs in a fresh interpreter with the
 benchmark's child environment (one BLAS thread, fixed str hashing), since
@@ -57,6 +61,7 @@ import os
 import platform
 import re
 import resource
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -223,17 +228,28 @@ def ratios(against: dict, this: dict) -> dict:
             for layer, by_case in this.items()}
 
 
+def workload_outcome(stdout: str) -> dict:
+    """``correct``, ``metrics`` and ``gates`` of one ``benchmark/run.py`` output.
+
+    Correct only if it holds a ``name = true|false`` gate line, every such
+    gate is true, and its last line is a JSON object saying ``"correct": true``.
+    """
+    gates = {k: v == "true" for k, v in re.findall(r"^(\w+) = (true|false)$", stdout, re.M)}
+    try:
+        last = json.loads(stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):  # no output, or a last line that is not JSON
+        last = {}
+    return {"correct": bool(gates) and all(gates.values()) and last.get("correct") is True,
+            "metrics": {k: m["value"] for k, m in last.get("metrics", {}).items()},
+            "gates": gates}
+
+
 def workload_run(name: str, seconds: float) -> dict:
     """One ``benchmark/run.py --trace 0`` run: its metrics and gates."""
     cmd = [sys.executable, os.path.join("benchmark", "run.py"), "--workload", name,
            "--seed", str(WORKLOAD_SEED), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
-    lines = out.stdout.strip().splitlines()
-    last = json.loads(lines[-1]) if lines else {"correct": False, "metrics": {}}
-    gates = dict(re.findall(r"^(\w+) = (true|false)$", out.stdout, re.M))
-    return {"seconds": seconds, "exit_code": out.returncode, "correct": last["correct"],
-            "metrics": {k: m["value"] for k, m in last["metrics"].items()},
-            "gates": {k: v == "true" for k, v in gates.items()}}
+    return {"seconds": seconds, "exit_code": out.returncode, **workload_outcome(out.stdout)}
 
 
 def preset_times(runs: int) -> dict:
@@ -294,6 +310,12 @@ def environment() -> dict:
     }
 
 
+def copy_src(into: str) -> str:
+    """This checkout's ``src``, copied under ``into`` without bytecode; its path."""
+    return shutil.copytree(SRC, os.path.join(into, "src"),
+                           ignore=shutil.ignore_patterns("__pycache__"))
+
+
 def export_src(rev: str, into: str) -> str:
     """``src`` of a git revision, extracted under ``into``; its sha."""
     sha = git("rev-parse", "--verify", rev + "^{commit}")
@@ -332,11 +354,12 @@ def main() -> int:
         "tier1": None if args.quick else tier1(),
         "faults": fault_loops(names, size["faults"]),
     }
+    # Both trees sit at the same depth under names of the same length.
     with tempfile.TemporaryDirectory() as tmp:
-        srcs = [SRC]
-        sha = args.against and export_src(args.against, tmp)
+        srcs = [copy_src(os.path.join(tmp, "this"))]
+        sha = args.against and export_src(args.against, os.path.join(tmp, "base"))
         if sha:
-            srcs.append(os.path.join(tmp, "src"))
+            srcs.append(os.path.join(tmp, "base", "src"))
         tables = fresh_layers(size["ms"], size["timing"], srcs)
     result["layers"] = {"timing": size["timing"], "processes": PROCESSES, **tables[0]}
     if sha:
