@@ -65,28 +65,24 @@ def test_bench_quick_fault_loops_have_the_documented_keys(bench, monkeypatch):
         assert loops["B"]["batches"] >= 1
 
 
-def run_stdout(gates, correct):
-    """Canned ``benchmark/run.py`` output with these gate lines and last line."""
+def run_stdout(gates):
+    """Canned ``benchmark/run.py`` output: these gate lines, then a last line
+    that says correct."""
     lines = ["env {}", "trials_per_s = 300 1/s"]
     lines += [f"{name} = {str(ok).lower()}" for name, ok in gates.items()]
-    lines.append(json.dumps({"correct": correct, "attempted": 9, "failed": 0,
+    lines.append(json.dumps({"correct": True, "attempted": 9, "failed": 0,
                              "metrics": {"trials_per_s": {"value": 300.0, "unit": "1/s"}}}))
     return "\n".join(lines) + "\n"
 
 
-def test_bench_workload_with_all_gates_true_is_correct(bench):
-    out = bench.workload_outcome(run_stdout({"verdicts_pass": True, "output_digest_match": True},
-                                            True))
-    assert out == {"correct": True, "metrics": {"trials_per_s": 300.0},
-                   "gates": {"verdicts_pass": True, "output_digest_match": True}}
-
-
-@pytest.mark.parametrize("gates", [{}, {"verdicts_pass": True, "output_digest_match": False}],
-                         ids=["no gate lines", "a gate false"])
-def test_bench_workload_is_not_correct_against_its_gates(bench, gates):
-    # The last line says correct either way; the gates parsed must agree.
-    out = bench.workload_outcome(run_stdout(gates, True))
-    assert out["correct"] is False and out["gates"] == gates
+@pytest.mark.parametrize("gates,correct", [
+    ({"verdicts_pass": True, "output_digest_match": True}, True),
+    ({}, False),
+    ({"verdicts_pass": True, "output_digest_match": False}, False),
+], ids=["all gates true", "no gate lines", "a gate false"])
+def test_bench_workload_is_correct_only_as_its_gates(bench, gates, correct):
+    out = bench.workload_outcome(run_stdout(gates))
+    assert out == {"correct": correct, "metrics": {"trials_per_s": 300.0}, "gates": gates}
 
 
 @pytest.mark.parametrize("stdout", ["", "Traceback (most recent call last):\n"])

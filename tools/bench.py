@@ -16,11 +16,12 @@ The file holds three sections:
 ``end_to_end``
     ``workloads``: each ``benchmark/run.py --trace 0`` workload at seed 1,
     its three metrics and its gates; a run is ``correct`` only if it printed
-    a gate, every gate it printed is true and its last line says so.  ``presets``: each ``--strict`` CLI
-    preset's wall time in fresh processes, interpreter start included, min
-    and median in seconds.  ``tier1``: wall time, exit code and summary line
-    of the tier-1 test run (null with --quick).  ``faults``: per workload,
-    minor page faults per batch in two steady-state loops.  Loop A counts
+    a gate, every gate it printed is true and its last line says so.
+    ``presets``: each ``--strict`` CLI preset's wall time in fresh
+    processes, interpreter start included, min and median in seconds.
+    ``tier1``: wall time, exit code and summary line of the tier-1 test run
+    (null with --quick).  ``faults``: per workload, minor page faults per
+    batch in two steady-state loops.  Loop A counts
     ``ru_minflt`` over 500 batches after 20 warm-up ones; loop B over
     ``worker.timed_batches`` for 4 s after one warm-up trial, as one
     benchmark process does.  Each loop stores ``faults_per_batch``,
