@@ -6,7 +6,8 @@ bits, protected per-molecule by a pluggable inner code (an
 :class:`RepetitionCode` or :class:`TableMLCode`) and across molecules by a
 systematic Reed-Solomon erasure code of block length M.  The decoder
 inner-decodes every read, uses the indices to sort and deduplicate, erases
-missing or conflicting indices, and erasure-decodes the outer code.
+missing or conflicting indices and judges success from the erasure count;
+it erasure-decodes the outer code only when the message is asked for.
 
 Also provides the short-molecule scheme for L < log2(M): index almost the
 whole molecule, store one data bit per index, and rely on massive natural
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -301,23 +302,43 @@ class CodecConfig:
         return self.outer_k * self.payload_bits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecodeReport:
-    """Outcome of one decode: recovered message (or None), and diagnostics.
+    """Outcome of one decode: the verdict, diagnostics and, on demand, the message.
 
-    ``collisions`` counts indices observed with conflicting payloads (all
-    erased); ``undetected_risk`` flags that some read decoded to an index
-    >= M, i.e. a certain inner-decode error was discarded.
+    ``ok`` is the verdict: at most M - outer_k indices are erased, the
+    outer code's erasure budget.  ``collisions`` counts indices observed
+    with conflicting payloads (all erased); ``undetected_risk`` flags that
+    some read decoded to an index >= M, i.e. a certain inner-decode error
+    was discarded.  ``kept`` marks the M indices that survived the dedup and
+    ``payload`` holds their payload bits, one row per kept index in index
+    order: all the Reed-Solomon erasure decode needs.
+
+    ``message`` runs that decode on its first read and caches the result:
+    the recovered message bits, or None when not ``ok``.  Within the budget
+    the decode cannot fail (every symbol is a w-bit field element), so
+    ``ok == (message is not None)``, and a caller that reads only the
+    verdict and the counts never runs it.
     """
 
-    message: np.ndarray | None
+    ok: bool
     erasures: int
     collisions: int
     undetected_risk: bool
+    cfg: CodecConfig = field(repr=False)
+    kept: np.ndarray = field(repr=False)
+    payload: np.ndarray = field(repr=False)
 
-    @property
-    def ok(self) -> bool:
-        return self.message is not None
+    @cached_property
+    def message(self) -> np.ndarray | None:
+        if not self.ok:
+            return None
+        cfg = self.cfg
+        s, w = cfg.symbols_per_molecule, cfg.field_width
+        symbols = np.zeros((cfg.M, s), dtype=np.int64)
+        symbols[self.kept] = bits_to_int(self.payload.reshape(-1, s, w))
+        data = outer_decode(symbols, ~self.kept, cfg.M, cfg.outer_k, w)
+        return int_to_bits(data, w).reshape(cfg.message_bits)
 
 
 def random_message(cfg: CodecConfig, rng: np.random.Generator) -> np.ndarray:
@@ -355,12 +376,17 @@ def _index_block(M: int, index_bits: int) -> np.ndarray:
 
 
 def decode_output(out: ChannelOutput, cfg: CodecConfig) -> DecodeReport:
-    """Decode a channel output: sort by index, erase conflicts, RS-decode."""
+    """Decode a channel output: inner-decode every read, sort by index and
+    erase missing or conflicting indices.
+
+    The verdict and counts are final on return; the Reed-Solomon erasure
+    decode runs only when the report's ``message`` is first read.
+    """
     if out.N == 0:  # every index erased, and outer_k >= 1
-        return DecodeReport(None, cfg.M, 0, False)
+        return DecodeReport(False, cfg.M, 0, False, cfg, np.zeros(cfg.M, dtype=bool),
+                            np.empty((0, cfg.payload_bits), dtype=np.uint8))
     if out.L != cfg.L:
         raise ConfigError(f"reads have length {out.L}, config says {cfg.L}")
-    s, w = cfg.symbols_per_molecule, cfg.field_width
 
     info = cfg.inner.decode(out.reads, cfg.L)
     index = bits_to_int(info[:, : cfg.index_bits])
@@ -380,20 +406,11 @@ def decode_output(out: ChannelOutput, cfg: CodecConfig) -> DecodeReport:
     rep[index] = np.arange(index.size)
     conflict = np.zeros(cfg.M, dtype=bool)
     conflict[index[payload != payload.take(rep.take(index))]] = True
-    collisions = int(conflict.sum())
     kept = (rep >= 0) & ~conflict
-    index = np.flatnonzero(kept)
-    payload = payload.take(rep.take(index)).view(np.uint8)
-
-    erasures = cfg.M - index.size
-    if erasures > cfg.M - cfg.outer_k:
-        return DecodeReport(None, erasures, collisions, undetected_risk)
-
-    symbols = np.zeros((cfg.M, s), dtype=np.int64)
-    symbols[index] = bits_to_int(payload.reshape(-1, s, w))
-    data = outer_decode(symbols, ~kept, cfg.M, cfg.outer_k, w)
-    msg = int_to_bits(data, w).reshape(cfg.message_bits)
-    return DecodeReport(msg, erasures, collisions, undetected_risk)
+    payload = payload.take(rep[kept]).view(np.uint8).reshape(-1, cfg.payload_bits)
+    erasures = cfg.M - payload.shape[0]
+    return DecodeReport(erasures <= cfg.M - cfg.outer_k, erasures, int(conflict.sum()),
+                        undetected_risk, cfg, kept, payload)
 
 
 # ---------------------------------------------------------------------------

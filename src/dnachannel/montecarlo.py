@@ -25,7 +25,10 @@ their expected reads allow within ``BLOCK_READS``, and ``settle`` encodes,
 transmits and majority-votes them as integer reads, one pass per run of
 trials whose drawn reads stay within ``BLOCK_READS``.
 An index-codec trial decodes the reads in source order
-(``channel.transmit_unshuffled``).  Neither decoder depends on read order:
+(``channel.transmit_unshuffled``) as far as the verdict: its record needs
+the erasure and collision counts, not the message, so no trial runs the
+outer Reed-Solomon decode (``codec.DecodeReport.message`` runs it only
+when read).  Neither decoder depends on read order:
 the vote counts reads, and ``decode_output`` erases an index read with any
 payload unlike its representative's, whichever read that is.  The shuffle
 is the channel's last draw, and ``trial_streams`` resets the generator for
@@ -204,10 +207,11 @@ class DecodeSuccess(ExperimentSpec):
         cw = encode_message(msg, self.codec)
         out, counts, flips = transmit_unshuffled(cw, self.channel, rng)
         report = decode_output(out, self.codec)
-        # The decoder's own verdict (erasures within the outer budget); a
-        # rare wrong message behind a reported success is a separate,
-        # measured phenomenon (see measure_undetected_swaps).  The flip rate
-        # is an exact count and one rounded division: the same double as .mean().
+        # The decoder's own verdict (erasures within the outer budget), read
+        # without the message, so the Reed-Solomon decode never runs; a rare
+        # wrong message behind a reported success is a separate, measured
+        # phenomenon (see measure_undetected_swaps).  The flip rate is an
+        # exact count and one rounded division: the same double as .mean().
         row = (out.N, int(np.count_nonzero(counts)), report.ok, report.erasures,
                report.collisions, flips / out.reads.size if out.N > 0 else None)
         return row, float(report.ok)

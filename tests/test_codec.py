@@ -597,6 +597,62 @@ def test_decode_output_ignores_read_order(name, seed, picks, flips):
         assert not want.ok or np.array_equal(got.message, want.message)
 
 
+# Two codes with M a power of two and two with M = 12, whose index bits
+# reach the out-of-range indices 12..15.
+LAZY_CODECS = {
+    "m16-identity": M16,
+    "m16-rep3": M16_REP3,
+    "m12-identity": PERMUTED_CODECS["identity"],
+    "m12-rep3": PERMUTED_CODECS["rep3"],
+}
+
+
+def _eager_message(reads, cfg):
+    """The outer decode run at once on the reference dedup's readout, or
+    None where it raises past the erasure budget."""
+    s, w = cfg.symbols_per_molecule, cfg.field_width
+    payload_of, _, _ = _reference_dedup(inner_decode(reads, cfg.inner, cfg.L), cfg)
+    symbols = np.zeros((cfg.M, s), dtype=np.int64)
+    erased = np.ones(cfg.M, dtype=bool)
+    for idx, p in payload_of.items():
+        symbols[idx] = bits_to_int(p.reshape(s, w))
+        erased[idx] = False
+    try:
+        data = outer_decode(symbols, erased, cfg.M, cfg.outer_k, w)
+    except TooManyErasures:
+        return None
+    return int_to_bits(data, w).reshape(cfg.message_bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(LAZY_CODECS)), seed=st.integers(0, 2**32 - 1),
+       distinct=st.integers(0, 16), copies=st.integers(0, 20),
+       flips=st.lists(st.tuples(st.integers(0, 35), st.integers(0, 23)), max_size=10))
+@example(name="m16-identity", seed=0, distinct=0, copies=0, flips=[])  # N = 0
+@example(name="m16-identity", seed=1, distinct=12, copies=3, flips=[])  # erasures = n - k
+@example(name="m16-rep3", seed=2, distinct=11, copies=3, flips=[])  # erasures = n - k + 1
+@example(name="m12-identity", seed=3, distinct=12, copies=0, flips=[(0, 0)])  # index >= 12
+def test_report_verdict_and_lazy_message(name, seed, distinct, copies, flips):
+    """The verdict is the erasure count against the budget; the message,
+    decoded on first read and cached, is the eager outer decode's."""
+    cfg = LAZY_CODECS[name]
+    rng = np.random.default_rng(seed)
+    molecules = encode_message(random_message(cfg, rng), cfg).molecules
+    picks = rng.permutation(cfg.M)[: min(distinct, cfg.M)]
+    picks = np.concatenate([picks, rng.choice(picks, size=copies if picks.size else 0)])
+    reads = molecules[picks.astype(np.intp)]
+    for i, b in flips:
+        if i < len(reads):
+            reads[i, b % cfg.L] ^= 1
+    report = decode_output(ChannelOutput(reads=reads), cfg)
+    assert report.ok == (report.erasures <= cfg.M - cfg.outer_k)
+    want = _eager_message(reads, cfg)
+    message = report.message
+    assert (message is None) == (want is None) == (not report.ok)
+    assert message is None or np.array_equal(message, want)
+    assert report.message is message
+
+
 def test_perfect_channel_roundtrip_many_messages():
     params16 = ChannelParams(M=16, beta=2.0, p=0.0,
                              sampling=SamplingSpec.bernoulli(0.0), L=8)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dnachannel import channel, cli, montecarlo
+from dnachannel import channel, cli, gf, montecarlo
 from dnachannel.capacity import chernoff_read_error_bound, coupon_tail_bound
 from dnachannel.channel import ChannelParams, SamplingSpec, transmit, transmit_traced
 from dnachannel.codec import (
@@ -162,12 +162,14 @@ def test_short_blocks_match_the_single_trial_reference(M, L, sampling, p, trials
 
 @dataclass(frozen=True, kw_only=True)
 class ShuffledReference(DecodeSuccess):
-    """An index-codec trial that also draws the channel's shuffle."""
+    """An index-codec trial that also draws the channel's shuffle and runs
+    the outer decode, whose message must agree with the verdict."""
 
     def trial(self, rng):
         msg = random_message(self.codec, rng)
         out, _, counts, flips = transmit_traced(encode_message(msg, self.codec), self.channel, rng)
         report = decode_output(out, self.codec)
+        assert report.ok == (report.message is not None)
         row = (out.N, int(np.count_nonzero(counts)), report.ok, report.erasures,
                report.collisions, flips / out.reads.size if out.N > 0 else None)
         return row, float(report.ok)
@@ -636,6 +638,30 @@ def test_undetected_swaps_equal_the_shuffled_reference():
         bad += report.ok and not np.array_equal(report.message, msg)
     assert bad > 0
     assert measure_undetected_swaps(M16_REP3, channel, trials, 121) == bad / trials
+
+
+def test_trials_never_run_the_outer_decode(monkeypatch):
+    # The verdict comes from the erasure count: with the RS erasure decode
+    # broken, a decode-success run writes the same bytes and fails no trial,
+    # while every caller that reads the message still reaches the decode.
+    spec = cli._rt_presets(122, 60)["m256-bern"]
+    want = run_text(spec)
+
+    def broken(self, symbols, erased):
+        raise RuntimeError("outer decode ran")
+
+    monkeypatch.setattr(gf.ReedSolomonErasure, "decode_erasures", broken)
+    result = run(spec)
+    assert result.failed == 0
+    assert records_to_jsonl(result.records) + json.dumps(result.summary.to_json()) == want
+    msg = random_message(M16, generator_from_seed(122))
+    report = decode_output(transmit(encode_message(msg, M16), bern_channel(16, 8, 0.0),
+                                    generator_from_seed(123)), M16)
+    assert report.ok
+    with pytest.raises(RuntimeError, match="outer decode ran"):
+        report.message
+    with pytest.raises(RuntimeError, match="outer decode ran"):
+        measure_undetected_swaps(M16, bern_channel(16, 8, 0.0), 1, 122)
 
 
 def test_undetected_swaps_below_union_bound():
