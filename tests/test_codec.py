@@ -638,9 +638,8 @@ def test_report_verdict_and_lazy_message(name, seed, distinct, copies, flips):
     cfg = LAZY_CODECS[name]
     rng = np.random.default_rng(seed)
     molecules = encode_message(random_message(cfg, rng), cfg).molecules
-    picks = rng.permutation(cfg.M)[: min(distinct, cfg.M)]
-    picks = np.concatenate([picks, rng.choice(picks, size=copies if picks.size else 0)])
-    reads = molecules[picks.astype(np.intp)]
+    picks = rng.permutation(cfg.M)[:distinct]
+    reads = molecules[np.concatenate([picks, rng.choice(picks, size=copies if distinct else 0)])]
     for i, b in flips:
         if i < len(reads):
             reads[i, b % cfg.L] ^= 1
