@@ -44,24 +44,35 @@ def _fmt(x: float, precision: int) -> str:
 
 def _parse_grid(text: str) -> list[float]:
     """Grid syntax: 'start:stop:step' (stop inclusive), 'a,b,c', or a scalar."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if not all(map(math.isfinite, (start, stop, step))):
-            raise ValueError(f"grid start, stop and step must be finite, got {text!r}")
-        if step <= 0:
-            raise ValueError("grid step must be > 0")
-        # Checked as a float, before any list is built: stop - start can
-        # overflow to +-inf even for finite bounds.
-        steps = (stop - start) / step + 1e-9
-        if steps >= MAX_GRID_POINTS:
-            raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-        return [start + i * step for i in range(math.floor(max(steps, -1.0)) + 1)]
-    if "," in text:
-        return [float(p) for p in text.split(",")]
-    return [float(text)]
+    ranged = ":" in text
+    parts = text.split(":" if ranged else ",")
+    if ranged and len(parts) != 3:
+        raise ValueError(f"grid must be start:stop:step, got {text!r}")
+    values = [float(p) for p in parts]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"grid values must be finite, got {text!r}")
+    if not ranged:
+        return values
+    start, stop, step = values
+    if step <= 0:
+        raise ValueError("grid step must be > 0")
+    # Checked as a float, before any list is built: stop - start can
+    # overflow to +-inf even for finite bounds.
+    steps = (stop - start) / step + 1e-9
+    if steps >= MAX_GRID_POINTS:
+        raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    return [start + i * step for i in range(math.floor(max(steps, -1.0)) + 1)]
+
+
+def _precision(text: str) -> int:
+    """--precision: significant digits, at least one."""
+    try:
+        digits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if digits < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {digits}")
+    return digits
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -288,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def precision(p):
-        p.add_argument("--precision", type=int, default=6,
+        p.add_argument("--precision", type=_precision, default=6,
                        help="significant digits for printed numbers (default 6)")
 
     def seeded(p):

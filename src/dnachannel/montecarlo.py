@@ -21,9 +21,9 @@ turns each settled block into its records in one pass.  Most kinds finish
 a trial inside ``trial`` and settle each block of one as it stands.  A
 short-molecule trial only draws its data bits and the channel's counts and
 noise (``channel.transmit_draws``).  Its blocks hold as many trials as
-their expected reads allow within ``BLOCK_READS``, and ``settle`` encodes,
-transmits and majority-votes them as integer reads, one pass per run of
-trials whose drawn reads stay within ``BLOCK_READS``.
+their expected reads allow within ``BLOCK_READS`` (a trial expecting more
+settles alone), and ``settle`` encodes, transmits and majority-votes a
+block's integer reads in one pass.
 An index-codec trial decodes the reads in source order
 (``channel.transmit_unshuffled``) as far as the verdict: its record needs
 the erasure and collision counts, not the message, so no trial runs the
@@ -98,12 +98,12 @@ __all__ = [
 ]
 
 # A short-molecule block holds as many trials as this many reads would
-# expect, and its stacked counts at most this many ints; settle's passes
-# hold at most this many drawn reads, save a trial above the budget, which
-# settles alone.  A 2000-trial short-l4-m64 run (~64 reads a trial) on a
-# 2-vCPU Xeon (Python 3.11, numpy 2.4) peaks at 0.62 / 0.77 / 1.33 MiB
-# under tracemalloc with blocks of 2^10 / 2^12 / 2^14 reads, against 0.58
-# MiB trial by trial; its speed is the same within noise over that range.
+# expect, and its stacked counts at most this many ints; a trial expecting
+# more settles alone.  This is the one bound on the reads settle votes in
+# one pass.  A 2000-trial short-l4-m64 run (~64 reads a trial) on a 2-vCPU
+# Xeon (Python 3.11, numpy 2.4) peaks at 0.57 / 0.74 / 1.45 MiB under
+# tracemalloc with blocks of 2^10 / 2^12 / 2^14 reads, against 0.52 MiB
+# trial by trial; its speed is the same within noise over that range.
 BLOCK_READS = 1 << 12
 
 @dataclass(frozen=True, kw_only=True)
@@ -256,32 +256,24 @@ class ShortMoleculeSuccess(ExperimentSpec):
         bits = word_bits(np.array(words), 1 << (L - 1))
         counts = np.array(counts)
         n = counts.sum(axis=1)
-        ends = n.cumsum()
-        # Every molecule of every trial as an integer segment << 1 | bit.
+        # Every molecule of every trial as an integer segment << 1 | bit, and
+        # every read of the block in source order with the trial it belongs to.
         values = short_molecule_values(bits, self.channel.M, L)
-        recovered, flips, start = [], [], 0
-        while start < T:
-            # Reads of the next trials that fit BLOCK_READS (or of one trial
-            # above it) in source order, and the trial each belongs to.
-            stop = max(start + 1, ends.searchsorted(ends[start] - n[start] + BLOCK_READS, "right"))
-            part = slice(start, stop)
-            owner = np.repeat(np.arange(stop - start), n[part])
-            reads = np.repeat(values[part].reshape(-1), counts[part].reshape(-1))
-            if self.channel.p:
-                pattern = np.concatenate(patterns[part])
-                reads ^= bits_to_int(pattern)
-                # Whole numbers of flips, exact as doubles.
-                flips += np.bincount(owner, pattern.sum(axis=1), stop - start).tolist()
-            recovered.append(short_molecule_vote(reads, L, owner, stop - start))
-            start = stop
-        recovered = np.concatenate(recovered)
+        owner = np.repeat(np.arange(T), n)
+        reads = np.repeat(values.reshape(-1), counts.reshape(-1))
+        flips = itertools.repeat(0)
+        if self.channel.p:
+            pattern = np.concatenate(patterns)
+            reads ^= bits_to_int(pattern)
+            # Whole numbers of flips, exact as doubles.
+            flips = np.bincount(owner, pattern.sum(axis=1), T).tolist()
+        recovered = short_molecule_vote(reads, L, owner, T)
         success = (recovered == bits).all(axis=1).tolist()
         erasures = np.count_nonzero(recovered < 0, axis=1).tolist()
         distinct = np.count_nonzero(counts, axis=1).tolist()
         n = n.tolist()
         # An exact count and one rounded division, as in DecodeSuccess.trial.
-        flip_rate = [f / (N * L) if N > 0 else None
-                     for f, N in zip(flips or itertools.repeat(0), n)]
+        flip_rate = [f / (N * L) if N > 0 else None for f, N in zip(flips, n)]
         rows = zip(n, distinct, success, erasures, itertools.repeat(None), flip_rate)
         return list(zip(rows, map(float, success)))
 

@@ -186,10 +186,12 @@ def test_tradeoff_cost_ratio_with_beta(capsys):
     (["--beta", "5", "--lambda-grid", "1,nan"], "lambda"),
 ])
 def test_tradeoff_rejects_non_finite_values(capsys, argv, param):
-    # Each used to print or write nan and exit 0.
+    # Each used to print or write nan and exit 0.  A grid value is checked
+    # as the grid is parsed, before any lambda reaches the library.
     code, out, err = run_cli(capsys, "tradeoff", *argv)
     assert code == 2 and out == ""
-    assert err.startswith(f"error: {param} must be in ") and err.count("\n") == 1
+    reason = "grid values must be finite" if "--lambda-grid" in argv else f"{param} must be in "
+    assert err.startswith(f"error: {reason}") and err.count("\n") == 1
 
 
 def test_tradeoff_requires_some_mode(capsys):
@@ -243,12 +245,13 @@ def test_sweep_failed_trials_exit_1(capsys):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("grid", ["0:inf:0.1", "-inf:1:0.1", "0:1:nan", "nan:1:1"])
+@pytest.mark.parametrize("grid", ["0:inf:0.1", "-inf:1:0.1", "0:1:nan", "nan:1:1",
+                                  "nan", "0.1,nan", "inf"])
 def test_non_finite_grid_exit_2(capsys, grid):
     code, out, err = run_cli(capsys, "region", f"--p-grid={grid}")
     assert code == 2
     assert out == ""
-    assert err == f"error: grid start, stop and step must be finite, got {grid!r}\n"
+    assert err == f"error: grid values must be finite, got {grid!r}\n"
 
 
 @pytest.mark.parametrize("grid", ["0:1:1e-12", "-1e308:1e308:1"])
@@ -547,8 +550,12 @@ def test_help_exits_zero(capsys, argv):
     (["capacity", "--model", "noise-free", "--beta", "5"],
      "--model noise-free requires one of --q0, --lambda[, --alpha], --q"),
     (["tradeoff", "--lambda", "1"], "tradeoff requires --beta (except with --cost-ratio alone)"),
+    (["capacity", "--model", "noise-free", "--q0", "0.1", "--beta", "4", "--precision", "-1"],
+     "argument --precision: must be >= 1, got -1"),
+    (["tradeoff", "--cost-ratio", "2", "--precision", "0"],
+     "argument --precision: must be >= 1, got 0"),
 ], ids=["grid form", "grid step", "bsc", "matrix file", "ragged matrix file", "sdmc",
-        "noise-free", "tradeoff"])
+        "noise-free", "tradeoff", "precision", "precision zero"])
 def test_argument_errors_exit_2(capsys, tmp_path, argv, message):
     empty, ragged = tmp_path / "empty.txt", tmp_path / "ragged.txt"
     empty.write_text("\n")

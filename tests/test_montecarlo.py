@@ -284,28 +284,11 @@ def test_block_trials(M, L, codec, sampling, expected):
     assert ExperimentSpec.estimate_q0(ch, trials=1, base_seed=1).block_trials == 1
 
 
-def test_short_settle_passes_hold_at_most_block_reads(monkeypatch):
-    # Trials of ~240 reads, some above a budget patched to 256 reads.
-    budget = 256
-    spec = short_spec(4, 3, SamplingSpec.poisson_pcr(60, 1), 0.05, 40, 122)
-    block = [spec.trial(rng) for _, rng in trial_streams(122, 40)]
-    reads = [int(d[1].sum()) for d in block]
-    assert max(reads) > budget and sum(reads) > 30 * budget
-    spec.settle(block)  # fill the codec's caches
-
-    def settle_peak(block_reads):
-        monkeypatch.setattr(montecarlo, "BLOCK_READS", block_reads)
-        tracemalloc.start()
-        try:
-            spec.settle(block)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    # ~40 bytes a read in a pass, plus the block's stacked counts and rows.
-    bound = 64 * max(budget, max(reads)) + (16 << 10)
-    assert settle_peak(budget) <= bound
-    assert settle_peak(sum(reads)) > bound  # the whole block in one pass
+def test_short_settle_votes_each_block_in_one_pass(monkeypatch):
+    # PCR(60, 1) on M = 4: ~240 reads a trial, 17 trials a block.
+    spec = short_spec(4, 3, SamplingSpec.poisson_pcr(60, 1), 0.05, 200, 122)
+    assert spec.block_trials == 17
+    reference = run(spec)  # also fills the codec's caches
     passes = []
     vote = montecarlo.short_molecule_vote
 
@@ -313,12 +296,27 @@ def test_short_settle_passes_hold_at_most_block_reads(monkeypatch):
         passes.append((values.size, outputs))
         return vote(values, L, owner, outputs)
 
-    monkeypatch.setattr(montecarlo, "BLOCK_READS", budget)
     monkeypatch.setattr(montecarlo, "short_molecule_vote", spy)
-    spec.settle(block)
-    assert sum(n for n, _ in passes) == sum(reads) and sum(t for _, t in passes) == 40
-    assert all(n <= budget or t == 1 for n, t in passes)
-    assert any(n > budget for n, _ in passes)
+    result = run(spec)
+    assert records_to_jsonl(result.records) == records_to_jsonl(reference.records)
+    assert [t for _, t in passes] == [17] * 11 + [13]
+    assert sum(n for n, _ in passes) == sum(r.N for r in result.records)
+    assert max(n for n, _ in passes) > BLOCK_READS  # drawn reads pass the budget
+
+    def run_peak():
+        tracemalloc.start()
+        try:
+            run(spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # ~50 bytes a drawn read in a pass (int64 owners, reads and keys, the
+    # flip patterns), plus the block's draws and the run's 200 records.
+    bound = 128 * BLOCK_READS
+    assert run_peak() <= bound
+    monkeypatch.setattr(type(spec), "block_trials", spec.trials)
+    assert run_peak() > bound  # the whole run in one block
 
 
 @settings(max_examples=60, deadline=None)

@@ -75,11 +75,21 @@ def run_stdout(gates):
     return "\n".join(lines) + "\n"
 
 
+ALL_TRUE = dict.fromkeys(("verdicts_pass", "trials_failed_zero", "output_digest_match",
+                          "reference_run_pass", "roundtrip_messages_match",
+                          "trace_preserves_output"), True)
+
+
 @pytest.mark.parametrize("gates,correct", [
-    ({"verdicts_pass": True, "output_digest_match": True}, True),
+    (ALL_TRUE, True),
     ({}, False),
-    ({"verdicts_pass": True, "output_digest_match": False}, False),
-], ids=["all gates true", "no gate lines", "a gate false"])
+    ({**ALL_TRUE, "output_digest_match": False}, False),
+    ({"verdicts_pass": True, "output_digest_match": True}, False),
+    ({k: v for k, v in ALL_TRUE.items() if k != "trace_preserves_output"}, False),
+    ({**{k: v for k, v in ALL_TRUE.items() if k != "output_digest_match"},
+      "output_digests_match": True}, False),
+], ids=["all gates true", "no gate lines", "a gate false", "two gates", "a gate missing",
+        "a gate renamed"])
 def test_bench_workload_is_correct_only_as_its_gates(bench, gates, correct):
     out = bench.workload_outcome(run_stdout(gates))
     assert out == {"correct": correct, "metrics": {"trials_per_s": 300.0}, "gates": gates}

@@ -16,7 +16,8 @@ The file holds three sections:
 ``end_to_end``
     ``workloads``: each ``benchmark/run.py --trace 0`` workload at seed 1,
     its three metrics and its gates; a run is ``correct`` only if it printed
-    a gate, every gate it printed is true and its last line says so.
+    exactly the six gates of ``benchmark/run.py``, each true, and its last
+    line says so.
     ``presets``: each ``--strict`` CLI preset's wall time in fresh
     processes, interpreter start included, min and median in seconds.
     ``tier1``: wall time, exit code and summary line of the tier-1 test run
@@ -89,6 +90,9 @@ LAYER_SEED = 2026
 NOISE_PS = ["0.01", "0.05"]
 NOISE_READ_LEN = 48
 WORKLOAD_SEED = 1
+# The gate lines benchmark/run.py prints; a run missing any is not correct.
+GATES = ("verdicts_pass", "trials_failed_zero", "output_digest_match",
+         "reference_run_pass", "roundtrip_messages_match", "trace_preserves_output")
 # What the ``dnachannel`` console script runs.
 CLI = "import sys; from dnachannel.cli import main; sys.exit(main())"
 
@@ -232,15 +236,17 @@ def ratios(against: dict, this: dict) -> dict:
 def workload_outcome(stdout: str) -> dict:
     """``correct``, ``metrics`` and ``gates`` of one ``benchmark/run.py`` output.
 
-    Correct only if it holds a ``name = true|false`` gate line, every such
-    gate is true, and its last line is a JSON object saying ``"correct": true``.
+    Correct only if its ``name = true|false`` gate lines name exactly
+    ``GATES``, every one is true, and its last line is a JSON object saying
+    ``"correct": true``.
     """
     gates = {k: v == "true" for k, v in re.findall(r"^(\w+) = (true|false)$", stdout, re.M)}
     try:
         last = json.loads(stdout.strip().splitlines()[-1])
     except (IndexError, ValueError):  # no output, or a last line that is not JSON
         last = {}
-    return {"correct": bool(gates) and all(gates.values()) and last.get("correct") is True,
+    return {"correct": set(gates) == set(GATES) and all(gates.values())
+            and last.get("correct") is True,
             "metrics": {k: m["value"] for k, m in last.get("metrics", {}).items()},
             "gates": gates}
 
