@@ -161,7 +161,7 @@ def in_capacity_region(p: float, beta: float) -> bool:
 def region_boundary(p: float) -> float:
     """Smallest beta on the region boundary at crossover p: 2 / (1 - H(2p))."""
     if not 0.0 <= p < 0.25:
-        raise ValueError(f"region boundary is defined only for p < 1/4, got {p}")
+        raise ValueError(f"p must be in [0, 1/4), got {p}")
     return 2.0 / (1.0 - binary_entropy(2.0 * p))
 
 

@@ -56,12 +56,14 @@ def _parse_grid(text: str) -> list[float]:
     start, stop, step = values
     if step <= 0:
         raise ValueError("grid step must be > 0")
+    if stop < start:
+        raise ValueError(f"grid stop must be >= start, got {text!r}")
     # Checked as a float, before any list is built: stop - start can
-    # overflow to +-inf even for finite bounds.
+    # overflow to +inf even for finite bounds.
     steps = (stop - start) / step + 1e-9
     if steps >= MAX_GRID_POINTS:
         raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-    return [start + i * step for i in range(math.floor(max(steps, -1.0)) + 1)]
+    return [start + i * step for i in range(math.floor(steps) + 1)]
 
 
 def _precision(text: str) -> int:
@@ -206,10 +208,13 @@ def _resolve_q0(args, parser) -> float:
 
 def _cmd_region(args, parser) -> int:
     grid = _parse_grid(args.p_grid)
-    skipped = sum(1 for p in grid if p >= 0.25)
-    if skipped:
-        print(f"warning: skipped {skipped} grid points with p >= 1/4", file=sys.stderr)
-    rows = region_sweep([p for p in grid if p < 0.25])
+    kept = [p for p in grid if p < 0.25]
+    if not kept:
+        raise ValueError(f"region needs a grid point p < 1/4, got {args.p_grid!r}")
+    if len(kept) < len(grid):
+        print(f"warning: skipped {len(grid) - len(kept)} grid points with p >= 1/4",
+              file=sys.stderr)
+    rows = region_sweep(kept)
     write_csv(args.out, rows, ["p", "beta_min"])
     return 0
 

@@ -28,12 +28,13 @@ layers of 2^(m-1) butterflies; the forward one only on the aligned block
 of 2^j points holding the targets, once m - j layers halve the polynomial
 to it.  Encoding and an erasure decode cost O(m * 2^m * s) table lookups
 for s interleaved codewords, whatever k is.  Construction costs O(m * 2^m);
-a codec holds O(2^w + 2^m * s) table and work-array entries.
+a codec holds O(2^w) read-only table entries and a call allocates O(2^m * s)
+of its own, so one codec serves any threads at once.
 """
 
 from __future__ import annotations
 
-import threading
+import itertools
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -139,6 +140,8 @@ class _Field:
                 x ^= poly
         if x != 1:
             raise AssertionError(f"polynomial {poly:#x} is not primitive for w={w}")
+        exp.setflags(write=False)  # shared by every codec of width w
+        log.setflags(write=False)
         self.exp = exp
         self.log = log
 
@@ -147,8 +150,8 @@ class ReedSolomonErasure:
     """Systematic [n, k] Reed-Solomon code over GF(2^w), erasure decoding only.
 
     ``encode`` and ``decode_erasures`` take one codeword as a 1-D array, or
-    ``s`` interleaved codewords as the columns of a 2-D array.  A codec
-    reuses its work arrays across calls, so calls on one instance take turns.
+    ``s`` interleaved codewords as the columns of a 2-D array.  A call never
+    changes the codec; threads may share one.
     """
 
     def __init__(self, n: int, k: int, w: int):
@@ -165,10 +168,8 @@ class ReedSolomonErasure:
         bits = [m // axes + (i < m % axes) for i in range(axes)]
         self._wht_axes = [(_hadamard(b), (1 << sum(bits[:i]), 1 << b, 1 << sum(bits[i + 1:])))
                           for i, b in enumerate(bits)]
-        self._lock = threading.Lock()  # held while the work arrays are in use
-        self._fft_work = np.empty((2, 1 << m, 0), dtype=np.int64)  # resized per s
-        self._wht_work = np.array([field.log[: 1 << m]] * 2, dtype=float)
-        self._log_hat = self._wht().copy()  # spectrum of log z, z < 2^m (log 0 = 0)
+        # The spectrum of log z, z < 2^m (log 0 = 0).
+        self._log_hat = self._wht(field.log[: 1 << m].astype(float)).copy()
         # c * x is _expz[_logz[x] + log c] for logs in [0, q).  A zero factor
         # (x = 0, or the skew of a layer's block 0) has log 2q; every index
         # from 2q up lands, under take's mode="clip", on the final zero after
@@ -187,16 +188,19 @@ class ReedSolomonErasure:
             t0, j = _block(k, n - 1)
             self._parity = ((-sums[:k] % q)[:, None], sums[k:n, None], t0,
                             _runs(self._layers, t0, j))
+        for a in [self._log_hat, self._logz, self._expz, self._sigma, self._unsigma, *self._layers,
+                  *(self._parity[:2] + tuple(self._parity[3]) if n > k else ())]:
+            a.setflags(write=False)  # no call writes what the codec holds
 
-    def _wht(self) -> np.ndarray:
-        """The unnormalised WHT of work row 0 into a work row, one product per axis."""
-        x, y = self._wht_work
-        for h, (pre, d, post) in self._wht_axes:
+    def _wht(self, x: np.ndarray) -> np.ndarray:
+        """The unnormalised WHT of the float vector ``x`` (left as is), one product per axis."""
+        work = np.empty((2, x.size))
+        for (h, (pre, d, post)), y in zip(self._wht_axes, itertools.cycle(work)):
             if post == 1:
                 np.matmul(x.reshape(pre, d), h, out=y.reshape(pre, d))
             else:
                 np.matmul(h, x.reshape(pre, d, post), out=y.reshape(pre, d, post))
-            x, y = y, x
+            x = y
         return x
 
     def _log_sums(self, base: np.ndarray) -> np.ndarray:
@@ -211,10 +215,10 @@ class ReedSolomonErasure:
         the product of spectra sqrt(2^m |base|) * 2^m (q - 1) <= 2^(2m) (q -
         1) (Cauchy-Schwarz, Parseval), below 2^48 at m = w = 16: exact in float64.
         """
-        self._wht_work[0] = 0
-        self._wht_work[0, base] = 1  # the indicator of base
-        np.multiply(self._wht(), self._log_hat, out=self._wht_work[0])
-        sums = self._wht().astype(np.int64)
+        indicator = np.zeros(1 << self._m)
+        indicator[base] = 1
+        spectrum = np.multiply(self._wht(indicator), self._log_hat, out=indicator)
+        sums = self._wht(spectrum).astype(np.int64)
         return np.remainder(np.right_shift(sums, self._m, out=sums), self.field.q, out=sums)
 
     def _evaluate(self, base, values: np.ndarray, base_logs: np.ndarray, t0: int,
@@ -224,7 +228,7 @@ class ReedSolomonErasure:
         index array or slice) and a_i the rows of ``values`` (k, s) scaled by
         ``base_logs`` (k, 1), -sums[base] % q for sums from :meth:`_log_sums`;
         ``runs`` is :func:`_runs` of the layers for that block.  The result
-        is a view of the work arrays, (2^j, s).
+        is a view of an array of this call, (2^j, s).
 
         Lagrange gives P(x_t) = prod_j (x_t - x_j) * C(x_t), off base.  Put a
         on all points 0..2^m - 1 (zero off base); the polynomial A of degree
@@ -239,13 +243,10 @@ class ReedSolomonErasure:
         of t0) * f1.
         """
         s, m = values.shape[1], self._m
-        if self._fft_work.shape[2] != s:
-            self._fft_work = np.empty((2, 1 << m, s), dtype=np.int64)
-        a, deriv = self._fft_work
-        a.fill(0)
+        a = np.zeros((1 << m, s), dtype=np.int64)
         a[base] = self._scale(values, base_logs)
-        coef = self._scale(self._ifft(a, deriv), self._sigma, out=a)
-        deriv.fill(0)
+        coef = self._scale(self._ifft(a, np.empty_like(a)), self._sigma, out=a)
+        deriv = np.zeros_like(coef)
         for i in range(m):
             if s << i < 8:  # short rows: one strided slice per residue
                 for r in range(1 << i):
@@ -324,9 +325,8 @@ class ReedSolomonErasure:
             return data.copy()
         k, cols = self.k, data.reshape(self.k, -1)
         base_logs, parity_logs, t0, runs = self._parity
-        with self._lock:
-            c = self._evaluate(slice(0, k), cols, base_logs, t0, runs)
-            parity = self._scale(c[k - t0 : self.n - t0], parity_logs)
+        c = self._evaluate(slice(0, k), cols, base_logs, t0, runs)
+        parity = self._scale(c[k - t0 : self.n - t0], parity_logs)
         return np.concatenate([cols, parity]).reshape((self.n,) + data.shape[1:])
 
     def decode_erasures(self, symbols: np.ndarray, erased: np.ndarray) -> np.ndarray:
@@ -352,10 +352,9 @@ class ReedSolomonErasure:
         if missing.size == 0:
             return data
         t0, j = _block(int(missing[0]), int(missing[-1]))
-        with self._lock:
-            sums = self._log_sums(avail)
-            c = self._evaluate(avail, known, (-sums[avail] % self.field.q)[:, None], t0,
-                               self._layers if j == self._m else _runs(self._layers, t0, j))
-            recovered = self._scale(c[missing - t0], sums[missing][:, None])
+        sums = self._log_sums(avail)
+        c = self._evaluate(avail, known, (-sums[avail] % self.field.q)[:, None], t0,
+                           self._layers if j == self._m else _runs(self._layers, t0, j))
+        recovered = self._scale(c[missing - t0], sums[missing][:, None])
         data[missing] = recovered.reshape((missing.size,) + symbols.shape[1:])
         return data

@@ -261,6 +261,13 @@ def test_region_boundary_rejects_p_above_quarter():
         cap.region_boundary(0.25)
 
 
+@pytest.mark.parametrize("p", [-0.1, 0.25])
+def test_region_boundary_names_its_interval(p):
+    with pytest.raises(ValueError) as exc:
+        cap.region_boundary(p)
+    assert str(exc.value) == f"p must be in [0, 1/4), got {p}"
+
+
 def test_region_p01_beta64_is_outside():
     # the inequality is authoritative: margin at (0.1, 6.4) is negative
     assert cap.region_margin(0.1, 6.4) == pytest.approx(-0.0344280949, abs=1e-9)

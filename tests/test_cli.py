@@ -269,8 +269,9 @@ def test_grid_point_cap_is_inclusive(monkeypatch):
     monkeypatch.setattr(cli, "MAX_GRID_POINTS", 100)
     with pytest.raises(ValueError, match="more than 100 points"):
         cli._parse_grid("0:1:0.01")
-    # A descending range is empty, even one whose span overflows.
-    assert cli._parse_grid("1e308:-1e308:1") == []
+    # A descending range is rejected, even one whose span overflows.
+    with pytest.raises(ValueError, match="grid stop must be >= start"):
+        cli._parse_grid("1e308:-1e308:1")
 
 
 # sha256 of the README sweep example's CSV at --seed 5 --trials 20.  Like
@@ -554,8 +555,15 @@ def test_help_exits_zero(capsys, argv):
      "argument --precision: must be >= 1, got -1"),
     (["tradeoff", "--cost-ratio", "2", "--precision", "0"],
      "argument --precision: must be >= 1, got 0"),
+    (["tradeoff", "--beta", "5", "--lambda-grid", "1:0:0.1"],
+     "grid stop must be >= start, got '1:0:0.1'"),
+    (["sweep", "--var", "lambda", "--grid", "1:0:0.1", "--codec", "m16-identity",
+      "--beta", "2"], "grid stop must be >= start, got '1:0:0.1'"),
+    (["region", "--p-grid", "0.3"], "region needs a grid point p < 1/4, got '0.3'"),
+    (["region", "--p-grid", "-0.1"], "p must be in [0, 1/4), got -0.1"),
 ], ids=["grid form", "grid step", "bsc", "matrix file", "ragged matrix file", "sdmc",
-        "noise-free", "tradeoff", "precision", "precision zero"])
+        "noise-free", "tradeoff", "precision", "precision zero", "descending lambda grid",
+        "descending sweep grid", "no region point", "negative p"])
 def test_argument_errors_exit_2(capsys, tmp_path, argv, message):
     empty, ragged = tmp_path / "empty.txt", tmp_path / "ragged.txt"
     empty.write_text("\n")

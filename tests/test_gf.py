@@ -132,13 +132,42 @@ def test_rs_decode_rejects_symbols_out_of_field():
     assert (rs.decode_erasures(noisy, erased) == np.arange(12)).all()
 
 
+def held_arrays(value):
+    """Every numpy array in an attribute value, through lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (list, tuple)):
+        return [a for v in value for a in held_arrays(v)]
+    return []
+
+
+def test_rs_calls_leave_the_codec_unchanged():
+    rs = ReedSolomonErasure(256, 200, 8)
+    held = dict(vars(rs))
+    arrays = held_arrays(list(held.values())) + [rs.field.log, rs.field.exp]
+    copies = [a.copy() for a in arrays]
+    rng = np.random.default_rng(3)
+    for s in (1, 3):
+        data = rng.integers(0, 256, size=(200, s))
+        cw = rs.encode(data)
+    erased = np.zeros(256, dtype=bool)
+    erased[rng.choice(256, size=56, replace=False)] = True
+    assert (rs.decode_erasures(cw, erased) == data).all()
+    assert vars(rs).keys() == held.keys()
+    assert all(vars(rs)[name] is value for name, value in held.items())
+    for a, before in zip(arrays, copies):
+        assert not a.flags.writeable and np.array_equal(a, before)
+    with pytest.raises(ValueError, match="read-only"):
+        rs.field.log[1] = 0
+
+
 def test_rs_shared_instance_across_threads():
-    """Calls on one codec from several threads take turns on its work arrays."""
+    """One codec serves calls from several threads at once, of one and of three columns."""
     rs = ReedSolomonErasure(256, 200, 8)
     rng = np.random.default_rng(11)
     jobs = []
-    for _ in range(8):
-        data = rng.integers(0, 256, size=(200, 2))
+    for i in range(8):
+        data = rng.integers(0, 256, size=(200, 1 + 2 * (i % 2)))
         erased = np.zeros(256, dtype=bool)
         erased[rng.choice(256, size=56, replace=False)] = True
         jobs.append((data, erased, rs.encode(data)))

@@ -30,18 +30,19 @@ def test_bench_quick_layer_table_has_the_documented_keys(bench):
     quick = bench.QUICK
     [table] = bench.fresh_layers(quick["ms"], quick["timing"], [bench.SRC], in_process(bench))
     cases = {"sample_counts": {"bernoulli", "poisson", "poisson_pcr", "custom"},
-             "apply_noise": {"0.01", "0.05"}}
+             "apply_noise": {"0.01", "0.05"}, "rs_encode": {"1", "64"}}
+    ms = {"sample_counts": {"256", "1024"}, "apply_noise": {"256", "1024"}, "rs_encode": {"256"}}
     assert {layer: set(by_case) for layer, by_case in table.items()} == cases
-    for by_case in table.values():
+    for layer, by_case in table.items():
         for by_m in by_case.values():
-            assert set(by_m) == {"256", "1024"}
+            assert set(by_m) == ms[layer]
             for t in by_m.values():
                 assert set(t) == {"min_ms", "median_ms", "iqr_ms", "medians_ms"}
                 assert len(t["medians_ms"]) == bench.PROCESSES
                 assert 0 < t["min_ms"] <= t["median_ms"] <= max(t["medians_ms"])
                 assert 0 <= t["iqr_ms"] <= max(t["medians_ms"]) - t["min_ms"]
     ratio = bench.ratios(table, table)
-    assert ratio == {layer: {case: {"256": 1.0, "1024": 1.0} for case in by_case}
+    assert ratio == {layer: {case: dict.fromkeys(ms[layer], 1.0) for case in by_case}
                      for layer, by_case in cases.items()}
 
 

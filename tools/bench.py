@@ -29,9 +29,12 @@ The file holds three sections:
     ``batches`` and its process's ``peak_rss_mb`` (``ru_maxrss``).
 ``layers``
     One call's time in ms, per layer, case and M: ``sample_counts`` for
-    each sampling kind, and ``apply_noise`` at p = 0.01 and 0.05 on an
-    (M, 48) all-zero block passed as a zero-stride view.  Each cell runs in
-    3 fresh processes, each timing the median of repeats of a timeit loop
+    each sampling kind, ``apply_noise`` at p = 0.01 and 0.05 on an (M, 48)
+    all-zero block passed as a zero-stride view, and ``rs_encode``:
+    ``ReedSolomonErasure.encode`` of 1 and of 64 interleaved codewords of
+    the (M, round(M * 3600 / 4096), log2 M) code of ``benchmark/worker.py``'s
+    scaling series, at M in {256, 4096, 65536} only.  Each cell runs in 3
+    fresh processes, each timing the median of repeats of a timeit loop
     on a fixed-seed Philox generator.  A cell holds those per-process
     medians (``medians_ms``), their min, median and interquartile range
     (``iqr_ms``).  The processes import a copy of this checkout's ``src``
@@ -46,11 +49,11 @@ Each fault loop and layer cell runs in a fresh interpreter with the
 benchmark's child environment (one BLAS thread, fixed str hashing), since
 a fault count depends on the exact order of allocations in the process.
 
---quick times M in {256, 1024} only, in shorter loops, runs each workload
-for 1 s and each preset once, runs the fault loops with 1 warm-up and 2
-counted batches and loop B for 0.5 s, and skips the tier-1 run.  The exit
-status is 1 if a workload gate, a preset, a fault loop or the tier-1 run
-fails.  ``benchmark/`` is run and imported, never changed.
+--quick times M in {256, 1024} only (rs_encode M = 256), in shorter loops,
+runs each workload for 1 s and each preset once, runs the fault loops with
+1 warm-up and 2 counted batches and loop B for 0.5 s, and skips the tier-1
+run.  The exit status is 1 if a workload gate, a preset, a fault loop or
+the tier-1 run fails.  ``benchmark/`` is run and imported, never changed.
 """
 
 from __future__ import annotations
@@ -76,12 +79,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "benchmark")
 SRC = os.path.join(ROOT, "src")
 
-# Sizes of a full and a --quick run.  A layer's timeit loop runs at least
-# loop_s and is repeated.
-FULL = {"ms": (256, 1024, 4096, 16384, 65536), "timing": {"repeats": 5, "loop_s": 0.2},
+# Sizes of a full and a --quick run: the M of each layer's cells, and a
+# layer's timeit loop, which runs at least loop_s and is repeated.
+SERIES = (256, 1024, 4096, 16384, 65536)
+FULL = {"ms": {"sample_counts": SERIES, "apply_noise": SERIES, "rs_encode": (256, 4096, 65536)},
+        "timing": {"repeats": 5, "loop_s": 0.2},
         "faults": {"warmup": 20, "batches": 500, "seconds": 4.0},
         "workload_s": 8.0, "preset_runs": 3}
-QUICK = {"ms": (256, 1024), "timing": {"repeats": 3, "loop_s": 0.01},
+QUICK = {"ms": {"sample_counts": (256, 1024), "apply_noise": (256, 1024), "rs_encode": (256,)},
+         "timing": {"repeats": 3, "loop_s": 0.01},
          "faults": {"warmup": 1, "batches": 2, "seconds": 0.5},
          "workload_s": 1.0, "preset_runs": 1}
 PROCESSES = 3  # per layer cell and source tree
@@ -89,6 +95,8 @@ LAYER_SEED = 2026
 # apply_noise's crossover probabilities and read length (deep-pcr-m256's L).
 NOISE_PS = ["0.01", "0.05"]
 NOISE_READ_LEN = 48
+# rs_encode's column counts: one codeword, and a block of interleaved ones.
+RS_COLUMNS = ["1", "64"]
 WORKLOAD_SEED = 1
 # The gate lines benchmark/run.py prints; a run missing any is not correct.
 GATES = ("verdicts_pass", "trials_failed_zero", "output_digest_match",
@@ -110,8 +118,10 @@ def sampling_specs() -> dict:
 
 
 def layer_cases() -> dict:
-    """Each timed layer's cases: sampling kinds, and crossover probabilities."""
-    return {"sample_counts": list(sampling_specs()), "apply_noise": NOISE_PS}
+    """Each timed layer's cases: sampling kinds, crossover probabilities and
+    column counts."""
+    return {"sample_counts": list(sampling_specs()), "apply_noise": NOISE_PS,
+            "rs_encode": RS_COLUMNS}
 
 
 def layer_call(layer: str, case: str, M: int):
@@ -120,11 +130,17 @@ def layer_call(layer: str, case: str, M: int):
     import numpy as np
 
     from dnachannel.channel import apply_noise, sample_counts
+    from dnachannel.gf import ReedSolomonErasure
 
     rng = np.random.Generator(np.random.Philox(LAYER_SEED))
     if layer == "sample_counts":
         spec = sampling_specs()[case]
         return lambda: sample_counts(spec, M, rng)
+    if layer == "rs_encode":  # the code of benchmark/worker.py's scaling series
+        w = M.bit_length() - 1
+        rs = ReedSolomonErasure(M, round(M * 3600 / 4096), w)
+        data = rng.integers(0, 1 << w, size=(rs.k, int(case)))
+        return lambda: rs.encode(data)
     # All-zero reads as a zero-stride view, as channel.transmit_draws passes them.
     zeros = np.broadcast_to(np.uint8(0), (M, NOISE_READ_LEN))
     return lambda: apply_noise(zeros, float(case), rng)
@@ -209,13 +225,14 @@ def layer_cell(runs: list[dict]) -> dict:
     return {"min_ms": ms[0], "median_ms": median(ms), "iqr_ms": q3 - q1, "medians_ms": ms}
 
 
-def fresh_layers(ms, timing: dict, srcs: list[str], measure=fresh) -> list[dict]:
-    """One {layer: {case: {M: cell}}} table per source tree; each cell in
-    PROCESSES fresh processes per tree, the trees alternating."""
+def fresh_layers(ms: dict, timing: dict, srcs: list[str], measure=fresh) -> list[dict]:
+    """One {layer: {case: {M: cell}}} table per source tree, at the M of
+    ``ms[layer]``; each cell in PROCESSES fresh processes per tree, the
+    trees alternating."""
     tables = [{layer: {case: {} for case in cases} for layer, cases in layer_cases().items()}
               for _ in srcs]
     for layer, cases in layer_cases().items():
-        for case, M in itertools.product(cases, ms):
+        for case, M in itertools.product(cases, ms[layer]):
             runs = [[] for _ in srcs]
             for _ in range(PROCESSES):
                 for src, side in zip(srcs, runs):
