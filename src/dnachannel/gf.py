@@ -243,10 +243,10 @@ class ReedSolomonErasure:
         of t0) * f1.
         """
         s, m = values.shape[1], self._m
-        a = np.zeros((1 << m, s), dtype=np.int64)
+        a, deriv = np.zeros((2, 1 << m, s), dtype=np.int64)
         a[base] = self._scale(values, base_logs)
-        coef = self._scale(self._ifft(a, np.empty_like(a)), self._sigma, out=a)
-        deriv = np.zeros_like(coef)
+        coef = self._scale(self._ifft(a, deriv), self._sigma, out=a)
+        deriv.fill(0)  # the inverse FFT ran through it
         for i in range(m):
             if s << i < 8:  # short rows: one strided slice per residue
                 for r in range(1 << i):
