@@ -182,6 +182,8 @@ def dmc_capacity_ba(
     W = np.asarray(transition, dtype=float)
     if W.ndim != 2 or W.shape[0] < 1:
         raise ValueError("transition must be a 2-D matrix")
+    if not np.isfinite(W).all():  # NaN would pass every comparison below
+        raise ValueError("transition probabilities must be finite")
     if (W < 0).any():
         raise ValueError("transition probabilities must be nonnegative")
     rowsums = W.sum(axis=1)

@@ -240,7 +240,20 @@ class ChannelParams:
         return self.L / math.log2(self.M)
 
 
-@dataclass(frozen=True)
+def as_bits(values, what: str) -> np.ndarray:
+    """``values`` as a uint8 array, checked first to hold only 0 and 1: the
+    cast alone would wrap 256 to 0 and -1 to 255."""
+    arr = np.asarray(values)
+    if arr.dtype == np.uint8:
+        bad = arr.size and arr.max() > 1
+    else:
+        bad = not ((arr == 0) | (arr == 1)).all()
+    if bad:
+        raise ValueError(f"{what} must contain only 0/1")
+    return arr.astype(np.uint8, copy=False)
+
+
+@dataclass(frozen=True, eq=False)
 class CodewordSet:
     """Ordered list of M molecules, stored as an (M, L) uint8 bit array."""
 
@@ -252,11 +265,7 @@ class CodewordSet:
             raise ValueError("molecules must be a 2-D (M, L) bit array")
         if arr.dtype.kind not in "biu":
             raise ValueError(f"molecules must be a bool or integer array, got {arr.dtype}")
-        # Checked before the cast to uint8, which would wrap 256 to 0.
-        bits = arr <= 1 if arr.dtype == np.uint8 else (arr == 0) | (arr == 1)
-        if not bits.all():
-            raise ValueError("molecules must contain only 0/1")
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
+        arr = np.ascontiguousarray(as_bits(arr, "molecules"))
         object.__setattr__(self, "molecules", arr)
         arr.setflags(write=False)
 
@@ -269,7 +278,7 @@ class CodewordSet:
         return self.molecules.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelOutput:
     """Multiset of reads, an (N, L) bit array in the order its producer gave it."""
 

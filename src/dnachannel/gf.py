@@ -17,25 +17,23 @@ prod_j (x_t - x_j) * sum_i a_i / (x_t - x_i) with a_i = value_i /
 prod_{j != i} (x_i - x_j), so its output is that of Lagrange interpolation
 bit for bit, also for inputs that are no codeword.  The logs of both
 products at every point are an XOR correlation of the base with the log
-table: two integer Walsh-Hadamard transforms (WHT), each a Kronecker product
-of +-1 Hadamard matrices of at most 64 points, one per axis of the points
-read as a 2- or 3-axis array.  They run as float64 matrix products on BLAS,
-exact because every partial sum is an integer below 2^48.  The sum is the
-derivative of the polynomial through a (zero off the base), which the
-additive FFT in the novel polynomial basis of Lin, Chung and Han (FOCS
-2014) gives: an inverse FFT, a formal derivative and a forward FFT, each m
-layers of 2^(m-1) butterflies; the forward one only on the aligned block
-of 2^j points holding the targets, once m - j layers halve the polynomial
-to it.  Encoding and an erasure decode cost O(m * 2^m * s) table lookups
-for s interleaved codewords, whatever k is.  Construction costs O(m * 2^m);
-a codec holds O(2^w) read-only table entries and a call allocates O(2^m * s)
-of its own, so one codec serves any threads at once.
+table: two int64 Walsh-Hadamard transforms (WHT), exact because int64
+arithmetic wraps modulo 2^64, the WHT is integer-linear and the result
+fits (below 2^48).  The sum is the derivative of the polynomial through a
+(zero off the base), which the additive FFT in the novel polynomial basis
+of Lin, Chung and Han (FOCS 2014) gives: an inverse FFT, a formal
+derivative and a forward FFT, each m layers of 2^(m-1) butterflies; the
+forward one only on the aligned block of 2^j points holding the targets,
+once m - j layers halve the polynomial to it.  Encoding and an erasure
+decode cost O(m * 2^m * s) table lookups for s interleaved codewords,
+whatever k is.  Construction costs O(m * 2^m); a codec holds O(2^m)
+read-only table entries beside its field's O(2^w), and a call allocates
+O(2^m * s) of its own, so one codec serves any threads at once.
 """
 
 from __future__ import annotations
 
-import itertools
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,14 +45,6 @@ _PRIMITIVE_POLY = {
     9: 0x211, 10: 0x409, 11: 0x805, 12: 0x1053, 13: 0x201B, 14: 0x4443,
     15: 0x8003, 16: 0x1100B,
 }
-
-
-@lru_cache(maxsize=None)
-def _hadamard(bits: int) -> np.ndarray:
-    """The float64 Hadamard matrix of 2^bits points, entries (-1)^popcount(i & j)."""
-    h = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * bits, np.ones((1, 1)))
-    h.setflags(write=False)
-    return h
 
 
 def _novel_basis(field: "_Field", m: int) -> tuple[list, np.ndarray]:
@@ -140,10 +130,16 @@ class _Field:
                 x ^= poly
         if x != 1:
             raise AssertionError(f"polynomial {poly:#x} is not primitive for w={w}")
-        exp.setflags(write=False)  # shared by every codec of width w
-        log.setflags(write=False)
-        self.exp = exp
-        self.log = log
+        # c * x is expz[logz[x] + log c] for logs in [0, q).  A zero factor
+        # (x = 0, or the skew of a layer's block 0) has log 2q; every index
+        # from 2q up lands, under take's mode="clip", on the final zero after
+        # the two periods of exp.
+        logz = log.copy()
+        logz[0] = 2 * self.q
+        expz = np.concatenate([exp, exp, np.zeros(1, np.int64)])
+        for a in (exp, log, logz, expz):
+            a.setflags(write=False)  # shared by every codec of width w
+        self.exp, self.log, self.logz, self.expz = exp, log, logz, expz
 
 
 class ReedSolomonErasure:
@@ -163,22 +159,10 @@ class ReedSolomonErasure:
         self.n, self.k, self.field = n, k, field
         q = field.q
         self._m = m = (n - 1).bit_length()
-        # The WHT's axes: the fewest of at most 6 bits, as (pre, 2^bits, post).
-        axes = max(1, -(-m // 6))
-        bits = [m // axes + (i < m % axes) for i in range(axes)]
-        self._wht_axes = [(_hadamard(b), (1 << sum(bits[:i]), 1 << b, 1 << sum(bits[i + 1:])))
-                          for i, b in enumerate(bits)]
-        # The spectrum of log z, z < 2^m (log 0 = 0).
-        self._log_hat = self._wht(field.log[: 1 << m].astype(float)).copy()
-        # c * x is _expz[_logz[x] + log c] for logs in [0, q).  A zero factor
-        # (x = 0, or the skew of a layer's block 0) has log 2q; every index
-        # from 2q up lands, under take's mode="clip", on the final zero after
-        # the two periods of exp.
-        self._logz = field.log.copy()
-        self._logz[0] = 2 * q
-        self._expz = np.concatenate([field.exp, field.exp, np.zeros(1, np.int64)])
+        self._log_hat = self._wht(field.log[: 1 << m].copy())  # spectrum of log z (log 0 = 0)
+        self._logz, self._expz = field.logz, field.expz
         skews, sigma = _novel_basis(field, m)
-        self._layers = _runs([np.where(v == 0, 2 * q, field.log[v])[:, None] for v in skews], 0, m)
+        self._layers = _runs([field.logz[v][:, None] for v in skews], 0, m)
         self._sigma, self._unsigma = sigma[:, None], (-sigma % q)[:, None]
         # Parity t is the polynomial through data points 0..k-1 evaluated at
         # point k+t: the scales of that base and of the parity points, and
@@ -188,19 +172,21 @@ class ReedSolomonErasure:
             t0, j = _block(k, n - 1)
             self._parity = ((-sums[:k] % q)[:, None], sums[k:n, None], t0,
                             _runs(self._layers, t0, j))
-        for a in [self._log_hat, self._logz, self._expz, self._sigma, self._unsigma, *self._layers,
+        for a in [self._log_hat, self._sigma, self._unsigma, *self._layers,
                   *(self._parity[:2] + tuple(self._parity[3]) if n > k else ())]:
             a.setflags(write=False)  # no call writes what the codec holds
 
     def _wht(self, x: np.ndarray) -> np.ndarray:
-        """The unnormalised WHT of the float vector ``x`` (left as is), one product per axis."""
-        work = np.empty((2, x.size))
-        for (h, (pre, d, post)), y in zip(self._wht_axes, itertools.cycle(work)):
-            if post == 1:
-                np.matmul(x.reshape(pre, d), h, out=y.reshape(pre, d))
-            else:
-                np.matmul(h, x.reshape(pre, d, post), out=y.reshape(pre, d, post))
-            x = y
+        """The unnormalised WHT of the int64 vector ``x`` of 2^m entries, which
+        it overwrites.  Each pass writes the sums and differences of the two
+        halves interleaved: H_2 on the top index bit, which moves to the
+        bottom, so after m passes every bit had its turn in natural order."""
+        h, y = x.size // 2, np.empty_like(x)
+        for _ in range(self._m):
+            pair = y.reshape(h, 2)
+            np.add(x[:h], x[h:], out=pair[:, 0])
+            np.subtract(x[:h], x[h:], out=pair[:, 1])
+            x, y = y, x
         return x
 
     def _log_sums(self, base: np.ndarray) -> np.ndarray:
@@ -209,16 +195,14 @@ class ReedSolomonErasure:
         That is log prod_{j in base, j != i} (x_i - x_j) at x = x_i in base
         (log 0 = 0 drops j = i) and log prod_{j in base} (x - x_j) elsewhere:
         2^m times it is the WHT of the product of the WHTs of the indicator
-        of base and of the log table.  Any partial sum BLAS forms, in any
-        order, is a signed sum of distinct integer inputs of one WHT, so at
-        most their l1 norm: |base| <= 2^m, 2^m (q - 1) for the logs, and for
-        the product of spectra sqrt(2^m |base|) * 2^m (q - 1) <= 2^(2m) (q -
-        1) (Cauchy-Schwarz, Parseval), below 2^48 at m = w = 16: exact in float64.
+        of base and of the log table.  int64 sums wrap modulo 2^64 and the
+        WHT is integer-linear, so the result is exact because it fits:
+        2^m * sum <= 2^(2m) (q - 1), below 2^48 at m = w = 16.
         """
-        indicator = np.zeros(1 << self._m)
+        indicator = np.zeros(1 << self._m, dtype=np.int64)
         indicator[base] = 1
-        spectrum = np.multiply(self._wht(indicator), self._log_hat, out=indicator)
-        sums = self._wht(spectrum).astype(np.int64)
+        spectrum = self._wht(indicator)
+        sums = self._wht(np.multiply(spectrum, self._log_hat, out=spectrum))
         return np.remainder(np.right_shift(sums, self._m, out=sums), self.field.q, out=sums)
 
     def _evaluate(self, base, values: np.ndarray, base_logs: np.ndarray, t0: int,

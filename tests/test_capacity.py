@@ -584,6 +584,8 @@ def case(fn, *args, message, **kwargs):
     case(cap.in_capacity_region, 0.5, 2.0, message="p must be in [0, 0.5), got 0.5"),
     case(cap.dmc_capacity_ba, np.array([0.5, 0.5]), message="transition must be a 2-D matrix"),
     case(cap.dmc_capacity_ba, BSC, tol=0.0, message="tol must be > 0, got 0.0"),
+    case(cap.dmc_capacity_ba, np.array([[np.nan, 1.0], [0.5, 0.5]]),
+         message="transition probabilities must be finite"),
     case(cap.sdmc_capacity, BSC, 1.5, 4.0, message="q must be in [0, 1], got 1.5"),
     case(cap.counting_T, 0, 1, message="a must be >= 1, got 0"),
     case(cap.counting_T, 1, -1, message="b must be >= 0, got -1"),

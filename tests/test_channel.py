@@ -934,6 +934,16 @@ def test_channel_output_casts_reads_that_fit():
     assert ChannelOutput(reads=np.array([[1.0, 0.0]])).reads.tolist() == [[1, 0]]
 
 
+def test_codeword_set_and_channel_output_compare_by_identity():
+    # A generated == compared the arrays and raised "truth value ... is
+    # ambiguous"; a generated hash raised TypeError.
+    bits = np.zeros((2, 3), dtype=np.uint8)
+    for make in (CodewordSet, ChannelOutput):
+        a, b = make(bits), make(bits)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+
 def test_channel_output_counts_rows():
     out = ChannelOutput(reads=np.zeros((7, 3), dtype=np.uint8))
     assert out.N == 7 and out.L == 3

@@ -547,6 +547,8 @@ def test_help_exits_zero(capsys, argv):
      "matrix file must contain uniform rows"),
     (["capacity", "--model", "sdmc", "--matrix", "file:{ragged}", "--beta", "4"],
      "matrix file must contain uniform rows"),
+    (["capacity", "--model", "sdmc", "--matrix", "file:{nan}", "--beta", "4"],
+     "transition probabilities must be finite"),
     (["capacity", "--model", "sdmc", "--beta", "4"], "--model sdmc requires --matrix"),
     (["capacity", "--model", "noise-free", "--beta", "5"],
      "--model noise-free requires one of --q0, --lambda[, --alpha], --q"),
@@ -561,14 +563,15 @@ def test_help_exits_zero(capsys, argv):
       "--beta", "2"], "grid stop must be >= start, got '1:0:0.1'"),
     (["region", "--p-grid", "0.3"], "region needs a grid point p < 1/4, got '0.3'"),
     (["region", "--p-grid", "-0.1"], "p must be in [0, 1/4), got -0.1"),
-], ids=["grid form", "grid step", "bsc", "matrix file", "ragged matrix file", "sdmc",
-        "noise-free", "tradeoff", "precision", "precision zero", "descending lambda grid",
-        "descending sweep grid", "no region point", "negative p"])
+], ids=["grid form", "grid step", "bsc", "matrix file", "ragged matrix file",
+        "nan matrix file", "sdmc", "noise-free", "tradeoff", "precision", "precision zero",
+        "descending lambda grid", "descending sweep grid", "no region point", "negative p"])
 def test_argument_errors_exit_2(capsys, tmp_path, argv, message):
-    empty, ragged = tmp_path / "empty.txt", tmp_path / "ragged.txt"
+    empty, ragged, nan = (tmp_path / f"{name}.txt" for name in ("empty", "ragged", "nan"))
     empty.write_text("\n")
     ragged.write_text("0.9 0.1\n0.2\n")
-    argv = [a.format(empty=empty, ragged=ragged) for a in argv]
+    nan.write_text("nan 1\n")
+    argv = [a.format(empty=empty, ragged=ragged, nan=nan) for a in argv]
     try:
         code = cli.main(argv)
     except SystemExit as exc:  # parser.error, after its usage lines

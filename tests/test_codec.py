@@ -789,6 +789,34 @@ def test_dump_is_byte_stable():
     assert dump_reads(reads) == "M=2 L=2\n01\n10\n"
 
 
+# Each function that casts bits to uint8, with the length of its bit vector.
+BIT_ENCODERS = [
+    pytest.param(lambda b: encode_message(b, M16).molecules, M16.message_bits, id="encode_message"),
+    pytest.param(lambda b: short_molecule_encode(b, 8, 4).molecules, 8, id="short_molecule_encode"),
+    pytest.param(lambda b: inner_encode(b, InnerCodeSpec.identity(), 8), 8, id="inner_encode"),
+    pytest.param(lambda b: dump_reads(b[None]), 2, id="dump_reads"),
+]
+
+
+@pytest.mark.parametrize("value", [2, 256, -1])
+@pytest.mark.parametrize("encode, n", BIT_ENCODERS)
+def test_encoders_reject_values_other_than_0_and_1(encode, n, value):
+    # The uint8 cast would make 256 a 0 and -1 a 255; short_molecule_encode
+    # stored a 2 as a copy of the next segment.
+    bits = np.zeros(n, dtype=np.int64)
+    bits[0] = value
+    with pytest.raises(ValueError, match="only 0/1"):
+        encode(bits)
+
+
+@pytest.mark.parametrize("encode, n", BIT_ENCODERS)
+def test_encoders_take_bool_integer_and_float_bits(encode, n):
+    bits = substream(7, 13).integers(0, 2, size=n, dtype=np.uint8)
+    want = encode(bits)
+    for dtype in (bool, np.int64, float):
+        assert np.array_equal(encode(bits.astype(dtype)), want)
+
+
 def test_file_roundtrip(tmp_path):
     rng = substream(7, 12)
     reads = rng.integers(0, 2, size=(5, 8), dtype=np.uint8)

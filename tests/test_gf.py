@@ -144,7 +144,8 @@ def held_arrays(value):
 def test_rs_calls_leave_the_codec_unchanged():
     rs = ReedSolomonErasure(256, 200, 8)
     held = dict(vars(rs))
-    arrays = held_arrays(list(held.values())) + [rs.field.log, rs.field.exp]
+    f = rs.field
+    arrays = held_arrays(list(held.values())) + [f.log, f.exp, f.logz, f.expz]
     copies = [a.copy() for a in arrays]
     rng = np.random.default_rng(3)
     for s in (1, 3):
@@ -159,6 +160,25 @@ def test_rs_calls_leave_the_codec_unchanged():
         assert not a.flags.writeable and np.array_equal(a, before)
     with pytest.raises(ValueError, match="read-only"):
         rs.field.log[1] = 0
+
+
+def test_codecs_of_one_width_share_the_field_tables():
+    """A codec holds its field's zero-safe tables, not copies of them, and
+    building one at paper scale once its field exists peaks under 5.5 MiB
+    (6.44 MiB with its own copies and float64 WHTs)."""
+    f = GF2w(16)
+    assert f.logz[0] == 2 * f.q and np.array_equal(f.logz[1:], f.log[1:])
+    assert np.array_equal(f.expz, np.concatenate([f.exp, f.exp, [0]]))
+    for n, k in ((256, 200), (4096, 3600)):
+        held = {id(a) for a in held_arrays(list(vars(ReedSolomonErasure(n, k, 16)).values()))}
+        assert {id(f.logz), id(f.expz)} <= held
+    tracemalloc.start()
+    try:
+        ReedSolomonErasure(65536, 56316, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 2**20
 
 
 def test_rs_shared_instance_across_threads():
@@ -338,7 +358,7 @@ def test_reference_log_sums_is_the_direct_sum():
 
 @pytest.mark.parametrize("m", range(1, 17))
 def test_log_sums_match_int64_reference(m):
-    """The float64 BLAS WHTs, at the widest field, on four kinds of base."""
+    """The codec's int64 WHTs, at the widest field, on four kinds of base."""
     n, w = 1 << m, 16
     k = max(1, n * 7 // 8)
     rs = ReedSolomonErasure(n, k, w)

@@ -30,29 +30,30 @@ The file holds three sections:
 ``layers``
     One call's time in ms, per layer, case and M: ``sample_counts`` for
     each sampling kind, ``apply_noise`` at p = 0.01 and 0.05 on an (M, 48)
-    all-zero block passed as a zero-stride view, and ``rs_encode``:
+    all-zero block passed as a zero-stride view, ``rs_encode``:
     ``ReedSolomonErasure.encode`` of 1 and of 64 interleaved codewords of
     the (M, round(M * 3600 / 4096), log2 M) code of ``benchmark/worker.py``'s
-    scaling series, at M in {256, 4096, 65536} only.  Each cell runs in 3
-    fresh processes, each timing the median of repeats of a timeit loop
-    on a fixed-seed Philox generator.  A cell holds those per-process
-    medians (``medians_ms``), their min, median and interquartile range
-    (``iqr_ms``).  The processes import a copy of this checkout's ``src``
-    under a temporary directory.  With --against, ``against`` holds that
-    revision's sha, the same tables (its processes alternating with this
-    checkout's, its ``src`` exported beside the copy under a name of the
-    same length, so both trees are laid out alike), and under ``ratio`` per
-    layer and cell the ratio of its median to this checkout's (above 1
-    where this checkout is faster).
+    scaling series, and ``rs_decode``: its ``decode_erasures`` of those
+    codewords with the series' 5 % of rows erased, both at M in {256,
+    4096, 65536} only.  Each cell runs in 3 fresh processes, each timing
+    the median of repeats of a timeit loop on a fixed-seed Philox
+    generator.  A cell holds those per-process medians (``medians_ms``),
+    their min, median and interquartile range (``iqr_ms``).  The processes
+    import a copy of this checkout's ``src`` under a temporary directory.
+    With --against, ``against`` holds that revision's sha, the same tables
+    (its processes alternating with this checkout's, its ``src`` exported
+    beside the copy under a name of the same length, so both trees are laid
+    out alike), and under ``ratio`` per layer and cell the ratio of its
+    median to this checkout's (above 1 where this checkout is faster).
 
 Each fault loop and layer cell runs in a fresh interpreter with the
 benchmark's child environment (one BLAS thread, fixed str hashing), since
 a fault count depends on the exact order of allocations in the process.
 
---quick times M in {256, 1024} only (rs_encode M = 256), in shorter loops,
-runs each workload for 1 s and each preset once, runs the fault loops with
-1 warm-up and 2 counted batches and loop B for 0.5 s, and skips the tier-1
-run.  The exit status is 1 if a workload gate, a preset, a fault loop or
+--quick times M in {256, 1024} only (rs_encode and rs_decode M = 256), in
+shorter loops, runs each workload for 1 s and each preset once, runs the
+fault loops with 1 warm-up and 2 counted batches and loop B for 0.5 s, and
+skips the tier-1 run.  The exit status is 1 if a workload gate, a preset, a fault loop or
 the tier-1 run fails.  ``benchmark/`` is run and imported, never changed.
 """
 
@@ -82,11 +83,14 @@ SRC = os.path.join(ROOT, "src")
 # Sizes of a full and a --quick run: the M of each layer's cells, and a
 # layer's timeit loop, which runs at least loop_s and is repeated.
 SERIES = (256, 1024, 4096, 16384, 65536)
-FULL = {"ms": {"sample_counts": SERIES, "apply_noise": SERIES, "rs_encode": (256, 4096, 65536)},
+RS_MS = (256, 4096, 65536)
+FULL = {"ms": {"sample_counts": SERIES, "apply_noise": SERIES, "rs_encode": RS_MS,
+               "rs_decode": RS_MS},
         "timing": {"repeats": 5, "loop_s": 0.2},
         "faults": {"warmup": 20, "batches": 500, "seconds": 4.0},
         "workload_s": 8.0, "preset_runs": 3}
-QUICK = {"ms": {"sample_counts": (256, 1024), "apply_noise": (256, 1024), "rs_encode": (256,)},
+QUICK = {"ms": {"sample_counts": (256, 1024), "apply_noise": (256, 1024), "rs_encode": (256,),
+                "rs_decode": (256,)},
          "timing": {"repeats": 3, "loop_s": 0.01},
          "faults": {"warmup": 1, "batches": 2, "seconds": 0.5},
          "workload_s": 1.0, "preset_runs": 1}
@@ -95,7 +99,7 @@ LAYER_SEED = 2026
 # apply_noise's crossover probabilities and read length (deep-pcr-m256's L).
 NOISE_PS = ["0.01", "0.05"]
 NOISE_READ_LEN = 48
-# rs_encode's column counts: one codeword, and a block of interleaved ones.
+# The RS layers' column counts: one codeword, and a block of interleaved ones.
 RS_COLUMNS = ["1", "64"]
 WORKLOAD_SEED = 1
 # The gate lines benchmark/run.py prints; a run missing any is not correct.
@@ -121,7 +125,7 @@ def layer_cases() -> dict:
     """Each timed layer's cases: sampling kinds, crossover probabilities and
     column counts."""
     return {"sample_counts": list(sampling_specs()), "apply_noise": NOISE_PS,
-            "rs_encode": RS_COLUMNS}
+            "rs_encode": RS_COLUMNS, "rs_decode": RS_COLUMNS}
 
 
 def layer_call(layer: str, case: str, M: int):
@@ -136,11 +140,16 @@ def layer_call(layer: str, case: str, M: int):
     if layer == "sample_counts":
         spec = sampling_specs()[case]
         return lambda: sample_counts(spec, M, rng)
-    if layer == "rs_encode":  # the code of benchmark/worker.py's scaling series
+    if layer in ("rs_encode", "rs_decode"):  # benchmark/worker.py's scaling series
         w = M.bit_length() - 1
         rs = ReedSolomonErasure(M, round(M * 3600 / 4096), w)
         data = rng.integers(0, 1 << w, size=(rs.k, int(case)))
-        return lambda: rs.encode(data)
+        if layer == "rs_encode":
+            return lambda: rs.encode(data)
+        erased = np.zeros(M, dtype=bool)
+        erased[rng.choice(M, size=round(0.05 * M), replace=False)] = True
+        received = np.where(erased[:, None], 0, rs.encode(data))
+        return lambda: rs.decode_erasures(received, erased)
     # All-zero reads as a zero-stride view, as channel.transmit_draws passes them.
     zeros = np.broadcast_to(np.uint8(0), (M, NOISE_READ_LEN))
     return lambda: apply_noise(zeros, float(case), rng)
