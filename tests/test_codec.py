@@ -791,8 +791,10 @@ def test_dump_is_byte_stable():
 
 # Each function that casts bits to uint8, with the length of its bit vector.
 BIT_ENCODERS = [
-    pytest.param(lambda b: encode_message(b, M16).molecules, M16.message_bits, id="encode_message"),
-    pytest.param(lambda b: short_molecule_encode(b, 8, 4).molecules, 8, id="short_molecule_encode"),
+    pytest.param(lambda b: encode_message(b, M16).molecules, M16.message_bits,
+                 id="encode_message"),
+    pytest.param(lambda b: short_molecule_encode(b, 8, 4).molecules, 8,
+                 id="short_molecule_encode"),
     pytest.param(lambda b: inner_encode(b, InnerCodeSpec.identity(), 8), 8, id="inner_encode"),
     pytest.param(lambda b: dump_reads(b[None]), 2, id="dump_reads"),
 ]

@@ -53,8 +53,9 @@ a fault count depends on the exact order of allocations in the process.
 --quick times M in {256, 1024} only (rs_encode and rs_decode M = 256), in
 shorter loops, runs each workload for 1 s and each preset once, runs the
 fault loops with 1 warm-up and 2 counted batches and loop B for 0.5 s, and
-skips the tier-1 run.  The exit status is 1 if a workload gate, a preset, a fault loop or
-the tier-1 run fails.  ``benchmark/`` is run and imported, never changed.
+skips the tier-1 run.  The exit status is 1 if a workload gate, a preset,
+a fault loop or the tier-1 run fails.  ``benchmark/`` is run and imported,
+never changed.
 """
 
 from __future__ import annotations
