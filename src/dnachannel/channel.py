@@ -4,7 +4,8 @@ A storage experiment writes M binary molecules of length L.  The channel
 (1) samples each molecule a random number of times according to a sampling
 distribution, (2) flips each bit of every sampled copy independently with
 probability p, and (3) shuffles the surviving reads uniformly, discarding
-all ordering information.
+all ordering information.  Molecules and reads are bit arrays: bool, integer or
+float arrays of 0s and 1s (:func:`as_bits`, the one check), stored as uint8.
 
 The sampling distribution is a :class:`SamplingSpec` subclass --
 :class:`Bernoulli`, :class:`Poisson`, :class:`PoissonPCR` or
@@ -34,6 +35,7 @@ noise needs memory for one chunk, whatever the number of reads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,20 +222,18 @@ class ChannelParams:
     L: int = 0
 
     def __post_init__(self):
-        if self.M < 2:
+        if as_int(self.M, "M") < 2:
             raise ValueError(f"M must be >= 2, got {self.M}")
         if not 0.0 < self.beta < math.inf:  # False for NaN too
             raise ValueError(f"beta must be in (0, inf), got {self.beta}")
         if not 0.0 <= self.p < 0.5:
             raise ValueError(f"p must be in [0, 0.5), got {self.p}")
-        if self.L == 0:
+        if as_int(self.L, "L") == 0:
             object.__setattr__(self, "L", math.ceil(self.beta * math.log2(self.M)))
         if self.L < 1:
             raise ValueError(f"L must be >= 1, got {self.L}")
         if self.beta_eff < self.beta - 1e-12:
-            raise ValueError(
-                f"L={self.L} gives beta_eff={self.beta_eff:.6g} < beta={self.beta}"
-            )
+            raise ValueError(f"L={self.L} gives beta_eff={self.beta_eff:.6g} < beta={self.beta}")
 
     @property
     def beta_eff(self) -> float:
@@ -241,16 +241,33 @@ class ChannelParams:
 
 
 def as_bits(values, what: str) -> np.ndarray:
-    """``values`` as a uint8 array, checked first to hold only 0 and 1: the
-    cast alone would wrap 256 to 0 and -1 to 255."""
+    """``values`` as a uint8 array, checked first to be bits: a bool, integer
+    or float dtype holding only 0 and 1 (the cast alone would wrap 256 to 0
+    and -1 to 255, and truncate 0.7 to 0).  The package's one rule for a bit."""
     arr = np.asarray(values)
-    if arr.dtype == np.uint8:
-        bad = arr.size and arr.max() > 1
-    else:
-        bad = not ((arr == 0) | (arr == 1)).all()
-    if bad:
-        raise ValueError(f"{what} must contain only 0/1")
+    kind = arr.dtype.kind
+    if kind not in "biuf":
+        raise ValueError(f"{what} must be a bool, integer or float array, got {arr.dtype}")
+    if arr.size and (arr.max() > 1 if kind in "bu" else not ((arr == 0) | (arr == 1)).all()):
+        raise ValueError(f"{what} must contain only 0/1")  # NaN too
     return arr.astype(np.uint8, copy=False)
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as an int: Python and numpy integers pass, a float, even 3.0, does not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _bit_rows(values, what: str, rows: str) -> np.ndarray:
+    """``values`` through :func:`as_bits` as a read-only, C-contiguous 2-D array."""
+    arr = np.ascontiguousarray(as_bits(values, what))
+    if arr.ndim != 2:
+        raise ValueError(f"{what} must be a 2-D ({rows}, L) bit array")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,14 +277,7 @@ class CodewordSet:
     molecules: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.molecules)
-        if arr.ndim != 2:
-            raise ValueError("molecules must be a 2-D (M, L) bit array")
-        if arr.dtype.kind not in "biu":
-            raise ValueError(f"molecules must be a bool or integer array, got {arr.dtype}")
-        arr = np.ascontiguousarray(as_bits(arr, "molecules"))
-        object.__setattr__(self, "molecules", arr)
-        arr.setflags(write=False)
+        object.__setattr__(self, "molecules", _bit_rows(self.molecules, "molecules", "M"))
 
     @property
     def M(self) -> int:
@@ -285,18 +295,7 @@ class ChannelOutput:
     reads: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.reads)
-        if arr.ndim != 2:
-            raise ValueError("reads must be a 2-D (N, L) bit array")
-        if arr.dtype != np.uint8:
-            with np.errstate(invalid="ignore"):  # NaN or out of range: caught below
-                cast = arr.astype(np.uint8)
-            if not (cast == arr).all():
-                raise ValueError(f"reads of dtype {arr.dtype} do not fit uint8 unchanged")
-            arr = cast
-        arr = np.ascontiguousarray(arr)
-        object.__setattr__(self, "reads", arr)
-        arr.setflags(write=False)
+        object.__setattr__(self, "reads", _bit_rows(self.reads, "reads", "N"))
 
     @property
     def N(self) -> int:

@@ -268,6 +268,14 @@ def _cmd_experiment(args, parser) -> int:
 
 def _cmd_sweep(args, parser) -> int:
     cfg = _codec_presets()[args.codec]
+    # --var p takes at most one of --q and --lambda; --var q and lambda take only --p.
+    fixed = {"--p": args.p, "--q": args.q, "--lambda": args.lam}
+    ignored = [flag for flag, value in fixed.items()
+               if value is not None and (flag == "--p") == (args.var == "p")]
+    if ignored:
+        parser.error(f"--var {args.var} ignores {' and '.join(ignored)}")
+    if args.var == "p" and args.q is not None and args.lam is not None:
+        parser.error("--var p takes --q or --lambda, not both")
     if args.var == "p":
         if args.lam is not None:
             sampling = SamplingSpec.poisson(args.lam)

@@ -8,6 +8,8 @@ systematic Reed-Solomon erasure code of block length M.  The decoder
 inner-decodes every read, uses the indices to sort and deduplicate, erases
 missing or conflicting indices and judges success from the erasure count;
 it erasure-decodes the outer code only when the message is asked for.
+Encoders and decoders take only bits (``channel.as_bits``): a 2 or a NaN in
+a message, a molecule or a read raises instead of being read as a 1.
 
 Also provides the short-molecule scheme for L < log2(M): index almost the
 whole molecule, store one data bit per index, and rely on massive natural
@@ -23,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .channel import ChannelOutput, CodewordSet, as_bits
+from .channel import ChannelOutput, CodewordSet, as_bits, as_int
 from .gf import ReedSolomonErasure
 from .rng import random_bits
 
@@ -133,7 +135,7 @@ class RepetitionCode(InnerCodeSpec):
     r: int
 
     def __post_init__(self):
-        if self.r < 1 or self.r % 2 == 0:
+        if as_int(self.r, "r") < 1 or self.r % 2 == 0:
             raise ConfigError(f"repetition factor must be odd >= 1, got {self.r}")
 
     def info_bits(self, L: int) -> int:
@@ -165,8 +167,9 @@ class TableMLCode(InnerCodeSpec):
     seed: int
 
     def __post_init__(self):
-        if not 1 <= self.k_info <= 20:
+        if not 1 <= as_int(self.k_info, "k_info") <= 20:
             raise ConfigError(f"table code needs 1 <= k_info <= 20, got {self.k_info}")
+        as_int(self.seed, "seed")
 
     def info_bits(self, L: int) -> int:
         if self.k_info > L:
@@ -211,7 +214,7 @@ def inner_encode(info: np.ndarray, spec: InnerCodeSpec, L: int) -> np.ndarray:
 
 def inner_decode(read: np.ndarray, spec: InnerCodeSpec, L: int) -> np.ndarray:
     """Decode one read (or a batch) back to info bits."""
-    read = np.asarray(read, dtype=np.uint8)
+    read = as_bits(read, "reads")
     if read.shape[-1] != L:
         raise ConfigError(f"expected length-{L} reads, got {read.shape[-1]}")
     out = spec.decode(np.atleast_2d(read), L)
@@ -261,9 +264,10 @@ class CodecConfig:
     field_width: int = field(init=False)
 
     def __post_init__(self):
-        if self.M < 2:
+        if as_int(self.M, "M") < 2:
             raise ConfigError(f"M must be >= 2, got {self.M}")
-        if not 1 <= self.outer_k <= self.M:
+        as_int(self.L, "L")
+        if not 1 <= as_int(self.outer_k, "outer_k") <= self.M:
             raise ConfigError(f"need 1 <= outer_k <= M, got outer_k={self.outer_k}")
         if self.payload_bits < 1:
             raise ConfigError(
@@ -365,7 +369,7 @@ def encode_message(msg: np.ndarray, cfg: CodecConfig) -> CodewordSet:
     payload_syms = outer_encode(data, cfg.M, cfg.outer_k, w)
     payload = int_to_bits(payload_syms, w).reshape(cfg.M, cfg.payload_bits)
     info = np.concatenate([_index_block(cfg.M, cfg.index_bits), payload], axis=1)
-    return CodewordSet(molecules=inner_encode(info, cfg.inner, cfg.L))
+    return CodewordSet(molecules=cfg.inner.encode(info, cfg.L))
 
 
 @lru_cache(maxsize=16)

@@ -55,6 +55,7 @@ from .channel import (
     ChannelParams,
     SamplingSpec,
     apply_noise,
+    as_int,
     sample_counts,
     transmit_draws,
     transmit_traced,  # not called: the span tracer patches this name
@@ -135,9 +136,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         # Every trial index must fit one uint32 word of the seed hash.
-        if not 1 <= self.trials <= 1 << 32:
+        if not 1 <= as_int(self.trials, "trials") <= 1 << 32:
             raise ValueError(f"trials must be in [1, 2^32], got {self.trials}")
-        if self.base_seed < 0:
+        if as_int(self.base_seed, "base_seed") < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if (self.expected is None) != (self.tolerance is None):
             raise ValueError(f"expected and tolerance must be set together, got "
@@ -290,9 +291,9 @@ class BoundCheck(ExperimentSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.read_len < 1:
+        if as_int(self.read_len, "read_len") < 1:
             raise ValueError(f"read_len must be >= 1, got {self.read_len}")
-        if self.reads_per_trial < 1:
+        if as_int(self.reads_per_trial, "reads_per_trial") < 1:
             raise ValueError(f"reads_per_trial must be >= 1, got {self.reads_per_trial}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
@@ -320,7 +321,7 @@ class CouponTail(ExperimentSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.M < 1:
+        if as_int(self.M, "M") < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
         if not 0.0 < self.lam < math.inf:  # False for NaN too
             raise ValueError(f"lam must be finite and > 0, got {self.lam}")

@@ -258,8 +258,8 @@ def poisson_counts(rng: np.random.Generator, lam: float, size: int) -> np.ndarra
     Both consume the stream in array order, so results are reproducible
     from the generator state alone.
     """
-    if not lam >= 0:  # NaN too: PTRS would reject every candidate forever
-        raise ValueError(f"lambda must be >= 0, got {lam}")
+    if not 0 <= lam < math.inf:  # PTRS would loop forever on NaN and overflow on inf
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     if lam == 0:
         return np.zeros(size, dtype=np.int64)
     if lam <= _PTRS_THRESHOLD:

@@ -563,9 +563,19 @@ def test_help_exits_zero(capsys, argv):
       "--beta", "2"], "grid stop must be >= start, got '1:0:0.1'"),
     (["region", "--p-grid", "0.3"], "region needs a grid point p < 1/4, got '0.3'"),
     (["region", "--p-grid", "-0.1"], "p must be in [0, 1/4), got -0.1"),
+    (["sweep", "--var", "p", "--grid", "0:0.1:0.05", "--codec", "m16-identity", "--beta", "2",
+      "--p", "0.2"], "--var p ignores --p"),
+    (["sweep", "--var", "q", "--grid", "0:0.2:0.1", "--codec", "m16-identity", "--beta", "2",
+      "--q", "0.5"], "--var q ignores --q"),
+    (["sweep", "--var", "lambda", "--grid", "1:2:1", "--codec", "m16-identity", "--beta", "2",
+      "--lambda", "3", "--q", "0.5"], "--var lambda ignores --q and --lambda"),
+    (["sweep", "--var", "p", "--grid", "0:0.1:0.05", "--codec", "m16-identity", "--beta", "2",
+      "--q", "0.1", "--lambda", "2"], "--var p takes --q or --lambda, not both"),
 ], ids=["grid form", "grid step", "bsc", "matrix file", "ragged matrix file",
         "nan matrix file", "sdmc", "noise-free", "tradeoff", "precision", "precision zero",
-        "descending lambda grid", "descending sweep grid", "no region point", "negative p"])
+        "descending lambda grid", "descending sweep grid", "no region point", "negative p",
+        "sweep p with --p", "sweep q with --q", "sweep lambda with --q and --lambda",
+        "sweep p with --q and --lambda"])
 def test_argument_errors_exit_2(capsys, tmp_path, argv, message):
     empty, ragged, nan = (tmp_path / f"{name}.txt" for name in ("empty", "ragged", "nan"))
     empty.write_text("\n")

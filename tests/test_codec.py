@@ -12,7 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from dnachannel import codec
-from dnachannel.channel import ChannelOutput, SamplingSpec, ChannelParams, apply_noise, transmit
+from dnachannel.channel import (
+    ChannelOutput, ChannelParams, CodewordSet, SamplingSpec, apply_noise, transmit,
+)
 from dnachannel.codec import (
     CodecConfig,
     ConfigError,
@@ -789,7 +791,8 @@ def test_dump_is_byte_stable():
     assert dump_reads(reads) == "M=2 L=2\n01\n10\n"
 
 
-# Each function that casts bits to uint8, with the length of its bit vector.
+# Every entry point that takes bits from a caller, with the length of the
+# bit vector it is given: all check them through channel.as_bits.
 BIT_ENCODERS = [
     pytest.param(lambda b: encode_message(b, M16).molecules, M16.message_bits,
                  id="encode_message"),
@@ -797,15 +800,18 @@ BIT_ENCODERS = [
                  id="short_molecule_encode"),
     pytest.param(lambda b: inner_encode(b, InnerCodeSpec.identity(), 8), 8, id="inner_encode"),
     pytest.param(lambda b: dump_reads(b[None]), 2, id="dump_reads"),
+    pytest.param(lambda b: CodewordSet(b[None]).molecules, 8, id="CodewordSet"),
+    pytest.param(lambda b: ChannelOutput(b[None]).reads, 8, id="ChannelOutput"),
+    pytest.param(lambda b: inner_decode(b, InnerCodeSpec.identity(), 8), 8, id="inner_decode"),
 ]
 
 
-@pytest.mark.parametrize("value", [2, 256, -1])
+@pytest.mark.parametrize("value", [2, 256, -1, 0.7, math.nan])
 @pytest.mark.parametrize("encode, n", BIT_ENCODERS)
 def test_encoders_reject_values_other_than_0_and_1(encode, n, value):
-    # The uint8 cast would make 256 a 0 and -1 a 255; short_molecule_encode
-    # stored a 2 as a copy of the next segment.
-    bits = np.zeros(n, dtype=np.int64)
+    # The uint8 cast would make 256 a 0, -1 a 255 and 0.7 a 0;
+    # short_molecule_encode stored a 2 as a copy of the next segment.
+    bits = np.zeros(n, dtype=type(value))
     bits[0] = value
     with pytest.raises(ValueError, match="only 0/1"):
         encode(bits)
@@ -815,8 +821,29 @@ def test_encoders_reject_values_other_than_0_and_1(encode, n, value):
 def test_encoders_take_bool_integer_and_float_bits(encode, n):
     bits = substream(7, 13).integers(0, 2, size=n, dtype=np.uint8)
     want = encode(bits)
+    assert isinstance(want, str) or want.dtype == np.uint8
     for dtype in (bool, np.int64, float):
-        assert np.array_equal(encode(bits.astype(dtype)), want)
+        got = encode(bits.astype(dtype))
+        assert np.array_equal(got, want) and type(got) is type(want)
+        assert isinstance(got, str) or got.dtype == np.uint8
+
+
+@pytest.mark.parametrize("dtype", ["U1", complex, object])
+@pytest.mark.parametrize("encode, n", BIT_ENCODERS)
+def test_encoders_reject_other_dtypes(encode, n, dtype):
+    # numpy's uint8 cast parses "1" and takes 1+0j or an object 1.
+    bits = np.ones(n, dtype=np.uint8).astype(dtype)
+    with pytest.raises(ValueError, match=r"must be a bool, integer or float array, got "):
+        encode(bits)
+
+
+def test_decoders_reject_reads_that_are_not_bits():
+    # Both read the 2 and the 256 as some bit: segment 0 came back as 1, and
+    # the identity decode returned [0, 1, 0, 1].
+    with pytest.raises(ValueError, match="^reads must contain only 0/1$"):
+        short_molecule_decode(ChannelOutput(np.array([[0, 0, 0, 2]])), 4)
+    with pytest.raises(ValueError, match="^reads must contain only 0/1$"):
+        inner_decode(np.array([256, 1, 0, 1]), InnerCodeSpec.identity(), 4)
 
 
 def test_file_roundtrip(tmp_path):

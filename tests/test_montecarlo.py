@@ -20,6 +20,8 @@ from dnachannel.codec import (
     CodecConfig,
     ConfigError,
     InnerCodeSpec,
+    RepetitionCode,
+    TableMLCode,
     decode_output,
     encode_message,
     random_message,
@@ -497,6 +499,36 @@ def test_coupon_spec_rejects_bad_parameters(params):
     args = dict(M=1000, lam=1.0, delta=0.1) | params
     with pytest.raises(ValueError, match=f"^{next(iter(params))} must be"):
         ExperimentSpec.coupon_tail(**args, trials=1, base_seed=1)
+
+
+# Each constructor with keyword arguments it accepts, and its integer fields.
+INTEGER_FIELDS = [
+    (ChannelParams, dict(M=16, beta=2.0, p=0.0, sampling=SamplingSpec.bernoulli(0.0), L=8),
+     ("M", "L")),
+    (CodecConfig, dict(M=16, L=8, inner=InnerCodeSpec.identity(), outer_k=12),
+     ("M", "L", "outer_k")),
+    (montecarlo.EstimateQ0, dict(channel=bern_channel(16, 8, 0.5), trials=2, base_seed=1),
+     ("trials", "base_seed")),
+    (montecarlo.BoundCheck, dict(read_len=64, p=0.05, delta=0.15, reads_per_trial=100,
+                                 trials=1, base_seed=1), ("read_len", "reads_per_trial")),
+    (montecarlo.CouponTail, dict(M=1000, lam=1.0, delta=0.1, trials=1, base_seed=1), ("M",)),
+    (RepetitionCode, dict(r=3), ("r",)),
+    (TableMLCode, dict(k_info=2, seed=1), ("k_info", "seed")),
+]
+
+
+@pytest.mark.parametrize("make, kwargs, name", [
+    pytest.param(make, kwargs, name, id=f"{make.__name__}.{name}")
+    for make, kwargs, names in INTEGER_FIELDS for name in names
+])
+def test_integer_fields_reject_non_integers(make, kwargs, name):
+    # outer_k=12.5 built, and then every trial failed with a TypeError;
+    # M=16.5 built a channel with L = 9.
+    make(**kwargs | {name: np.int64(kwargs[name])})
+    for value in (float(kwargs[name]), kwargs[name] + 0.5):
+        message = re.escape(f"{name} must be an integer, got {value!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make(**kwargs | {name: value})
 
 
 @pytest.mark.parametrize("channel,codec", [

@@ -30,9 +30,10 @@ def test_bench_quick_layer_table_has_the_documented_keys(bench):
     quick = bench.QUICK
     [table] = bench.fresh_layers(quick["ms"], quick["timing"], [bench.SRC], in_process(bench))
     cases = {"sample_counts": {"bernoulli", "poisson", "poisson_pcr", "custom"},
-             "apply_noise": {"0.01", "0.05"}, "rs_encode": {"1", "64"}, "rs_decode": {"1", "64"}}
+             "apply_noise": {"0.01", "0.05"}, "rs_encode": {"1", "64"}, "rs_decode": {"1", "64"},
+             "decode_output": {"identity", "rep3"}}
     ms = {"sample_counts": {"256", "1024"}, "apply_noise": {"256", "1024"}, "rs_encode": {"256"},
-          "rs_decode": {"256"}}
+          "rs_decode": {"256"}, "decode_output": {"256"}}
     assert {layer: set(by_case) for layer, by_case in table.items()} == cases
     for layer, by_case in table.items():
         for by_m in by_case.values():

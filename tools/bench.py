@@ -34,8 +34,11 @@ The file holds three sections:
     ``ReedSolomonErasure.encode`` of 1 and of 64 interleaved codewords of
     the (M, round(M * 3600 / 4096), log2 M) code of ``benchmark/worker.py``'s
     scaling series, and ``rs_decode``: its ``decode_erasures`` of those
-    codewords with the series' 5 % of rows erased, both at M in {256,
-    4096, 65536} only.  Each cell runs in 3 fresh processes, each timing
+    codewords with the series' 5 % of rows erased, and ``decode_output``:
+    ``decode_output(ChannelOutput(reads), cfg)`` of one Poisson(2), p = 0.01
+    channel output in source order, for the ``identity`` inner code
+    (L = 2 log2 M) and ``rep3`` (L = 6 log2 M), k = round(0.75 M), all three
+    at M in {256, 4096, 65536} only.  Each cell runs in 3 fresh processes, each timing
     the median of repeats of a timeit loop on a fixed-seed Philox
     generator.  A cell holds those per-process medians (``medians_ms``),
     their min, median and interquartile range (``iqr_ms``).  The processes
@@ -50,7 +53,8 @@ Each fault loop and layer cell runs in a fresh interpreter with the
 benchmark's child environment (one BLAS thread, fixed str hashing), since
 a fault count depends on the exact order of allocations in the process.
 
---quick times M in {256, 1024} only (rs_encode and rs_decode M = 256), in
+--quick times M in {256, 1024} only (rs_encode, rs_decode and decode_output
+M = 256), in
 shorter loops, runs each workload for 1 s and each preset once, runs the
 fault loops with 1 warm-up and 2 counted batches and loop B for 0.5 s, and
 skips the tier-1 run.  The exit status is 1 if a workload gate, a preset,
@@ -86,12 +90,12 @@ SRC = os.path.join(ROOT, "src")
 SERIES = (256, 1024, 4096, 16384, 65536)
 RS_MS = (256, 4096, 65536)
 FULL = {"ms": {"sample_counts": SERIES, "apply_noise": SERIES, "rs_encode": RS_MS,
-               "rs_decode": RS_MS},
+               "rs_decode": RS_MS, "decode_output": RS_MS},
         "timing": {"repeats": 5, "loop_s": 0.2},
         "faults": {"warmup": 20, "batches": 500, "seconds": 4.0},
         "workload_s": 8.0, "preset_runs": 3}
 QUICK = {"ms": {"sample_counts": (256, 1024), "apply_noise": (256, 1024), "rs_encode": (256,),
-                "rs_decode": (256,)},
+                "rs_decode": (256,), "decode_output": (256,)},
          "timing": {"repeats": 3, "loop_s": 0.01},
          "faults": {"warmup": 1, "batches": 2, "seconds": 0.5},
          "workload_s": 1.0, "preset_runs": 1}
@@ -102,6 +106,8 @@ NOISE_PS = ["0.01", "0.05"]
 NOISE_READ_LEN = 48
 # The RS layers' column counts: one codeword, and a block of interleaved ones.
 RS_COLUMNS = ["1", "64"]
+# decode_output's inner codes, with the read length each takes per index bit.
+DECODE_CODES = {"identity": 2, "rep3": 6}
 WORKLOAD_SEED = 1
 # The gate lines benchmark/run.py prints; a run missing any is not correct.
 GATES = ("verdicts_pass", "trials_failed_zero", "output_digest_match",
@@ -123,10 +129,11 @@ def sampling_specs() -> dict:
 
 
 def layer_cases() -> dict:
-    """Each timed layer's cases: sampling kinds, crossover probabilities and
-    column counts."""
+    """Each timed layer's cases: sampling kinds, crossover probabilities,
+    column counts and inner codes."""
     return {"sample_counts": list(sampling_specs()), "apply_noise": NOISE_PS,
-            "rs_encode": RS_COLUMNS, "rs_decode": RS_COLUMNS}
+            "rs_encode": RS_COLUMNS, "rs_decode": RS_COLUMNS,
+            "decode_output": list(DECODE_CODES)}
 
 
 def layer_call(layer: str, case: str, M: int):
@@ -134,7 +141,9 @@ def layer_call(layer: str, case: str, M: int):
     fixed-seed generator."""
     import numpy as np
 
-    from dnachannel.channel import apply_noise, sample_counts
+    from dnachannel import codec
+    from dnachannel.channel import (ChannelOutput, ChannelParams, SamplingSpec, apply_noise,
+                                    sample_counts, transmit_unshuffled)
     from dnachannel.gf import ReedSolomonErasure
 
     rng = np.random.Generator(np.random.Philox(LAYER_SEED))
@@ -151,6 +160,15 @@ def layer_call(layer: str, case: str, M: int):
         erased[rng.choice(M, size=round(0.05 * M), replace=False)] = True
         received = np.where(erased[:, None], 0, rs.encode(data))
         return lambda: rs.decode_erasures(received, erased)
+    if layer == "decode_output":
+        m = M.bit_length() - 1
+        inner = (codec.InnerCodeSpec.identity() if case == "identity"
+                 else codec.InnerCodeSpec.repetition(3))
+        cfg = codec.CodecConfig(M, DECODE_CODES[case] * m, inner, round(0.75 * M))
+        channel = ChannelParams(M, cfg.L / m, 0.01, SamplingSpec.poisson(2.0), cfg.L)
+        cw = codec.encode_message(codec.random_message(cfg, rng), cfg)
+        reads = transmit_unshuffled(cw, channel, rng)[0].reads
+        return lambda: codec.decode_output(ChannelOutput(reads), cfg)
     # All-zero reads as a zero-stride view, as channel.transmit_draws passes them.
     zeros = np.broadcast_to(np.uint8(0), (M, NOISE_READ_LEN))
     return lambda: apply_noise(zeros, float(case), rng)
