@@ -16,11 +16,9 @@ Every operation is pure given an explicit ``numpy.random.Generator``; the
 stream consumption order inside :func:`transmit` is fixed (counts, then
 noise, then one shuffle permutation), so identical inputs and seed give
 bit-identical outputs.  :func:`transmit_draws` makes the first two of those
-draws, the counts and the noise, without building the reads, for callers
-that apply them to many codewords at once and do not need the read order.
-:func:`transmit_unshuffled` makes the same two draws and builds the reads,
-in source order, for a caller with one codeword whose decoder ignores the
-order.
+draws, the counts and the noise, without building the reads, and
+:func:`transmit_unshuffled` builds the reads from them in source order, for
+callers whose decoders ignore the read order.
 
 Noise stream contract: :func:`apply_noise` consumes one 64-bit word per bit,
 in C order, and flips the bit when the word is at most the integer limit
@@ -308,37 +306,41 @@ class ChannelOutput:
 
 def sample_counts(spec: SamplingSpec, M: int, rng: np.random.Generator) -> np.ndarray:
     """Draw the per-molecule sample counts N_1..N_M i.i.d. from the sampling spec."""
-    if M < 1:
+    if as_int(M, "M") < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     return spec.sample(M, rng)
 
 
 def apply_noise(reads: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Flip each bit independently with probability p (BSC)."""
+    """Flip each bit of an (N, L) bit array independently with probability p (BSC)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    out = np.array(reads, dtype=np.uint8, order="C")  # flipped in place
-    if p == 0.0:
-        return out
-    bitgen = rng.bit_generator
-    # The generators whose random() double is (word >> 11) * 2^-53, named at
-    # call time: importing the package leaves numpy.random unimported.
-    raw = type(bitgen) in (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM,
-                           np.random.SFC64)
-    # For raw words u < p exactly when word < ceil(p * 2^53) << 11, p * 2^53
-    # being exact in a double; the inclusive limit fits uint64 at p = 1 too.
-    limit = np.uint64((math.ceil(p * 2.0**53) << 11) - 1)
-    bits = out.reshape(-1)
-    mask = np.empty(min(bits.size, NOISE_CHUNK), dtype=bool)
-    for start in range(0, bits.size, NOISE_CHUNK):
-        chunk = bits[start:start + NOISE_CHUNK]
-        flips = mask[:chunk.size]
-        if raw:
-            np.less_equal(bitgen.random_raw(chunk.size), limit, out=flips)
-        else:
-            np.less(rng.random(chunk.size), p, out=flips)
-        chunk ^= flips.view(np.uint8)
-    return out
+    reads = as_bits(reads, "reads")
+    if reads.ndim != 2:
+        raise ValueError("reads must be a 2-D (N, L) bit array")
+    flips = _flips(*reads.shape, p, rng)
+    return np.bitwise_xor(flips, reads, out=flips)  # the input is never written
+
+
+def _flips(n: int, L: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """The (n, L) uint8 flip pattern of the noise stream contract."""
+    out = np.zeros(n * L, dtype=bool)
+    if p:
+        bitgen = rng.bit_generator
+        # The generators whose random() double is (word >> 11) * 2^-53, named
+        # at call time: importing the package leaves numpy.random unimported.
+        raw = type(bitgen) in (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM,
+                               np.random.SFC64)
+        # For raw words u < p exactly when word < ceil(p * 2^53) << 11, p * 2^53
+        # being exact in a double; the inclusive limit fits uint64 at p = 1 too.
+        limit = np.uint64((math.ceil(p * 2.0**53) << 11) - 1)
+        for start in range(0, out.size, NOISE_CHUNK):
+            chunk = out[start:start + NOISE_CHUNK]
+            if raw:
+                np.less_equal(bitgen.random_raw(chunk.size), limit, out=chunk)
+            else:
+                np.less(rng.random(chunk.size), p, out=chunk)
+    return out.view(np.uint8).reshape(n, L)
 
 
 def shuffle_reads(reads: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -402,7 +404,5 @@ def transmit_draws(
     counts = sample_counts(params.sampling, params.M, rng)
     if not params.p:
         return counts, None
-    # apply_noise copies its input, so a zero-stride view of one zero is the
-    # all-zero input it flips.
-    zeros = np.broadcast_to(np.uint8(0), (int(counts.sum()), params.L))
-    return counts, apply_noise(zeros, params.p, rng)
+    # apply_noise of zero reads: the name benchmark/tracing.py times noise by.
+    return counts, apply_noise(np.zeros((int(counts.sum()), params.L), np.uint8), params.p, rng)

@@ -24,7 +24,7 @@ noise (``channel.transmit_draws``).  Its blocks hold as many trials as
 their expected reads allow within ``BLOCK_READS`` (a trial expecting more
 settles alone), and ``settle`` encodes, transmits and majority-votes a
 block's integer reads in one pass.
-An index-codec trial decodes the reads in source order
+A noisy index-codec trial decodes the reads in source order
 (``channel.transmit_unshuffled``) as far as the verdict: its record needs
 the erasure and collision counts, not the message, so no trial runs the
 outer Reed-Solomon decode (``codec.DecodeReport.message`` runs it only
@@ -33,6 +33,13 @@ the vote counts reads, and ``decode_output`` erases an index read with any
 payload unlike its representative's, whichever read that is.  The shuffle
 is the channel's last draw, and ``trial_streams`` resets the generator for
 the next trial, so no trial draws it and no other draw moves.
+A noise-free index-codec trial draws the message's words and the counts,
+in that order, and builds its record from the counts alone, with no
+encode, read or decode.  The record is exact: every read is a copy of its
+molecule, so the erased indices are the molecules never drawn and none
+collide, and the outer code is MDS (any outer_k of its M symbols give the
+message, acceptance criterion 5), so it decodes exactly when
+M - distinct_seen <= M - outer_k.
 
 Verdicts are one-sided where the target is an analytic bound (empirical
 values may sit far below a loose bound; only exceeding it by more than
@@ -54,7 +61,7 @@ from . import capacity as cap
 from .channel import (
     ChannelParams,
     SamplingSpec,
-    apply_noise,
+    _flips,
     as_int,
     sample_counts,
     transmit_draws,
@@ -68,6 +75,7 @@ from .codec import (
     encode_message,
     achieved_rate,
     bits_to_int,
+    inner_encode,
     random_message,
     short_molecule_values,
     short_molecule_vote,
@@ -190,7 +198,15 @@ class EstimateQ0(ExperimentSpec):
 
 @dataclass(frozen=True, kw_only=True)
 class DecodeSuccess(ExperimentSpec):
-    """Encode a random message with the index codec, transmit and decode it."""
+    """Encode a random message with the index codec, transmit and decode it.
+
+    At p > 0 a trial does all three and reads the decoder's verdict.  At
+    p = 0 it draws what that trial would, the message's words and the
+    counts, and settles from the counts: the erasures are the M - distinct
+    molecules never drawn, no index collides, and the MDS outer code
+    decodes exactly when the erasures fit its budget M - outer_k (module
+    docstring).  The record is the one the full trial would give.
+    """
 
     metric: ClassVar[str] = "success_rate"
     channel: ChannelParams
@@ -202,12 +218,24 @@ class DecodeSuccess(ExperimentSpec):
         if (codec.M, codec.L) != (ch.M, ch.L):
             raise ConfigError(f"codec geometry M={codec.M}, L={codec.L} does not match "
                               f"channel M={ch.M}, L={ch.L}")
+        # A noise-free trial never encodes, so a bad inner code (a table_ml
+        # codebook with duplicate words) must raise here, at any p.
+        inner_encode(np.zeros(codec.info_bits, dtype=np.uint8), codec.inner, codec.L)
 
     def trial(self, rng):
-        msg = random_message(self.codec, rng)
-        cw = encode_message(msg, self.codec)
-        out, counts, flips = transmit_unshuffled(cw, self.channel, rng)
-        report = decode_output(out, self.codec)
+        ch, codec = self.channel, self.codec
+        if not ch.p:
+            # The message's words, drawn as random_message would and dropped:
+            # raw words under rng's bit contract, rng being fresh from
+            # trial_streams, and no later draw reads the half they leave.
+            rng.bit_generator.random_raw(-(-codec.message_bits // 8))
+            counts = transmit_draws(ch, rng)[0]
+            N, seen = int(counts.sum()), int(np.count_nonzero(counts))
+            ok = seen >= codec.outer_k  # M - seen erasures within M - outer_k
+            return (N, seen, ok, ch.M - seen, 0, 0.0 if N else None), float(ok)
+        msg = random_message(codec, rng)
+        out, counts, flips = transmit_unshuffled(encode_message(msg, codec), ch, rng)
+        report = decode_output(out, codec)
         # The decoder's own verdict (erasures within the outer budget), read
         # without the message, so the Reed-Solomon decode never runs; a rare
         # wrong message behind a reported success is a separate, measured
@@ -301,10 +329,7 @@ class BoundCheck(ExperimentSpec):
             raise ValueError(f"delta must be finite, got {self.delta}")
 
     def trial(self, rng) -> tuple[tuple, float]:
-        # apply_noise copies its input, so a zero-stride view of one zero
-        # stands in for the all-zero reads without a read-sized array.
-        zeros = np.broadcast_to(np.uint8(0), (self.reads_per_trial, self.read_len))
-        reads = apply_noise(zeros, self.p, rng)
+        reads = _flips(self.reads_per_trial, self.read_len, self.p, rng)
         flips = reads.sum(axis=1)
         tail = float((flips >= self.delta * self.read_len).mean())
         return (self.reads_per_trial, None, None, None, None, float(reads.mean())), tail

@@ -130,6 +130,13 @@ def test_bernoulli_q1_never_samples():
     assert counts.tolist() == [0, 0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("M,error", [(2.5, "an integer, got 2.5"), (0, ">= 1, got 0")])
+def test_sample_counts_checks_M(M, error):
+    # M = 2.5 raised numpy's TypeError from inside the draw.
+    with pytest.raises(ValueError, match=f"^M must be {re.escape(error)}$"):
+        sample_counts(SamplingSpec.bernoulli(0.5), M, rng_for(0))
+
+
 def test_bernoulli_q0_samples_exactly_once():
     counts = sample_counts(SamplingSpec.bernoulli(0.0), 5, rng_for(1))
     assert counts.tolist() == [1, 1, 1, 1, 1]
@@ -620,6 +627,16 @@ def test_noise_near_half_on_single_long_read():
 def test_noise_rejects_bad_p():
     with pytest.raises(ValueError):
         apply_noise(np.zeros((1, 4), dtype=np.uint8), -0.1, rng_for(12))
+
+
+@pytest.mark.parametrize("reads,error", [
+    ([[256, 2, 1]], "contain only 0/1"),  # the uint8 cast made it [[0, 2, 1]]
+    (np.array([[0.5, 1.0]]), "contain only 0/1"),
+    (np.zeros(4, dtype=np.uint8), "be a 2-D (N, L) bit array"),
+], ids=["256", "half", "1-D"])
+def test_noise_rejects_reads_that_are_not_bit_rows(reads, error):
+    with pytest.raises(ValueError, match=f"^reads must {re.escape(error)}$"):
+        apply_noise(reads, 0.01, rng_for(12))
 
 
 NOISE_BIT_GENERATORS = [np.random.Philox, np.random.PCG64, np.random.SFC64,

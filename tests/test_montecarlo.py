@@ -172,6 +172,8 @@ class ShuffledReference(DecodeSuccess):
         out, _, counts, flips = transmit_traced(encode_message(msg, self.codec), self.channel, rng)
         report = decode_output(out, self.codec)
         assert report.ok == (report.message is not None)
+        if not self.channel.p:  # a noise-free success is the message sent
+            assert not report.ok or np.array_equal(report.message, msg)
         row = (out.N, int(np.count_nonzero(counts)), report.ok, report.erasures,
                report.collisions, flips / out.reads.size if out.N > 0 else None)
         return row, float(report.ok)
@@ -182,17 +184,26 @@ class ShuffledReference(DecodeSuccess):
     (12, 12, InnerCodeSpec.identity(), 8, SamplingSpec.poisson_pcr(6.0, 2.0), 0.03),
     (12, 8, InnerCodeSpec.identity(), 6, SamplingSpec.bernoulli(1.0), 0.02),  # no reads
     (256, 48, InnerCodeSpec.repetition(3), 192, SamplingSpec.poisson_pcr(20.0, 5.0), 0.01),
+    # Noise-free: the m16-clean and m256-bern presets, the archive-m4096
+    # benchmark spec, and a 36-bit message: 9 32-bit draws, an odd count, so
+    # random_message leaves a 32-bit half pending and the raw-word draw not.
+    (16, 8, InnerCodeSpec.identity(), 12, SamplingSpec.bernoulli(0.0), 0.0),
+    (256, 16, InnerCodeSpec.identity(), 230, SamplingSpec.bernoulli(0.05), 0.0),
+    (4096, 24, InnerCodeSpec.identity(), 3600, SamplingSpec.bernoulli(0.05), 0.0),
+    (16, 8, InnerCodeSpec.identity(), 9, SamplingSpec.poisson(1.0), 0.0),
 ])
 def test_index_trials_match_the_shuffled_reference(M, L, inner, k, sampling, p):
-    # The reads stay in source order; the records are those of trials that
-    # shuffle them, conflicts and out-of-range indices (M = 12) included.
+    # The reads stay in source order, and noise-free trials settle from the
+    # counts alone; the records are those of trials that encode, shuffle and
+    # decode, conflicts and out-of-range indices (M = 12) included.
     ch = ChannelParams(M=M, beta=L / math.log2(M), p=p, sampling=sampling, L=L)
     codec = CodecConfig(M=M, L=L, inner=inner, outer_k=k)
-    spec = dict(channel=ch, codec=codec, trials=30, base_seed=117, min_rate=0.5)
-    text = run_text(DecodeSuccess(**spec))
-    assert text == run_text(ShuffledReference(**spec))
-    records = [json.loads(line) for line in text.splitlines()[:-1]]
-    assert any(r["collisions"] for r in records) == (p > 0 and sampling.q0() < 1)
+    for seed in (117, 118, 119, 120) if p == 0 else (117,):
+        spec = dict(channel=ch, codec=codec, trials=30, base_seed=seed, min_rate=0.5)
+        text = run_text(DecodeSuccess(**spec))
+        assert text == run_text(ShuffledReference(**spec))
+        records = [json.loads(line) for line in text.splitlines()[:-1]]
+        assert any(r["collisions"] for r in records) == (p > 0 and sampling.q0() < 1)
 
 
 def test_short_blocks_fail_every_trial_that_overflows():
@@ -538,6 +549,15 @@ def test_integer_fields_reject_non_integers(make, kwargs, name):
 def test_decode_success_rejects_geometry_mismatch(channel, codec):
     with pytest.raises(ConfigError, match="^codec geometry M=.* does not match channel"):
         ExperimentSpec.decode_success(channel, codec, trials=1, base_seed=1)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05])
+def test_decode_success_rejects_a_duplicate_codebook(p):
+    # A noise-free trial never encodes: without this check every trial
+    # succeeded at p = 0, and failed in encode_message at p > 0.
+    codec = CodecConfig(M=4, L=4, inner=InnerCodeSpec.table_ml(4, 0), outer_k=2)
+    with pytest.raises(ConfigError, match="^table_ml seed 0 produced duplicate codewords"):
+        ExperimentSpec.decode_success(bern_channel(4, 4, 0.0, p), codec, trials=3, base_seed=1)
 
 
 @pytest.mark.parametrize("M,L", [(4, 4), (64, 8)])

@@ -30,7 +30,7 @@ The file holds three sections:
 ``layers``
     One call's time in ms, per layer, case and M: ``sample_counts`` for
     each sampling kind, ``apply_noise`` at p = 0.01 and 0.05 on an (M, 48)
-    all-zero block passed as a zero-stride view, ``rs_encode``:
+    all-zero uint8 block, as ``transmit_draws`` passes it, ``rs_encode``:
     ``ReedSolomonErasure.encode`` of 1 and of 64 interleaved codewords of
     the (M, round(M * 3600 / 4096), log2 M) code of ``benchmark/worker.py``'s
     scaling series, and ``rs_decode``: its ``decode_erasures`` of those
@@ -169,8 +169,8 @@ def layer_call(layer: str, case: str, M: int):
         cw = codec.encode_message(codec.random_message(cfg, rng), cfg)
         reads = transmit_unshuffled(cw, channel, rng)[0].reads
         return lambda: codec.decode_output(ChannelOutput(reads), cfg)
-    # All-zero reads as a zero-stride view, as channel.transmit_draws passes them.
-    zeros = np.broadcast_to(np.uint8(0), (M, NOISE_READ_LEN))
+    # All-zero reads, as channel.transmit_draws passes them.
+    zeros = np.zeros((M, NOISE_READ_LEN), dtype=np.uint8)
     return lambda: apply_noise(zeros, float(case), rng)
 
 
