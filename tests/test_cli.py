@@ -491,6 +491,21 @@ def test_sweep_negative_seed_exit_2(capsys):
     assert err == "error: base_seed must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("var,grid", [("q", "0,0.1"), ("p", "0,0.05")])
+def test_sweep_bad_codebook_exit_2(capsys, monkeypatch, var, grid):
+    # A noise-free trial never encodes, so the codebook is checked when the
+    # spec is built; its trials used to fail one by one instead.
+    bad = CodecConfig(M=4, L=4, inner=InnerCodeSpec.table_ml(4, 0), outer_k=2)
+    monkeypatch.setattr(cli, "_codec_presets", lambda: {"m16-identity": bad})
+    fixed = ["--q", "0"] if var == "p" else []
+    code, out, err = run_cli(capsys, "sweep", "--var", var, "--grid", grid, *fixed,
+                             "--codec", "m16-identity", "--beta", "2", "--trials", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: table_ml seed 0 produced duplicate codewords")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("beta", ["nan", "inf"])
 @pytest.mark.parametrize("argv", [
     ["capacity", "--model", "noise-free", "--q0", "0.1"],
